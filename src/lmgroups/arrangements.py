@@ -4,9 +4,12 @@ An arrangement in dimension n consists of all coordinate walls
 {x_i = 0}, {x_i = 1} plus a chosen set of adjacent diagonals
 {x_i = x_{i+1}}.  A cell is a satisfiable sign vector: a position in
 {0, 1, interior} per coordinate and a relation in {<, =, >} per chosen
-diagonal.  All arithmetic is exact; satisfiability is union-find plus a
-constant check (the strict constraints between interior classes along a
-path can never form a cycle).
+diagonal.  Because the diagonals lie along a path, a sign vector is
+satisfiable exactly when every chosen diagonal sees an allowed pair of
+adjacent positions; cells are grown coordinate by coordinate from that
+pair table, and facets come from local moves.  A cell set is a flat
+restriction exactly when it equals the cells satisfying every
+constraint the set shares.  All arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .topology import Complex
 
@@ -48,48 +51,22 @@ def split_key(key: str) -> Tuple[str, str]:
     return positions, rels
 
 
-def _classes(n: int, diags: Sequence[int], rels: str) -> List[int]:
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for d, r in zip(diags, rels):
-        if r == "=":
-            i, j = find(d - 1), find(d)
-            if i != j:
-                parent[max(i, j)] = min(i, j)
-    return [find(i) for i in range(n)]
+# Allowed (left, right) position pairs across a diagonal, per relation,
+# with 0 < interior < 1.  Along a path of diagonals the strict relations
+# between interior classes never close a cycle, so these adjacent checks
+# are the whole satisfiability test.
+ALLOWED = {
+    "=": frozenset({"00", "11", "ii"}),
+    "<": frozenset({"01", "0i", "i1", "ii"}),
+    ">": frozenset({"10", "i0", "1i", "ii"}),
+}
 
 
 def satisfiable(positions: str, rels: str, arr: Arrangement) -> bool:
-    diags = arr.diag_list()
-    cls = _classes(arr.n, diags, rels)
-    letter: Dict[int, str] = {}
-    for i, c in enumerate(cls):
-        p = positions[i]
-        if c in letter and letter[c] != p:
-            return False
-        letter[c] = p
-    for d, r in zip(diags, rels):
-        if r == "=":
-            continue
-        a, b = letter[cls[d - 1]], letter[cls[d]]
-        lo, hi = (a, b) if r == "<" else (b, a)
-        # lo < hi must be satisfiable with 0 < interior < 1
-        if lo == "1" or hi == "0" or (lo == hi and lo != "i"):
-            return False
-        if lo == "i" and hi == "i" and cls[d - 1] == cls[d]:
-            return False
-    return True
-
-
-def cell_dim(positions: str, rels: str, arr: Arrangement) -> int:
-    cls = _classes(arr.n, arr.diag_list(), rels)
-    return len({c for i, c in enumerate(cls) if positions[i] == "i"})
+    return all(
+        positions[d - 1] + positions[d] in ALLOWED[r]
+        for d, r in zip(arr.diag_list(), rels)
+    )
 
 
 def face_of(ckey: str, dkey: str, arr: Arrangement) -> bool:
@@ -139,23 +116,56 @@ class ClusterComplex:
         return [self.complex.vertices_of(e) for e in self.complex.cells_of_dim(1)]
 
 
-def _satisfiable_cells(arr: Arrangement) -> Dict[str, int]:
+def _cells(arr: Arrangement) -> Dict[str, int]:
+    """Every cell with its dimension, grown one coordinate at a time
+    through the pair table.  The dimension counts the interior classes:
+    interior positions minus the '=' joining two of them."""
     if arr.n > 12:
         raise ValueError("dimension bound exceeded (n <= 12)")
+    partial = [("", "", 0)]
+    for j in range(arr.n):
+        grown = []
+        for positions, rels, dim in partial:
+            for p in POS:
+                inner = p == "i"
+                if j not in arr.diagonals:
+                    grown.append((positions + p, rels, dim + inner))
+                    continue
+                for r in REL:
+                    if positions[-1] + p in ALLOWED[r]:
+                        grown.append((positions + p, rels + r, dim + (inner and r != "=")))
+        partial = grown
+    return dict(sorted((cell_key(p, r), d) for p, r, d in partial))
+
+
+def _facets(positions: str, rels: str, arr: Arrangement) -> FrozenSet[str]:
+    """The cells one dimension down in the closure: pin one interior
+    class to a wall, or merge two interior classes across a strict
+    diagonal."""
     diags = arr.diag_list()
-    cells: Dict[str, int] = {}
-    for pos in product(POS, repeat=arr.n):
-        positions = "".join(pos)
-        for rel in product(REL, repeat=len(diags)):
-            rels = "".join(rel)
-            if satisfiable(positions, rels, arr):
-                cells[cell_key(positions, rels)] = cell_dim(positions, rels, arr)
-    return cells
+    out = set()
+    for k, d in enumerate(diags):
+        if rels[k] != "=" and positions[d - 1] == positions[d] == "i":
+            out.add(cell_key(positions, rels[:k] + "=" + rels[k + 1:]))
+    eq = {d for d, r in zip(diags, rels) if r == "="}
+    bounds = [0] + [j for j in range(1, arr.n) if j not in eq] + [arr.n]
+    for lo, hi in zip(bounds, bounds[1:]):
+        if positions[lo] != "i":
+            continue
+        for v in "01":
+            pinned = positions[:lo] + v * (hi - lo) + positions[hi:]
+            pinned_rels = "".join(
+                "=" if pinned[d - 1] == pinned[d] != "i" else r
+                for d, r in zip(diags, rels)
+            )
+            if satisfiable(pinned, pinned_rels, arr):
+                out.add(cell_key(pinned, pinned_rels))
+    return frozenset(out)
 
 
 def cell_counts(arr: Arrangement) -> List[int]:
     """Cell counts by dimension, without the face structure."""
-    cells = _satisfiable_cells(arr)
+    cells = _cells(arr)
     out = [0] * (max(cells.values()) + 1)
     for d in cells.values():
         out[d] += 1
@@ -165,21 +175,10 @@ def cell_counts(arr: Arrangement) -> List[int]:
 def enumerate_cells(arr: Arrangement) -> ClusterComplex:
     """All satisfiable sign vectors of the arrangement, graded by the
     number of interior coordinate classes, with the facet relation."""
-    cells = _satisfiable_cells(arr)
-    by_dim: Dict[int, List[str]] = {}
-    for k, d in cells.items():
-        by_dim.setdefault(d, []).append(k)
-    facets: Dict[str, FrozenSet[str]] = {}
-    for k, d in cells.items():
-        if d == 0:
-            facets[k] = frozenset()
-        else:
-            facets[k] = frozenset(
-                f for f in by_dim.get(d - 1, []) if face_of(f, k, arr)
-            )
-    cx = Complex(cells, facets)
+    cells = _cells(arr)
     info = {k: split_key(k) for k in cells}
-    return ClusterComplex(arr, cx, info)
+    facets = {k: _facets(*info[k], arr) for k in cells}
+    return ClusterComplex(arr, Complex(cells, facets), info)
 
 
 # --------------------------------------------------------------------------
@@ -187,6 +186,28 @@ def enumerate_cells(arr: Arrangement) -> ClusterComplex:
 
 
 Constraint = Tuple  # ("coord", i, value) with i 1-based, or ("diag", i)
+
+
+def cell_constraints(key: str, arr: Arrangement) -> FrozenSet[Constraint]:
+    """Every flat constraint the cell satisfies: its wall coordinates
+    and its '=' diagonals."""
+    positions, rels = split_key(key)
+    walls = [("coord", i, int(p)) for i, p in enumerate(positions, 1) if p != "i"]
+    diags = [("diag", d) for d, r in zip(arr.diag_list(), rels) if r == "="]
+    return frozenset(walls + diags)
+
+
+def is_flat_restriction(cx: ClusterComplex, keys: Iterable[str]) -> bool:
+    """True iff the cells are exactly the cells of cx lying in some flat.
+    The smallest candidate flat is cut out by every constraint the cells
+    share, so the set is a flat restriction iff it equals that flat's
+    cells."""
+    keys = set(keys)
+    if not keys:
+        return False
+    arr = cx.arrangement
+    common = frozenset.intersection(*(cell_constraints(k, arr) for k in keys))
+    return keys == {k for k in cx.complex.dims if common <= cell_constraints(k, arr)}
 
 
 def _forced_values(arr: Arrangement, flat: Sequence[Constraint]) -> Dict[int, Optional[int]]:
@@ -317,17 +338,11 @@ def restrict_cell_key(
 ) -> Optional[str]:
     """Map a cell of the ambient cluster lying in the flat to inherited
     coordinates; None when the cell is not contained in the flat."""
+    if not set(flat) <= cell_constraints(key, arr):
+        return None
     positions, rels = split_key(key)
     diags = arr.diag_list()
     relmap = dict(zip(diags, rels))
-    for c in flat:
-        if c[0] == "coord":
-            _, i, v = c
-            if positions[i - 1] != str(v):
-                return None
-        else:
-            if relmap[c[1]] != "=":
-                return None
     sub_arr, _ = restrict_arrangement(arr, flat)
     newpos = "".join(positions[i - 1] for i in survivors)
     newrels = []

@@ -311,12 +311,6 @@ def is_special_form(w: GroupWord) -> Optional[SpecialForm]:
     for (s, e1), (t, e2) in zip(units, units[1:]):
         if e2 != -e1 or consecutive(s, t) is None:
             return None
-    subs = [s for s, _ in units]
-    # consecutive chains are automatically independent; keep the cheap check
-    for i in range(len(subs)):
-        for j in range(i + 1, len(subs)):
-            if not independent(subs[i], subs[j]):
-                raise AssertionError("consecutive chain with dependent subscripts")
     return SpecialForm(tuple(units))
 
 

@@ -202,6 +202,8 @@ def type_Fn(A: LatticeSubgroup, n, tag: str = "G") -> bool:
     subspace (dimension <= 3 keeps the casework complete)."""
     if n != inf and (not isinstance(n, int) or n < 1):
         raise ValueError("the finiteness index is a positive integer or infinity")
+    if tag not in BASES:
+        raise ValueError(f"unknown group tag {tag!r}")
     W = _annihilator(A)
     d = len(W)
     if d == 0:

@@ -49,17 +49,19 @@ def consecutive(s: str, t: str) -> Optional[Tuple[str, int, int]]:
     return s[:i], len(s) - i - 1, len(t) - j - 1
 
 
+_TREE_LETTERS = str.maketrans("01", "ab")
+
+
+def tree_key(s: str) -> str:
+    """Sort key of the tree order: proper extensions come before their
+    prefixes (the end marker c sorts after a and b), and words branching
+    left at the first disagreement come before words branching right."""
+    return s.translate(_TREE_LETTERS) + "c"
+
+
 def tree_order_less(s: str, t: str) -> bool:
-    """Strict total order on distinct words: proper extensions come
-    before their prefixes, and words branching left at the first
-    disagreement come before words branching right."""
-    if s == t:
-        return False
-    m = min(len(s), len(t))
-    for k in range(m):
-        if s[k] != t[k]:
-            return s[k] == "0"
-    return len(s) > len(t)
+    """Strict total order on distinct words, by tree_key."""
+    return tree_key(s) < tree_key(t)
 
 
 # Pattern rows of the generator x at the root, per sign.  Each row maps

@@ -12,14 +12,13 @@ carrying the Morse data (psi height, negative lexicographic rank).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cmp_to_key
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from . import group
-from .arrangements import Arrangement, ClusterComplex, enumerate_cells, split_key
+from .arrangements import Arrangement, ClusterComplex, enumerate_cells, is_flat_restriction
 from .group import GroupWord, SpecialForm, canonical_coset, psi_like_value
 from .topology import Complex, is_collapsible, reduced_homology
-from .words import consecutive, independent, tree_order_less
+from .words import consecutive, independent, tree_key
 
 __all__ = [
     "ClusterError",
@@ -90,16 +89,8 @@ class XComplex:
         return self.complex.cells_of_dim(0)
 
 
-def _tree_cmp(s: str, t: str) -> int:
-    if s == t:
-        return 0
-    return -1 if tree_order_less(s, t) else 1
-
-
 def sort_params(params: Sequence[SpecialForm]) -> Tuple[SpecialForm, ...]:
-    return tuple(
-        sorted(params, key=cmp_to_key(lambda f, g: _tree_cmp(f.subscripts()[0], g.subscripts()[0])))
-    )
+    return tuple(sorted(params, key=lambda f: tree_key(f.subscripts()[0])))
 
 
 def _difference_entries(
@@ -110,7 +101,7 @@ def _difference_entries(
         letters.extend(forms[i].entries)
     for i in sorted(cset - bset):
         letters.extend(forms[i].inverse_entries())
-    letters.sort(key=cmp_to_key(lambda a, b: _tree_cmp(a[0], b[0])))
+    letters.sort(key=lambda e: tree_key(e[0]))
     return letters
 
 
@@ -199,36 +190,8 @@ def _global_ids(piece: XCluster) -> Dict[str, str]:
     return ids
 
 
-def _flat_cell_sets(piece: XCluster, ids: Dict[str, str]) -> List[FrozenSet[str]]:
-    """Cell-id sets of every flat restriction of the piece (subcluster
-    candidates for the intersection test)."""
-    arr = piece.cluster.arrangement
-    constraints = [("coord", i, v) for i in range(1, arr.n + 1) for v in (0, 1)]
-    constraints += [("diag", i) for i in sorted(arr.diagonals)]
-    out = set()
-    for mask in range(1 << len(constraints)):
-        flat = [constraints[i] for i in range(len(constraints)) if mask >> i & 1]
-        cells = []
-        for ckey in piece.cluster.complex.cells():
-            positions, rels = split_key(ckey)
-            diags = arr.diag_list()
-            relmap = dict(zip(diags, rels))
-            ok = True
-            for c in flat:
-                if c[0] == "coord":
-                    _, i, v = c
-                    if positions[i - 1] != str(v):
-                        ok = False
-                        break
-                else:
-                    if relmap[c[1]] != "=":
-                        ok = False
-                        break
-            if ok:
-                cells.append(ids[ckey])
-        if cells:
-            out.add(frozenset(cells))
-    return sorted(out, key=sorted)
+def _restricts_to_flat(piece: XCluster, ids: Dict[str, str], shared: Set[str]) -> bool:
+    return is_flat_restriction(piece.cluster, [c for c, g in ids.items() if g in shared])
 
 
 def assemble(
@@ -265,15 +228,14 @@ def assemble(
 
     for i in range(len(built)):
         cells_i = set(idmaps[i].values())
-        flats_i = None
         for j in range(i + 1, len(built)):
             shared = cells_i & set(idmaps[j].values())
             if not shared:
                 continue
-            if flats_i is None:
-                flats_i = _flat_cell_sets(built[i], idmaps[i])
-            flats_j = _flat_cell_sets(built[j], idmaps[j])
-            if frozenset(shared) not in flats_i or frozenset(shared) not in flats_j:
+            if not (
+                _restricts_to_flat(built[i], idmaps[i], shared)
+                and _restricts_to_flat(built[j], idmaps[j], shared)
+            ):
                 raise AssemblyError(
                     f"intersection of pieces {i} and {j} is not a subcluster of both"
                 )

@@ -1,5 +1,6 @@
 from itertools import chain, combinations, product
 
+import oracles
 import pytest
 
 from lmgroups.arrangements import (
@@ -8,8 +9,10 @@ from lmgroups.arrangements import (
     complex_to_json,
     enumerate_cells,
     face_of,
+    is_flat_restriction,
     restrict_arrangement,
     restrict_cell_key,
+    satisfiable,
     skeleton_to_dot,
     subcluster,
     verify_convex_cells,
@@ -117,6 +120,35 @@ def test_counts_match_brute_force_oracle():
         for D in all_diag_subsets(n):
             arr = Arrangement(n, frozenset(D))
             assert cell_counts(arr) == brute_count_oracle(n, D)
+
+
+def test_cells_and_facets_match_sweep_oracle():
+    for n in range(1, 6):
+        for D in all_diag_subsets(n):
+            arr = Arrangement(n, frozenset(D))
+            cx, ref = enumerate_cells(arr), oracles.enumerate_cells(arr)
+            assert cx.complex.dims == ref.complex.dims
+            assert cx.complex.facets == ref.complex.facets
+            if n <= 4:
+                for pos in product("01i", repeat=n):
+                    for rel in product("<=>", repeat=len(D)):
+                        args = ("".join(pos), "".join(rel), arr)
+                        assert satisfiable(*args) == oracles.satisfiable(*args)
+    for n, D in ((2, {1}), (3, {1, 2}), (4, {1, 3}), (5, {2, 3, 4})):
+        arr = Arrangement(n, frozenset(D))
+        assert complex_to_json(enumerate_cells(arr)) == complex_to_json(oracles.enumerate_cells(arr))
+
+
+def test_flat_restriction_examples():
+    square = enumerate_cells(Arrangement(2, frozenset()))
+    assert is_flat_restriction(square, ["00|", "0i|", "01|"])  # the wall x_1 = 0
+    assert is_flat_restriction(square, square.complex.cells())
+    assert not is_flat_restriction(square, ["00|", "11|"])  # opposite corners
+    assert not is_flat_restriction(square, ["00|", "0i|"])  # not closed under faces
+    assert not is_flat_restriction(square, [])
+    tri = enumerate_cells(Arrangement(2, frozenset({1})))
+    assert is_flat_restriction(tri, ["00|=", "ii|=", "11|="])  # the diagonal
+    assert not is_flat_restriction(tri, ["00|=", "11|="])
 
 
 def test_euler_characteristic_all_small():

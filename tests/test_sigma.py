@@ -151,6 +151,13 @@ def test_type_Fn_examples():
     assert type_Fn(lattice((1, 0, 0), (0, 1, 0), (0, 0, 1)), 5)
 
 
+def test_type_Fn_rejects_unknown_tag():
+    # full rank (empty annihilator) and rank one (nonempty annihilator)
+    for A in (lattice((1, 0, 0), (0, 1, 0), (0, 0, 1)), lattice((1, 0, 0))):
+        with pytest.raises(ValueError, match="unknown group tag"):
+            type_Fn(A, 1, tag="Q")
+
+
 def test_character_vector_validation():
     with pytest.raises(ValueError):
         CharacterVector("Shat", (1, 0, 0))

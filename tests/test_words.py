@@ -4,6 +4,7 @@ from lmgroups.words import (
     independent,
     is_prefix,
     partial_action,
+    tree_key,
     tree_order_less,
 )
 
@@ -75,6 +76,7 @@ def test_tree_order_matches_brute_force():
     for s in all_words(6):
         for t in all_words(6):
             assert tree_order_less(s, t) == brute_tree_less(s, t)
+            assert (tree_key(s) < tree_key(t)) == brute_tree_less(s, t)
 
 
 def test_tree_order_irreflexive_transitive_total():

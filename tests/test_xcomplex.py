@@ -1,5 +1,6 @@
 import random
 
+import oracles
 import pytest
 
 from lmgroups import group, topology, xcomplex
@@ -224,3 +225,68 @@ def test_morse_on_mixed_base_assembly():
     assert verify_morse(cx)
     vals = morse_values(cx)
     assert vals[group.canonical_coset(group.word("y[01]", "G")).to_string()].h == 1
+
+
+def _flat_verdicts(pieces):
+    """(new check, mask oracle) for each piece on each nonempty pairwise
+    intersection, mirroring the guard in assemble."""
+    built = [build_x_cluster(b, p) for b, p in pieces]
+    idmaps = [xcomplex._global_ids(pc) for pc in built]
+    out = []
+    for i in range(len(built)):
+        for j in range(i + 1, len(built)):
+            shared = set(idmaps[i].values()) & set(idmaps[j].values())
+            if not shared:
+                continue
+            for k in (i, j):
+                out.append((
+                    xcomplex._restricts_to_flat(built[k], idmaps[k], shared),
+                    frozenset(shared) in oracles._flat_cell_sets(built[k], idmaps[k]),
+                ))
+    return out
+
+
+def test_flat_check_matches_mask_oracle():
+    from genutil import clean_params
+
+    rng = random.Random(5)
+    compared = coned_compared = 0
+    for _ in range(8):
+        pieces = [(F, clean_params(rng, rng.randint(1, 2), 4)) for _ in range(rng.randint(2, 3))]
+        first = pieces[0][1]
+        # pieces overlapping the first one in an edge or a face
+        pieces.append((F, first[:1]))
+        if len(first) == 2:
+            pieces.append((first[0].word("G"), first[1:]))
+        for new, old in _flat_verdicts(pieces):
+            assert new == old
+            compared += 1
+        subs = [s for _, params in pieces for f in params for s in f.subscripts()]
+        for m in range(1, 8):
+            apex = "0" * m + "1"
+            if not all(independent(apex, s) for s in subs):
+                continue
+            try:
+                verdicts = _flat_verdicts([(b, p + [special_form(f"y[{apex}]")]) for b, p in pieces])
+            except ClusterError:
+                continue
+            for new, old in verdicts:
+                assert new == old
+                coned_compared += 1
+            break
+    assert compared >= 20 and coned_compared >= 20
+
+
+def test_assemble_intersection_guard_rejects_opposite_corners():
+    # a plain square: its opposite corners are shared by no flat, so an
+    # intersection made of them alone fails the guard
+    pc = build_x_cluster(F, [special_form("y[01]"), special_form("y[110]^-1")])
+    assert not pc.diagonals
+    ids = xcomplex._global_ids(pc)
+    corners = {ids[pc.cluster.vertex_of_coords(c)] for c in ((0, 0), (1, 1))}
+    assert not xcomplex._restricts_to_flat(pc, ids, corners)
+    assert frozenset(corners) not in oracles._flat_cell_sets(pc, ids)
+    edge = {ids[pc.cluster.vertex_of_coords(c)] for c in ((0, 0), (0, 1))}
+    edge.add(next(g for c, g in ids.items() if c.startswith("0i")))
+    assert xcomplex._restricts_to_flat(pc, ids, edge)
+    assert frozenset(edge) in oracles._flat_cell_sets(pc, ids)
