@@ -334,16 +334,20 @@ def restrict_arrangement(
 
 
 def restrict_cell_key(
-    key: str, arr: Arrangement, flat: Sequence[Constraint], survivors: List[int]
+    key: str,
+    arr: Arrangement,
+    flat: Sequence[Constraint],
+    restricted: Tuple[Arrangement, List[int]],
 ) -> Optional[str]:
     """Map a cell of the ambient cluster lying in the flat to inherited
-    coordinates; None when the cell is not contained in the flat."""
+    coordinates, given the flat's `restrict_arrangement` result; None
+    when the cell is not contained in the flat."""
     if not set(flat) <= cell_constraints(key, arr):
         return None
     positions, rels = split_key(key)
     diags = arr.diag_list()
     relmap = dict(zip(diags, rels))
-    sub_arr, _ = restrict_arrangement(arr, flat)
+    sub_arr, survivors = restricted
     newpos = "".join(positions[i - 1] for i in survivors)
     newrels = []
     for d in sub_arr.diag_list():

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 error, 2 negative verdict (not the identity,
-membership refused, a check failed).
+membership refused, a check failed), 3 internal error (a broken
+invariant of the library, not bad input).
 """
 
 from __future__ import annotations
@@ -282,6 +283,9 @@ def run(argv=None) -> int:
         args.name = "psihat"
     try:
         return args.fn(args)
+    except AssertionError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     except Exception as exc:  # surface a clean diagnostic, not a traceback
         print(f"error: {exc}", file=sys.stderr)
         return 1

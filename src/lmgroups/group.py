@@ -25,7 +25,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import action
 from .words import (
@@ -532,45 +532,42 @@ def _commutes(s: str, t: str) -> bool:
     return s == t or independent(s, t)
 
 
+def _ordered_commuting(
+    tail: Sequence[Tuple[str, int]], want: Sequence[Tuple[str, int]], anchor: int
+) -> Optional[List[int]]:
+    """Positions of the first occurrences of the `want` entries, in that
+    order, before position `anchor` of a unit tail of (subscript, sign)
+    entries; None unless every entry passed over after the first chosen
+    one commutes with each chosen entry to its left, so that the chosen
+    entries can be brought together in front of the anchor."""
+    pos: List[int] = []
+    lo = 0
+    for pat in want:
+        found = next((i for i in range(lo, anchor) if tail[i] == pat), None)
+        if found is None:
+            return None
+        pos.append(found)
+        lo = found + 1
+    for p in range(pos[0] + 1, anchor):
+        if p not in pos and any(
+            pi < p and not _commutes(tail[pi][0], tail[p][0]) for pi in pos
+        ):
+            return None
+    return pos
+
+
 def _find_quad(L: List[Letter], start: int) -> Optional[Tuple[int, int, int, int, str]]:
     """Locate letters y_{u0} y_{u10}^-1 y_{u11} y_u^-1 (in that order,
-    possibly separated by letters that commute across them); their
-    product is x_u^-1."""
-    for q in range(start, len(L)):
-        kq, u, eq = L[q]
-        if kq != "y" or eq != -1:
+    possibly separated by letters that commute across them) in the y
+    tail starting at `start`; their product is x_u^-1."""
+    tail = [(s, e) for _, s, e in L[start:]]
+    for q, (u, e) in enumerate(tail):
+        if e != -1:
             continue
-        want = [(u + "0", 1), (u + "10", -1), (u + "11", 1)]
-        pos = []
-        lo = start
-        ok = True
-        for sub, sg in want:
-            found = None
-            for i in range(lo, q):
-                if L[i] == ("y", sub, sg):
-                    found = i
-                    break
-            if found is None:
-                ok = False
-                break
-            pos.append(found)
-            lo = found + 1
-        if not ok:
-            continue
-        chosen = {pos[0]: want[0][0], pos[1]: want[1][0], pos[2]: want[2][0], q: u}
-        feasible = True
-        for p in range(pos[0] + 1, q):
-            if p in chosen:
-                continue
-            v = L[p][1]
-            for pi, ci in chosen.items():
-                if pi < p and not _commutes(ci, v):
-                    feasible = False
-                    break
-            if not feasible:
-                break
-        if feasible:
-            return pos[0], pos[1], pos[2], q, u
+        pos = _ordered_commuting(tail, [(u + "0", 1), (u + "10", -1), (u + "11", 1)], q)
+        if pos is not None:
+            p1, p2, p3 = (start + p for p in pos)
+            return p1, p2, p3, start + q, u
     return None
 
 
@@ -808,57 +805,23 @@ def _triple_contract(tail: List[Tuple[str, int]]) -> Optional[List[Tuple[str, in
     """Find y_{u0} y_{u10}^-1 y_{u11} inside a sorted unit tail and
     absorb its x_u^-1 into the F part on the left, transporting the
     letters it passes; returns the new unit tail or None."""
-    for p3 in range(len(tail)):
-        v, sg = tail[p3]
+    for p3, (v, sg) in enumerate(tail):
         if sg != 1 or not v.endswith("11"):
             continue
         u = v[:-2]
-        want = [(u + "0", 1), (u + "10", -1)]
-        pos = []
-        lo = 0
-        ok = True
-        for pat in want:
-            found = None
-            for i in range(lo, p3):
-                if tail[i] == pat:
-                    found = i
-                    break
-            if found is None:
-                ok = False
-                break
-            pos.append(found)
-            lo = found + 1
-        if not ok:
-            continue
-        p1, p2 = pos
-        chosen = {p1: u + "0", p2: u + "10", p3: u + "11"}
-        feasible = True
-        for p in range(p1 + 1, p3):
-            if p in chosen:
-                continue
-            for pi, ci in chosen.items():
-                if pi < p and not _commutes(ci, tail[p][0]):
-                    feasible = False
-                    break
-            if not feasible:
-                break
-        if not feasible:
+        pos = _ordered_commuting(tail, [(u + "0", 1), (u + "10", -1)], p3)
+        if pos is None:
             continue
         new: List[Tuple[str, int]] = []
-        transported = True
         for i, (s, e) in enumerate(tail[:p3]):
-            if i in chosen:
+            if i in pos:
                 continue
             s2 = partial_action(s, ("x", u, -1))
             if s2 is None:
-                transported = False
                 break
             new.append((s2, e))
-        if not transported:
-            continue
-        new.append((u, 1))
-        new.extend(tail[p3 + 1:])
-        return new
+        else:
+            return new + [(u, 1)] + tail[p3 + 1:]
     return None
 
 

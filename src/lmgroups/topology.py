@@ -1,14 +1,19 @@
 """Finite regular cell complexes as face posets, with integral homology.
 
 A complex stores cells by key with a dimension and the set of
-codimension-one faces.  Homology is computed on the order complex of
-the face poset (the barycentric subdivision), which turns arbitrary
-polytopal cells into simplices and avoids tracking incidence signs for
-the original cells.  Torsion comes from an integer Smith normal form.
+codimension-one faces.  Homology first collapses free pairs on the cell
+complex (a homotopy equivalence), then takes the order complex of the
+face poset of what remains (its barycentric subdivision), which turns
+arbitrary polytopal cells into simplices and avoids tracking incidence
+signs for the original cells.  Ranks and torsion come from an integer
+Smith normal form of the simplicial boundary matrices.  A complex with
+no free face has a subdivision with no free face, so the simplices need
+no second collapse.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
 
@@ -117,13 +122,16 @@ def smith_diagonal(rows: List[List[int]]) -> List[int]:
     diag: List[int] = []
     r = 0
     while r < min(R, C):
-        # pick the entry of least nonzero magnitude in the remaining block
+        # pick the first entry of least nonzero magnitude in the remaining
+        # block; no entry is smaller than 1, so a row holding 1 ends the search
         pr, pc, best = -1, -1, None
         for i in range(r, R):
             for j in range(r, C):
                 v = abs(m[i][j])
                 if v and (best is None or v < best):
                     pr, pc, best = i, j, v
+            if best == 1:
+                break
         if best is None:
             break
         m[r], m[pr] = m[pr], m[r]
@@ -149,57 +157,25 @@ def smith_diagonal(rows: List[List[int]]) -> List[int]:
                         for i in range(r, R):
                             m[i][r], m[i][j] = m[i][j], m[i][r]
                         again = True
-        # enforce divisibility of later entries by the pivot
+        # enforce divisibility of later entries by the pivot (every entry
+        # is divisible by 1)
         piv = abs(m[r][r])
-        for i in range(r + 1, R):
-            for j in range(r + 1, C):
-                if m[i][j] % piv:
-                    for jj in range(r, C):
-                        m[r][jj] += m[i][jj]
-                    again = True
-                    break
-            else:
-                continue
-            break
+        if piv > 1:
+            for i in range(r + 1, R):
+                for j in range(r + 1, C):
+                    if m[i][j] % piv:
+                        for jj in range(r, C):
+                            m[r][jj] += m[i][jj]
+                        again = True
+                        break
+                else:
+                    continue
+                break
         if again:
             continue
         diag.append(piv)
         r += 1
     return diag
-
-
-def _collapse_simplices(simplices: List[Tuple[str, ...]]) -> List[Tuple[str, ...]]:
-    """Greedy free-pair collapse of a simplicial complex (homotopy
-    equivalence); shrinks the chain complexes before any integer
-    elimination."""
-    cells = {tuple(sorted(s)) for s in simplices}
-    cofacets: Dict[Tuple[str, ...], set] = {s: set() for s in cells}
-    for s in cells:
-        if len(s) > 1:
-            for k in range(len(s)):
-                cofacets[s[:k] + s[k + 1:]].add(s)
-    candidates = set(cells)
-    while candidates:
-        f = candidates.pop()
-        if f not in cofacets:
-            continue
-        cf = cofacets[f]
-        if len(cf) != 1:
-            continue
-        (c,) = cf
-        if cofacets[c]:
-            continue
-        for s in (f, c):
-            if len(s) > 1:
-                for k in range(len(s)):
-                    face = s[:k] + s[k + 1:]
-                    if face in cofacets:
-                        cofacets[face].discard(s)
-                        candidates.add(face)
-        del cofacets[f], cofacets[c]
-        cells.discard(f)
-        cells.discard(c)
-    return sorted(cells)
 
 
 def homology_of_simplices(simplices: List[Tuple[str, ...]]) -> Dict[int, Tuple[int, List[int]]]:
@@ -211,8 +187,6 @@ def homology_of_simplices(simplices: List[Tuple[str, ...]]) -> Dict[int, Tuple[i
     """
     if not simplices:
         return {-1: (1, [])}
-    top_input = max(len(s) for s in simplices) - 1
-    simplices = _collapse_simplices(simplices)
     by_dim: Dict[int, List[Tuple[str, ...]]] = {}
     for s in simplices:
         by_dim.setdefault(len(s) - 1, []).append(tuple(sorted(s)))
@@ -239,7 +213,7 @@ def homology_of_simplices(simplices: List[Tuple[str, ...]]) -> Dict[int, Tuple[i
         ranks[d] = len(diag)
         torsions[d] = [v for v in diag if v > 1]
     out: Dict[int, Tuple[int, List[int]]] = {}
-    for d in range(0, max(top, top_input) + 1):
+    for d in range(0, top + 1):
         n_d = len(by_dim.get(d, []))
         rank_d = ranks.get(d, 0)
         rank_up = ranks.get(d + 1, 0)
@@ -248,10 +222,46 @@ def homology_of_simplices(simplices: List[Tuple[str, ...]]) -> Dict[int, Tuple[i
     return out
 
 
+def _collapse(cx: Complex) -> Set[str]:
+    """Greedy free-pair collapse: while some cell f has exactly one
+    cofacet c and c is maximal, remove the least such f (by dimension,
+    then key) together with c.  Returns the cells that remain, a
+    subcomplex of the same homotopy type."""
+    cofacets: Dict[str, Set[str]] = {k: set() for k in cx.dims}
+    for c, fs in cx.facets.items():
+        for f in fs:
+            cofacets[f].add(c)
+    heap = [(d, k) for k, d in cx.dims.items()]
+    heapq.heapify(heap)
+    while heap:
+        _, f = heapq.heappop(heap)
+        if f not in cofacets or len(cofacets[f]) != 1:
+            continue
+        (c,) = cofacets[f]
+        if cofacets[c]:
+            continue
+        del cofacets[f], cofacets[c]
+        # only the facets of a removed cell, and the facets of a cell
+        # that has just become maximal, can have become free
+        for cell in (f, c):
+            for g in cx.facets[cell]:
+                if g in cofacets:
+                    cofacets[g].discard(cell)
+                    heapq.heappush(heap, (cx.dims[g], g))
+                    if not cofacets[g]:
+                        for h in cx.facets[g]:
+                            heapq.heappush(heap, (cx.dims[h], h))
+    return set(cofacets)
+
+
 def reduced_homology(cx: Complex) -> Dict[int, Tuple[int, List[int]]]:
-    """Reduced integral homology of a cell complex via its barycentric
-    subdivision."""
-    return homology_of_simplices(order_complex(cx))
+    """Reduced integral homology of a cell complex: collapse free pairs,
+    then take the barycentric subdivision of what remains.  Every degree
+    up to the dimension of the complex gets an entry."""
+    h = homology_of_simplices(order_complex(cx.subcomplex(_collapse(cx))))
+    for d in range(cx.dimension() + 1):
+        h.setdefault(d, (0, []))
+    return h
 
 
 def is_trivial_homology(h: Dict[int, Tuple[int, List[int]]]) -> bool:
@@ -261,28 +271,5 @@ def is_trivial_homology(h: Dict[int, Tuple[int, List[int]]]) -> bool:
 def is_collapsible(cx: Complex) -> bool:
     """Greedy free-face collapse down to a single vertex.  True is a
     certificate of contractibility; False is inconclusive."""
-    dims = dict(cx.dims)
-    facets = {k: set(v) for k, v in cx.facets.items()}
-    cofaces: Dict[str, Set[str]] = {k: set() for k in dims}
-    for c, fs in facets.items():
-        for f in fs:
-            cofaces[f].add(c)
-    while True:
-        # (f, c) is a free pair iff c is the only cell properly containing
-        # f, i.e. f has one cofacet c and c itself is maximal
-        free = [
-            f
-            for f in dims
-            if len(cofaces[f]) == 1 and not cofaces[next(iter(cofaces[f]))]
-        ]
-        if not free:
-            break
-        f = min(free, key=lambda k: (dims[k], k))
-        (c,) = cofaces[f]
-        for cell in (f, c):
-            for g in facets[cell]:
-                if g in cofaces and g not in (f, c):
-                    cofaces[g].discard(cell)
-        del dims[f], facets[f], cofaces[f]
-        del dims[c], facets[c], cofaces[c]
-    return len(dims) == 1 and next(iter(dims.values())) == 0
+    rest = _collapse(cx)
+    return len(rest) == 1 and cx.dims[next(iter(rest))] == 0

@@ -5,10 +5,15 @@ pairwise facet scan enumerate arrangement cells the slow, obvious way;
 the flat-mask enumeration lists every flat restriction of a cluster
 piece.  The library replaced them with local path rules; the tests
 compare the two on every small input.
+
+The free-pair collapse of the barycentric subdivision and the greedy
+collapse that rescans every cell after each step are the topology
+module's former homology and collapsibility pipelines; the library now
+collapses the cell complex once, with a heap, before subdividing.
 """
 
 from itertools import product
-from typing import Dict, FrozenSet, List, Sequence
+from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
 
 from lmgroups.arrangements import (
     POS,
@@ -19,7 +24,7 @@ from lmgroups.arrangements import (
     face_of,
     split_key,
 )
-from lmgroups.topology import Complex
+from lmgroups.topology import Complex, homology_of_simplices, order_complex
 
 
 def _classes(n: int, diags: Sequence[int], rels: str) -> List[int]:
@@ -130,3 +135,80 @@ def _flat_cell_sets(piece, ids: Dict[str, str]) -> List[FrozenSet[str]]:
         if cells:
             out.add(frozenset(cells))
     return sorted(out, key=sorted)
+
+
+def _collapse_simplices(simplices: List[Tuple[str, ...]]) -> List[Tuple[str, ...]]:
+    """Greedy free-pair collapse of a simplicial complex (homotopy
+    equivalence); shrinks the chain complexes before any integer
+    elimination."""
+    cells = {tuple(sorted(s)) for s in simplices}
+    cofacets: Dict[Tuple[str, ...], set] = {s: set() for s in cells}
+    for s in cells:
+        if len(s) > 1:
+            for k in range(len(s)):
+                cofacets[s[:k] + s[k + 1:]].add(s)
+    candidates = set(cells)
+    while candidates:
+        f = candidates.pop()
+        if f not in cofacets:
+            continue
+        cf = cofacets[f]
+        if len(cf) != 1:
+            continue
+        (c,) = cf
+        if cofacets[c]:
+            continue
+        for s in (f, c):
+            if len(s) > 1:
+                for k in range(len(s)):
+                    face = s[:k] + s[k + 1:]
+                    if face in cofacets:
+                        cofacets[face].discard(s)
+                        candidates.add(face)
+        del cofacets[f], cofacets[c]
+        cells.discard(f)
+        cells.discard(c)
+    return sorted(cells)
+
+
+def reduced_homology(cx: Complex) -> Dict[int, Tuple[int, List[int]]]:
+    """Homology of the whole barycentric subdivision after the simplicial
+    collapse, with an entry for every degree up to its dimension."""
+    simplices = order_complex(cx)
+    if not simplices:
+        return homology_of_simplices(simplices)
+    top_input = max(len(s) for s in simplices) - 1
+    h = homology_of_simplices(_collapse_simplices(simplices))
+    for d in range(top_input + 1):
+        h.setdefault(d, (0, []))
+    return h
+
+
+def is_collapsible(cx: Complex) -> bool:
+    """Greedy free-face collapse down to a single vertex.  True is a
+    certificate of contractibility; False is inconclusive."""
+    dims = dict(cx.dims)
+    facets = {k: set(v) for k, v in cx.facets.items()}
+    cofaces: Dict[str, Set[str]] = {k: set() for k in dims}
+    for c, fs in facets.items():
+        for f in fs:
+            cofaces[f].add(c)
+    while True:
+        # (f, c) is a free pair iff c is the only cell properly containing
+        # f, i.e. f has one cofacet c and c itself is maximal
+        free = [
+            f
+            for f in dims
+            if len(cofaces[f]) == 1 and not cofaces[next(iter(cofaces[f]))]
+        ]
+        if not free:
+            break
+        f = min(free, key=lambda k: (dims[k], k))
+        (c,) = cofaces[f]
+        for cell in (f, c):
+            for g in facets[cell]:
+                if g in cofaces and g not in (f, c):
+                    cofaces[g].discard(cell)
+        del dims[f], facets[f], cofaces[f]
+        del dims[c], facets[c], cofaces[c]
+    return len(dims) == 1 and next(iter(dims.values())) == 0

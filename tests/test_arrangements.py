@@ -224,13 +224,11 @@ def test_facial_subcluster_inheritance_cell_for_cell():
             cx = enumerate_cells(arr)
             for i in range(1, n + 1):
                 flat = [("coord", i, 0)]
-                sub_arr, survivors = restrict_arrangement(arr, flat)
-                inherited = enumerate_cells(sub_arr)
+                restricted = restrict_arrangement(arr, flat)
+                inherited = enumerate_cells(restricted[0])
                 mapped = {
-                    restrict_cell_key(k, arr, flat, survivors)
-                    for k in cx.complex.cells()
-                    if restrict_cell_key(k, arr, flat, survivors) is not None
-                }
+                    restrict_cell_key(k, arr, flat, restricted) for k in cx.complex.cells()
+                } - {None}
                 assert mapped == set(inherited.complex.cells())
 
 

@@ -1,5 +1,6 @@
 import json
 
+from lmgroups import group
 from lmgroups.cli import run
 
 
@@ -108,6 +109,17 @@ def test_error_exit(capsys):
     capsys.readouterr()
     assert run(["normalize", "not a word"]) == 1
     capsys.readouterr()
+
+
+def test_internal_error_exit(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise AssertionError("standard-form tail is not sorted")
+
+    monkeypatch.setattr(group, "rewrite_standard_form", broken)
+    assert run(["normalize", "y[0]"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == "internal error: standard-form tail is not sorted"
 
 
 def test_xcluster_json_carries_labels(capsys):

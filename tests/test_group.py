@@ -21,6 +21,8 @@ from lmgroups.group import (
     special_form,
     word,
     word_problem,
+    _find_quad,
+    _triple_contract,
 )
 from lmgroups.words import all_words, consecutive
 
@@ -283,6 +285,26 @@ def test_rewrite_budget_error_carries_partial_word():
     with pytest.raises(group.RewriteBudgetExceeded) as info:
         rewrite_standard_form(w)
     assert isinstance(info.value.partial, GroupWord)
+
+
+def test_contractions_pass_commuting_letters_only():
+    # y_{u0} y_{u10}^-1 y_{u11} with u = 01: y_{01100} between y_{u0} and
+    # y_{u10} commutes with y_{u0} and is passed over; y_{011} between
+    # y_{u11} and y_u^-1 does not commute with y_{u10} and blocks
+    passed = [("y", "010", 1), ("y", "01100", 1), ("y", "0110", -1), ("y", "0111", 1),
+              ("y", "01", -1)]
+    blocked = [("y", "010", 1), ("y", "0110", -1), ("y", "0111", 1), ("y", "011", 1),
+               ("y", "01", -1)]
+    assert _find_quad(passed, 0) == (0, 2, 3, 4, "01")
+    assert _find_quad(blocked, 0) is None
+    assert rewrite_standard_form(GroupWord(tuple(passed), "G")).tail == (("01010", 1),)
+    assert rewrite_standard_form(GroupWord(tuple(blocked), "G")).tail == tuple(
+        (s, e) for _, s, e in blocked
+    )
+    assert _triple_contract([("010", 1), ("01100", 1), ("0110", -1), ("0111", 1)]) == [
+        ("01010", 1), ("01", 1)
+    ]
+    assert _triple_contract([("010", 1), ("0110", -1), ("01101", 1), ("0111", 1)]) is None
 
 
 def test_coset_keys_for_commuting_products():

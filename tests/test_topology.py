@@ -1,3 +1,13 @@
+import random
+from itertools import chain, combinations
+from math import gcd
+
+import oracles
+from genutil import clean_params
+
+from lmgroups import xcomplex
+from lmgroups.arrangements import Arrangement, enumerate_cells
+from lmgroups.group import identity, special_form
 from lmgroups.topology import (
     Complex,
     homology_of_simplices,
@@ -35,6 +45,35 @@ def test_smith_diagonal_known():
     # divisibility chain
     d = smith_diagonal([[2, 0, 0], [0, 3, 0], [0, 0, 5]])
     assert d == [1, 1, 30] or all(d[i] and d[i + 1] % d[i] == 0 for i in range(len(d) - 1))
+
+
+def _det(m):
+    if not m:
+        return 1
+    return sum((-1) ** j * m[0][j] * _det([row[:j] + row[j + 1:] for row in m[1:]])
+               for j in range(len(m)) if m[0][j])
+
+
+def test_smith_diagonal_matches_determinantal_divisors():
+    # d1 * ... * dk is the gcd of the k x k minors, and the number of
+    # nonzero entries is the rank
+    rng = random.Random(17)
+    for _ in range(400):
+        R, C = rng.randint(1, 4), rng.randint(1, 5)
+        m = [[rng.randint(-3, 3) for _ in range(C)] for _ in range(R)]
+        if rng.random() < 0.3:
+            m[rng.randrange(R)] = [0] * C
+        divisors = [1]
+        for k in range(1, min(R, C) + 1):
+            g = 0
+            for rows in combinations(range(R), k):
+                for cols in combinations(range(C), k):
+                    g = gcd(g, _det([[m[i][j] for j in cols] for i in rows]))
+            if g == 0:
+                break
+            divisors.append(g)
+        expected = [b // a for a, b in zip(divisors, divisors[1:])]
+        assert smith_diagonal(m) == expected, m
 
 
 def test_homology_point_and_circle():
@@ -94,3 +133,62 @@ def test_collapsible_needs_free_faces():
     # two triangles sharing an edge: collapsible
     cx = simplicial_complex([("a", "b", "c"), ("b", "c", "d")])
     assert is_collapsible(cx)
+
+
+def _skeleton(cx, k):
+    return cx.subcomplex(c for c in cx.dims if cx.dims[c] <= k)
+
+
+def _oracle_cases():
+    for n in range(1, 5):
+        for D in chain.from_iterable(combinations(range(1, n), r) for r in range(n)):
+            cx = enumerate_cells(Arrangement(n, frozenset(D))).complex
+            yield cx
+            for k in range(n):
+                if n == 4 and k in (2, 3):
+                    continue  # the subdivision oracle takes seconds here
+                yield _skeleton(cx, k)
+    rng = random.Random(31)
+    links = 0
+    while links < 4:
+        pieces = [(identity("G"), clean_params(rng, max_forms=rng.randint(1, 2), max_sub=4))
+                  for _ in range(rng.randint(1, 3))]
+        try:
+            m, _ = xcomplex.find_cone_vertex(pieces)
+            apex = special_form(f"y[{'0' * m}1]")
+            big = xcomplex.assemble([(b, list(p) + [apex]) for b, p in pieces])
+        except xcomplex.ClusterError:
+            continue
+        for v in big.complex.cells_of_dim(0)[:3]:
+            yield xcomplex.ascending_link(big, v)
+        links += 1
+    for tops in (
+        [("a",)],
+        [("a", "b"), ("b", "c"), ("a", "c")],
+        [("a", "b", "c"), ("a", "b", "d"), ("a", "c", "d"), ("b", "c", "d")],
+        [("a", "b", "c")],
+        [("a", "b", "c"), ("b", "c", "d")],
+        [tuple(str(v) for v in t) for t in (
+            (1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
+            (2, 3, 5), (2, 4, 5), (2, 4, 6), (3, 4, 6), (3, 5, 6),
+        )],
+    ):
+        yield simplicial_complex(tops)
+    # not regular: each edge has one vertex and the 2-cell has both edges
+    # as facets; the collapse of (e0, f0) makes e1 maximal, and only then
+    # is (v0, e1) free
+    yield Complex(
+        {"v0": 0, "v1": 0, "e0": 1, "e1": 1, "f0": 2},
+        {"v0": frozenset(), "v1": frozenset(), "e0": frozenset({"v1"}),
+         "e1": frozenset({"v0"}), "f0": frozenset({"e0", "e1"})},
+    )
+
+
+def test_collapse_first_matches_subdivision_oracles():
+    cases = collapsible = 0
+    for cx in _oracle_cases():
+        assert reduced_homology(cx) == oracles.reduced_homology(cx)
+        assert is_collapsible(cx) == oracles.is_collapsible(cx)
+        cases += 1
+        collapsible += is_collapsible(cx)
+    assert cases >= 60 and 0 < collapsible < cases
