@@ -1,24 +1,30 @@
 """Forced-prefix evaluation of group words on finite binary inputs.
 
-A word acts letter by letter, left to right.  Each letter is a small
-transducer: a subscripted letter first matches its subscript (copying
-bits, and degenerating to the identity as soon as the input leaves the
-subscript's cylinder), then runs the root table of x, y or p_n, where
-the y rows recurse into y or y^-1.  Feeding input bit by bit through
-the chain gives the output prefix forced by an input prefix; the chain
-states are hashable tuples, which the depth-bounded equality search
-exploits for memoized pruning instead of enumerating 2^d inputs.
+A word acts letter by letter, left to right.  Each unit letter is one
+letter machine, an asynchronous transducer built once from the row
+tables of `words`: a dict from input pattern to (output, next state),
+where the next state is None for the identity, plus the output already
+forced by every proper prefix of a pattern.  A subscripted letter is a
+chain of one-bit machines copying its subscript (a mismatching bit
+leads to None: the input has left the subscript's cylinder) in front of
+the root machine of x, y or p_n; the two y root machines continue into
+each other.  A chain state is (machine, buffered bits) or None.  Feeding
+input bit by bit through the chain gives the output prefix forced by an
+input prefix; the chain states are hashable, which the depth-bounded
+equality search exploits for memoized pruning instead of enumerating
+2^d inputs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from functools import lru_cache
+from os.path import commonprefix
+from typing import Dict, List, Optional, Tuple
 
 from . import words
 
-State = Tuple
-IDENT: State = ("id",)
+State = Optional[Tuple["Machine", str]]
 
 
 @dataclass(frozen=True)
@@ -27,84 +33,65 @@ class PrefixResult:
     exhausted: bool
 
 
-def _root_state(kind: str, sg: int) -> State:
+class Machine:
+    """rows: pattern -> (output, next state); pending: proper prefix of a
+    pattern -> the common prefix of the images of the rows it can reach."""
+
+    __slots__ = ("rows", "pending")
+
+    def define(self, rows: Dict[str, Tuple[str, State]]) -> "Machine":
+        self.rows = rows
+        self.pending = {
+            pat[:k]: commonprefix([o for p, (o, _) in rows.items() if p.startswith(pat[:k])])
+            for pat in rows for k in range(len(pat))
+        }
+        return self
+
+
+_Y_ROOTS = {1: Machine(), -1: Machine()}
+for _sg, _m in _Y_ROOTS.items():
+    _m.define({pat: (out, (_Y_ROOTS[nxt], "")) for pat, out, nxt in words.Y_ROWS[_sg]})
+
+
+@lru_cache(maxsize=4096)
+def _machine(kind: str, sub, sign: int) -> Machine:
+    """The machine of the unit letter (kind, sub)^sign."""
     if kind == "p":
-        raise AssertionError("p letters carry an index, not a subscript")
-    return (kind, sg, "")
+        return Machine().define({pat: (out, None) for pat, out in words.p_rows(sub, sign)})
+    if sub:
+        m = _machine(kind, "", sign)
+        for b in reversed(sub):
+            c = "1" if b == "0" else "0"
+            m = Machine().define({b: (b, (m, "")), c: (c, None)})
+        return m
+    if kind == "y":
+        return _Y_ROOTS[sign]
+    return Machine().define({pat: (out, None) for pat, out in words.X_ROWS[sign]})
 
 
 def initial_states(word) -> Tuple[State, ...]:
-    """One transducer per unit letter, in application order."""
+    """One machine per unit letter, in application order."""
     states: List[State] = []
     for kind, sub, exp in word.letters:
-        sg = 1 if exp > 0 else -1
-        for _ in range(abs(exp)):
-            if kind == "p":
-                states.append(("p", sub, sg, ""))
-            elif sub == "":
-                states.append(_root_state(kind, sg))
-            else:
-                states.append(("m", kind, sub, sg, 0))
+        states += [(_machine(kind, sub, 1 if exp > 0 else -1), "")] * abs(exp)
     return tuple(states)
-
-
-def _rows(state):
-    tag = state[0]
-    if tag == "x":
-        sg = state[1]
-        return tuple((pat, out, IDENT) for pat, out in words.X_ROWS[sg])
-    if tag == "y":
-        sg = state[1]
-        if sg > 0:
-            return (("00", "0", ("y", 1, "")),
-                    ("01", "10", ("y", -1, "")),
-                    ("1", "11", ("y", 1, "")))
-        return (("0", "00", ("y", -1, "")),
-                ("10", "01", ("y", 1, "")),
-                ("11", "1", ("y", -1, "")))
-    if tag == "p":
-        n, sg = state[1], state[2]
-        return tuple((pat, out, IDENT) for pat, out in words.p_rows(n, sg))
-    raise AssertionError(f"rowless state {state!r}")
 
 
 def _feed(state: State, b: str) -> Tuple[State, str]:
     """Push one input bit into a letter; return (new state, emitted bits)."""
-    tag = state[0]
-    if tag == "id":
-        return state, b
-    if tag == "m":
-        _, kind, sub, sg, i = state
-        if b == sub[i]:
-            i += 1
-            if i == len(sub):
-                return _root_state(kind, sg), b
-            return ("m", kind, sub, sg, i), b
-        return IDENT, b  # input left the subscript cylinder: identity from here on
-    buf = state[-1] + b
-    for pat, out, nxt in _rows(state):
-        if buf == pat:
-            return nxt, out
-    return state[:-1] + (buf,), ""
+    if state is None:
+        return None, b
+    m, buf = state
+    buf += b
+    hit = m.rows.get(buf)
+    if hit is None:
+        return (m, buf), ""
+    out, nxt = hit
+    return nxt, out
 
 
 def _pending(state: State) -> str:
-    """Output forced by a partially matched root buffer (the common
-    prefix of the row images still reachable from the buffer)."""
-    tag = state[0]
-    if tag in ("id", "m"):
-        return ""
-    buf = state[-1]
-    if not buf:
-        return ""
-    outs = [out for pat, out, _ in _rows(state) if pat.startswith(buf)]
-    if not outs:
-        raise AssertionError(f"buffer {buf!r} matches no row of {state!r}")
-    first = min(outs, key=len)
-    k = 0
-    while k < len(first) and all(o[k] == first[k] for o in outs):
-        k += 1
-    return first[:k]
+    return state[0].pending[state[1]] if state else ""
 
 
 def feed_word(states: Tuple[State, ...], bits: str) -> Tuple[Tuple[State, ...], str]:
@@ -122,7 +109,7 @@ def feed_word(states: Tuple[State, ...], bits: str) -> Tuple[Tuple[State, ...], 
 def forced_tail(states: Tuple[State, ...]) -> str:
     """Extra output already forced by buffered bits, cascaded to the end
     of the chain.  Probes a copy; the argument states are not advanced."""
-    if all(_pending(s) == "" for s in states):
+    if not any(map(_pending, states)):
         return ""
     sts = list(states)
     n = len(sts)
@@ -144,7 +131,7 @@ def act_prefix(word, xi: str) -> PrefixResult:
     words.check_word(xi)
     states, out = feed_word(initial_states(word), xi)
     forced = out + forced_tail(states)
-    exhausted = all(s[0] in ("id", "m") or s[-1] == "" for s in states)
+    exhausted = all(s is None or s[1] == "" for s in states)
     return PrefixResult(forced, exhausted)
 
 

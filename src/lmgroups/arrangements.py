@@ -30,6 +30,7 @@ REL = ("<", "=", ">")
 class Arrangement:
     n: int
     diagonals: FrozenSet[int]  # i in 1..n-1 marks {x_i = x_{i+1}}
+    _sorted: Tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -37,9 +38,11 @@ class Arrangement:
         object.__setattr__(self, "diagonals", frozenset(self.diagonals))
         if any(i < 1 or i >= self.n for i in self.diagonals):
             raise ValueError("diagonal indices must lie in 1..n-1")
+        object.__setattr__(self, "_sorted", tuple(sorted(self.diagonals)))
 
-    def diag_list(self) -> List[int]:
-        return sorted(self.diagonals)
+    def diag_list(self) -> Tuple[int, ...]:
+        """The diagonals in increasing order, sorted once."""
+        return self._sorted
 
 
 def cell_key(positions: str, rels: str) -> str:

@@ -116,10 +116,7 @@ def phi_inverse(q: ProjectivePoint) -> Tuple[TailPoint, TailPoint]:
     terms = _cf_terms(abs(q))
     if len(terms) > 1 and terms[-1] == 1:  # canonical: last term >= 2
         terms = terms[:-2] + [terms[-2] + 1]
-    if terms[-1] >= 2 or len(terms) == 1:
-        alt = terms[:-1] + [terms[-1] - 1, 1]
-    else:  # pragma: no cover
-        alt = terms
+    alt = terms[:-1] + [terms[-1] - 1, 1]
     a = _point_from_terms(terms, first)
     b = _point_from_terms(alt, first)
     for point in (a, b):
@@ -275,7 +272,6 @@ def _completed_pair(s: str, t: str) -> Tuple[List[str], int]:
                 raise TransporterError("pair entries are not independent")
             if host == target:
                 break
-            i = len(host)
             leaves.remove(host)
             leaves.extend([host + "0", host + "1"])
             leaves.sort()

@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 error, 2 negative verdict (not the identity,
-membership refused, a check failed), 3 internal error (a broken
-invariant of the library, not bad input).
+Exit codes: 0 success, 1 error (bad input, usage errors included), 2
+negative verdict (not the identity, membership refused, a check
+failed), 3 internal error (a broken invariant of the library, not bad
+input).
 """
 
 from __future__ import annotations
@@ -92,9 +93,8 @@ def cmd_cluster(args):
 
 
 def cmd_xcluster(args):
-    base = group.word(args.base or "e", args.tag if args.tag != "auto" else "G")
-    tag = args.tag if args.tag != "auto" else "G"
-    pc = xcomplex.build_x_cluster(base, _parse_forms(args.params), tag)
+    base = group.word(args.base or "e", args.tag)
+    pc = xcomplex.build_x_cluster(base, _parse_forms(args.params), args.tag)
     labels = {v: pc.labels[v] for v in pc.cluster.complex.cells_of_dim(0)}
     if args.dot:
         ranks = {v: group.psi_like_value(w) for v, w in pc.label_words.items()}
@@ -108,8 +108,7 @@ def cmd_xcluster(args):
 
 
 def cmd_asclink(args):
-    tag = args.tag if args.tag != "auto" else "G"
-    cx = xcomplex.assemble(_parse_pieces(args.piece, tag), tag)
+    cx = xcomplex.assemble(_parse_pieces(args.piece, args.tag), args.tag)
     link = xcomplex.ascending_link(cx, args.vertex)
     hom = topology.reduced_homology(link)
     cells = {d: len(link.cells_of_dim(d)) for d in range(link.dimension() + 1)}
@@ -120,15 +119,13 @@ def cmd_asclink(args):
 
 
 def cmd_cone(args):
-    tag = args.tag if args.tag != "auto" else "G"
-    m, verified = xcomplex.find_cone_vertex(_parse_pieces(args.piece, tag), tag)
+    m, verified = xcomplex.find_cone_vertex(_parse_pieces(args.piece, args.tag), args.tag)
     _emit(args, {"m": m, "verified": verified}, f"m={m} verified={verified}")
     return 0 if verified else 2
 
 
 def cmd_homology(args):
-    tag = args.tag if args.tag != "auto" else "G"
-    cx = xcomplex.assemble(_parse_pieces(args.piece, tag), tag)
+    cx = xcomplex.assemble(_parse_pieces(args.piece, args.tag), args.tag)
     hom = topology.reduced_homology(cx.complex)
     _emit(args, {"reduced_homology": {str(k): v for k, v in hom.items()}}, str(hom))
     return 0
@@ -198,30 +195,39 @@ def cmd_sigma(args):
     return 0 if ok else 2
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # bad input exits 1; 2 is a negative verdict
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="lmg", description=__doc__)
+    ap = _Parser(prog="lmg", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kwargs):
+    def add(name, fn, tag=None, **kwargs):
+        """A subcommand; tag is the --tag default of those that read one."""
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(fn=fn)
         p.add_argument("--json", action="store_true")
-        p.add_argument("--tag", default="auto", help="group tag (default: inferred)")
+        if tag:
+            shown = "inferred" if tag == "auto" else tag
+            p.add_argument("--tag", default=tag, help=f"group tag (default: {shown})")
         return p
 
-    p = add("normalize", cmd_normalize, help="standard form of a word")
+    p = add("normalize", cmd_normalize, "auto", help="standard form of a word")
     p.add_argument("word")
 
-    p = add("act", cmd_act, help="forced output prefix on an input prefix")
+    p = add("act", cmd_act, "auto", help="forced output prefix on an input prefix")
     p.add_argument("word")
     p.add_argument("input")
 
-    p = add("char", cmd_char, help="value of a character on a word")
+    p = add("char", cmd_char, "auto", help="value of a character on a word")
     p.add_argument("--name", required=True,
                    choices=list(group.CHARACTERS) + ["psi-hat"])
     p.add_argument("word")
 
-    p = add("wordproblem", cmd_wordproblem, help="triviality of a word")
+    p = add("wordproblem", cmd_wordproblem, "auto", help="triviality of a word")
     p.add_argument("word")
     p.add_argument("--depth", type=int, default=group.DEFAULT_DEPTH)
 
@@ -230,20 +236,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--diagonals", default="")
     p.add_argument("--dot", action="store_true")
 
-    p = add("xcluster", cmd_xcluster, help="labeled cluster over a base coset")
+    p = add("xcluster", cmd_xcluster, "G", help="labeled cluster over a base coset")
     p.add_argument("--base", default="e")
     p.add_argument("--params", required=True, help="special forms separated by ';'")
     p.add_argument("--dot", action="store_true")
 
-    p = add("asclink", cmd_asclink, help="ascending link of a vertex")
+    p = add("asclink", cmd_asclink, "G", help="ascending link of a vertex")
     p.add_argument("--piece", action="append", required=True,
                    help="piece as 'base|form;form;...'")
     p.add_argument("--vertex", default="e")
 
-    p = add("cone", cmd_cone, help="least verified cone parameter")
+    p = add("cone", cmd_cone, "G", help="least verified cone parameter")
     p.add_argument("--piece", action="append", required=True)
 
-    p = add("homology", cmd_homology, help="reduced homology of an assembly")
+    p = add("homology", cmd_homology, "G", help="reduced homology of an assembly")
     p.add_argument("--piece", action="append", required=True)
 
     p = add("phi", cmd_phi, help="circle coordinate of an eventually constant point")

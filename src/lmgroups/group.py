@@ -34,6 +34,7 @@ from .words import (
     independent,
     is_one_run,
     is_zero_run,
+    letter_code,
     partial_action,
     text_to_word,
     tree_order_less,
@@ -369,33 +370,12 @@ def pm_invert(m: PrefixMap) -> PrefixMap:
     return tuple(sorted((b, a) for a, b in m))
 
 
-def pm_x(sub: str, sign: int) -> PrefixMap:
-    pairs = [(sub[:i] + ("1" if sub[i] == "0" else "0"),) * 2 for i in range(len(sub))]
-    core = [(sub + "00", sub + "0"), (sub + "01", sub + "10"), (sub + "1", sub + "11")]
-    if sign < 0:
-        core = [(b, a) for a, b in core]
-    return tuple(sorted(pairs + core))
-
-
-def pm_p(n: int, sign: int) -> PrefixMap:
-    leaves = ["1" * k + "0" for k in range(n + 1)] + ["1" * (n + 1)]
-    rot = leaves[1:] + leaves[:1]
-    pairs = list(zip(leaves, rot))
-    if sign < 0:
-        pairs = [(b, a) for a, b in pairs]
-    return tuple(sorted(pairs))
-
-
 def pm_of_word(w: GroupWord) -> PrefixMap:
     pm = IDENTITY_PM
     for kind, sub, sg in w.unit_letters():
-        if kind == "x":
-            step = pm_x(sub, sg)
-        elif kind == "p":
-            step = pm_p(sub, sg)
-        else:
+        if kind == "y":
             raise TagViolation("tree pairs exist only for x/p words")
-        pm = pm_compose(pm, step)
+        pm = pm_compose(pm, tuple(sorted(letter_code(kind, sub, sg))))
     return pm
 
 
@@ -460,10 +440,10 @@ def pm_to_word_F(pm: PrefixMap, _budget: int = 10_000) -> List[Letter]:
             break
         if a > c:
             letters.append(("x", "", 1))
-            pm = pm_compose(pm_x("", -1), pm)
+            pm = pm_compose(tuple(sorted(letter_code("x", "", -1))), pm)
         else:
             letters.append(("x", "", -1))
-            pm = pm_compose(pm_x("", 1), pm)
+            pm = pm_compose(tuple(sorted(letter_code("x", "", 1))), pm)
     else:
         raise AssertionError("root rebalancing did not converge")
     pairs = sorted(pm)
@@ -771,25 +751,27 @@ def in_F(w: GroupWord, depth: int = DEFAULT_DEPTH) -> Verdict:
             return Verdict("yes")
         # outside F the element moves an endpoint; the move shows up at
         # the depth of the tree pair's leaves
-        scan = max(depth, max(len(a) for a, _ in pm) + 1)
-        for d in range(1, scan + 1):
-            for base in ("0", "1"):
-                xi = base * d
-                forced = action.act_prefix(w, xi).forced
-                if set(forced) - {base}:
-                    return Verdict("no", xi)
-        raise AssertionError("tree pair outside F but endpoints undisturbed")
+        moved = _moved_endpoint(w, max(depth, max(len(a) for a, _ in pm) + 1))
+        if moved is None:
+            raise AssertionError("tree pair outside F but endpoints undisturbed")
+        return Verdict("no", moved)
     for name in AVAILABLE_CHARACTERS[w.tag] - {"chi0", "chi1"}:
         if char_value(name, w) != 0:
             return Verdict("no", ("character", name, char_value(name, w)))
     if not action.fixes_endpoints(w, depth):
-        for d in range(1, depth + 1):
-            for base in ("0", "1"):
-                xi = base * d
-                forced = action.act_prefix(w, xi).forced
-                if set(forced) - {base}:
-                    return Verdict("no", xi)
+        return Verdict("no", _moved_endpoint(w, depth))
     return Verdict("unknown", "nonempty standard-form tail only")
+
+
+def _moved_endpoint(w: GroupWord, scan: int) -> Optional[str]:
+    """The shortest 0^d or 1^d with d <= scan whose forced image leaves
+    the constant sequence, or None."""
+    for d in range(1, scan + 1):
+        for base in ("0", "1"):
+            xi = base * d
+            if set(action.act_prefix(w, xi).forced) - {base}:
+                return xi
+    return None
 
 
 def same_coset(g: GroupWord, g2: GroupWord, depth: int = DEFAULT_DEPTH) -> Verdict:

@@ -1,7 +1,9 @@
-"""Finite binary words and the partial generator actions on them.
+"""Finite binary words and the row tables of the generators.
 
 Words are plain Python strings over the alphabet {'0', '1'}; the empty
-word is ''.  Textual form uses "e" for the empty word.
+word is ''.  Textual form uses "e" for the empty word.  The rows of x,
+y and p_n are defined here once; the action oracle, the partial actions
+and the tree pairs of T are all built from them.
 """
 
 from __future__ import annotations
@@ -64,11 +66,17 @@ def tree_order_less(s: str, t: str) -> bool:
     return tree_key(s) < tree_key(t)
 
 
-# Pattern rows of the generator x at the root, per sign.  Each row maps
-# the input pattern to its image; the unread remainder is copied.
+# Row tables of the generators at the root, per sign.  Each row maps an
+# input pattern to its image.  After an x or p row the unread remainder
+# is copied; y has the rows of x, and after a y row the remainder is read
+# by the y letter of the row's third entry (the middle row flips it).
 X_ROWS = {
     1: (("00", "0"), ("01", "10"), ("1", "11")),
     -1: (("0", "00"), ("10", "01"), ("11", "1")),
+}
+Y_ROWS = {
+    sg: tuple((pat, out, sg * flip) for (pat, out), flip in zip(X_ROWS[sg], (1, -1, 1)))
+    for sg in (1, -1)
 }
 
 
@@ -88,31 +96,16 @@ def p_rows(n: int, sign: int) -> Tuple[Tuple[str, str], ...]:
     return tuple(rows)
 
 
-def _act_root_x(s: str, sign: int) -> Optional[str]:
-    for pat, out in X_ROWS[sign]:
-        if s.startswith(pat):
-            return out + s[len(pat):]
-    return None
-
-
-def act_once_x(s: str, sub: str, sign: int) -> Optional[str]:
-    """s . x_sub^sign, or None when the image cylinder is not forced."""
-    if independent(s, sub):
-        return s
-    if s.startswith(sub):
-        rest = _act_root_x(s[len(sub):], sign)
-        if rest is None:
-            return None
-        return sub + rest
-    return None  # s is a proper prefix of the subscript
-
-
-def act_once_p(s: str, n: int, sign: int) -> Optional[str]:
-    """s . p_n^sign, or None when s is too short to match a row."""
-    for pat, out in p_rows(n, sign):
-        if s.startswith(pat):
-            return out + s[len(pat):]
-    return None
+def letter_code(kind: str, sub, sign: int) -> Tuple[Tuple[str, str], ...]:
+    """The complete prefix code of a unit x or p letter: (pattern, image)
+    rows covering every input.  x_sub is the identity on each leaf that
+    branches off the subscript and the x rows behind it; p_n is p_rows."""
+    if kind == "p":
+        return p_rows(sub, sign)
+    if kind != "x":
+        raise ValueError(f"no prefix code for letter kind {kind!r}")
+    off = tuple((sub[:i] + ("1" if b == "0" else "0"),) * 2 for i, b in enumerate(sub))
+    return off + tuple((sub + pat, sub + out) for pat, out in X_ROWS[sign])
 
 
 def partial_action(s: str, letter) -> Optional[str]:
@@ -123,16 +116,12 @@ def partial_action(s: str, letter) -> Optional[str]:
     transport relations y_s x_t = x_t y_{s.x_t} and y_s p_n = p_n y_{s.p_n}.
     """
     kind, sub, exp = letter
-    step = 1 if exp > 0 else -1
+    code = letter_code(kind, sub, 1 if exp > 0 else -1)
     for _ in range(abs(exp)):
-        if kind == "x":
-            s = act_once_x(s, sub, step)
-        elif kind == "p":
-            s = act_once_p(s, sub, step)
-        else:
-            raise ValueError(f"no partial action for letter kind {kind!r}")
-        if s is None:
-            return None
+        row = next((r for r in code if s.startswith(r[0])), None)
+        if row is None:
+            return None  # s is too short to choose a row
+        s = row[1] + s[len(row[0]):]
     return s
 
 

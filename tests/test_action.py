@@ -1,7 +1,10 @@
 import random
+from fractions import Fraction
+
+import oracles
 
 from lmgroups import action, group
-from lmgroups.words import all_words
+from lmgroups.words import all_words, letter_code
 
 # independent recursive-descent oracle for forced prefixes, structured
 # around explicit row recursion rather than transducer states
@@ -207,3 +210,35 @@ def test_equal_at_depth_matches_brute_force():
             f2 = action.act_prefix(w2, witness).forced
             m = min(len(f1), len(f2))
             assert f1[:m] != f2[:m]
+
+
+def test_letter_machines_match_tuple_interpreter():
+    rng = random.Random(37)
+    ws = [random_word(rng) for _ in range(120)]
+    for w in ws:
+        for xi in all_words(7):
+            assert action.act_prefix(w, xi) == oracles.act_prefix(w, xi)
+    for w1, w2 in zip(ws[:60], ws[60:]):
+        assert action.equal_at_depth(w1, w2, 12) == oracles.equal_at_depth(w1, w2, 12)
+    for w in ws:
+        assert action.equal_at_depth(w, w, 12) is None
+        assert oracles.equal_at_depth(w, w, 12) is None
+
+
+def _is_complete_prefix_code(leaves):
+    return (
+        sum(Fraction(1, 2 ** len(s)) for s in leaves) == 1
+        and all(not t.startswith(s) for s in leaves for t in leaves if s != t)
+    )
+
+
+def test_letter_codes_against_recursive_oracle():
+    letters = [("x", sub) for sub in all_words(3)] + [("p", n) for n in range(4)]
+    for kind, sub in letters:
+        for sign in (1, -1):
+            code = letter_code(kind, sub, sign)
+            assert _is_complete_prefix_code([pat for pat, _ in code])
+            assert _is_complete_prefix_code([out for _, out in code])
+            w = group.GroupWord(((kind, sub, sign),), "Shat")
+            for pat, out in code:
+                assert oracle_forced(w, pat) == out

@@ -1,3 +1,6 @@
+import oracles
+
+from lmgroups.group import GroupWord, pm_of_word
 from lmgroups.words import (
     all_words,
     consecutive,
@@ -127,3 +130,14 @@ def test_partial_action_respects_exponent_iteration():
         two = partial_action(s, ("x", "1", 2))
         if one is not None and partial_action(one, ("x", "1", 1)) is not None:
             assert two == partial_action(one, ("x", "1", 1))
+
+
+def test_prefix_codes_match_former_letter_actions():
+    letters = [("x", t) for t in all_words(3)] + [("p", n) for n in range(4)]
+    for kind, sub in letters:
+        for e in (1, -1, 2, -2, -3):
+            letter = (kind, sub, e)
+            for s in all_words(5):
+                assert partial_action(s, letter) == oracles.partial_action(s, letter)
+            w = GroupWord((letter,), "T")
+            assert pm_of_word(w) == oracles.pm_of_word(w)
