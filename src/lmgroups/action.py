@@ -178,9 +178,24 @@ def equal_at_depth(w1, w2, depth: int) -> Optional[str]:
     return walk(initial_states(w1), initial_states(w2), "", "", "", depth)
 
 
+def moved_endpoint(word, depth: int) -> Optional[str]:
+    """The shortest 0^d or 1^d with d <= depth (0 first at equal d) whose
+    forced image leaves the constant sequence, or None.  Each endpoint
+    is fed one bit at a time through one chain."""
+    moved = None
+    for base in "01":
+        limit = depth if moved is None else len(moved) - 1  # 0 wins ties
+        states, out = initial_states(word), ""
+        for d in range(1, limit + 1):
+            states, emitted = feed_word(states, base)
+            out += emitted
+            if set(out + forced_tail(states)) - {base}:
+                moved = base * d
+                break
+    return moved
+
+
 def fixes_endpoints(word, depth: int = 16) -> bool:
     """True iff the forced images of 0^depth and 1^depth stay on the
     constant sequences."""
-    f0 = act_prefix(word, "0" * depth).forced
-    f1 = act_prefix(word, "1" * depth).forced
-    return set(f0) <= {"0"} and set(f1) <= {"1"}
+    return moved_endpoint(word, depth) is None

@@ -9,7 +9,11 @@ satisfiable exactly when every chosen diagonal sees an allowed pair of
 adjacent positions; cells are grown coordinate by coordinate from that
 pair table, and facets come from local moves.  A cell set is a flat
 restriction exactly when it equals the cells satisfying every
-constraint the set shares.  All arithmetic is exact.
+constraint the set shares.  The diagonals of a flat join runs of
+adjacent coordinates, so a flat is read as its coordinate classes, left
+to right, each pinned to a wall or free; its kind, its inherited
+arrangement and its cell map follow from those classes.  All arithmetic
+is exact.
 """
 
 from __future__ import annotations
@@ -93,7 +97,6 @@ def face_of(ckey: str, dkey: str, arr: Arrangement) -> bool:
 class ClusterComplex:
     arrangement: Arrangement
     complex: Complex
-    cellinfo: Dict[str, Tuple[str, str]] = field(default_factory=dict)
 
     def counts(self) -> List[int]:
         out = [0] * (self.complex.dimension() + 1)
@@ -179,9 +182,8 @@ def enumerate_cells(arr: Arrangement) -> ClusterComplex:
     """All satisfiable sign vectors of the arrangement, graded by the
     number of interior coordinate classes, with the facet relation."""
     cells = _cells(arr)
-    info = {k: split_key(k) for k in cells}
-    facets = {k: _facets(*info[k], arr) for k in cells}
-    return ClusterComplex(arr, Complex(cells, facets), info)
+    facets = {k: _facets(*split_key(k), arr) for k in cells}
+    return ClusterComplex(arr, Complex(cells, facets))
 
 
 # --------------------------------------------------------------------------
@@ -213,127 +215,60 @@ def is_flat_restriction(cx: ClusterComplex, keys: Iterable[str]) -> bool:
     return keys == {k for k in cx.complex.dims if common <= cell_constraints(k, arr)}
 
 
-def _forced_values(arr: Arrangement, flat: Sequence[Constraint]) -> Dict[int, Optional[int]]:
-    """Forced value (0/1/None) per original coordinate on the flat."""
-    parent = list(range(arr.n + 1))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    pin: Dict[int, int] = {}
+def _flat_classes(
+    arr: Arrangement, flat: Sequence[Constraint]
+) -> List[Tuple[int, int, Optional[int]]]:
+    """The maximal runs lo..hi of coordinates joined by the flat's
+    diagonals, left to right, each with its pin (0, 1 or None)."""
+    joined = set()
+    pins: List[set] = [set() for _ in range(arr.n + 1)]
     for c in flat:
         if c[0] == "diag":
-            i = c[1]
-            a, b = find(i), find(i + 1)
-            if a != b:
-                parent[max(a, b)] = min(a, b)
-    for c in flat:
-        if c[0] == "coord":
+            if c[1] not in arr.diagonals:
+                raise ValueError(f"diagonal {c[1]} is not a hyperplane of the arrangement")
+            joined.add(c[1])
+        else:
             _, i, v = c
-            r = find(i)
-            if r in pin and pin[r] != v:
-                raise ValueError("empty flat: contradictory pins")
-            pin[r] = v
-    return {i: pin.get(find(i)) for i in range(1, arr.n + 1)}
+            if not 1 <= i <= arr.n:
+                raise ValueError(f"coordinate {i} out of range")
+            if v not in (0, 1):
+                raise ValueError("coordinate walls sit at 0 or 1")
+            pins[i].add(v)
+    classes = []
+    lo = 1
+    for hi in range(1, arr.n + 1):
+        if hi in joined:
+            continue
+        values = set().union(*pins[lo:hi + 1])
+        if len(values) > 1:
+            raise ValueError("empty flat: contradictory pins")
+        classes.append((lo, hi, values.pop() if values else None))
+        lo = hi + 1
+    return classes
 
 
 def classify_flat(arr: Arrangement, flat: Sequence[Constraint]) -> str:
-    """"Diagonal" iff some generating diagonal {x_i = x_{i+1}} has its
-    (merged) value unforced on the flat; otherwise "Facial"."""
-    for c in flat:
-        if c[0] == "diag" and c[1] not in arr.diagonals:
-            raise ValueError(f"diagonal {c[1]} is not a hyperplane of the arrangement")
-        if c[0] == "coord" and not (1 <= c[1] <= arr.n):
-            raise ValueError(f"coordinate {c[1]} out of range")
-        if c[0] == "coord" and c[2] not in (0, 1):
-            raise ValueError("coordinate walls sit at 0 or 1")
-    forced = _forced_values(arr, flat)
-    for c in flat:
-        if c[0] == "diag" and forced[c[1]] is None:
-            return "Diagonal"
-    return "Facial"
+    """"Diagonal" iff some unpinned class of the flat joins two or more
+    coordinates; otherwise "Facial"."""
+    diagonal = any(pin is None and hi > lo for lo, hi, pin in _flat_classes(arr, flat))
+    return "Diagonal" if diagonal else "Facial"
 
 
 def restrict_arrangement(
     arr: Arrangement, flat: Sequence[Constraint]
 ) -> Tuple[Arrangement, List[int]]:
     """Inherited arrangement on the flat plus the list of surviving
-    original coordinates (a merged diagonal pair keeps its right member
-    as the surviving column)."""
-    n = arr.n
-    parent = list(range(n + 1))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    survivors = list(range(1, n + 1))
-    diagset = set(arr.diagonals)
-    pinned: Dict[int, int] = {}  # class representative -> value
-    column: Dict[int, int] = {i: i for i in range(1, n + 1)}  # rep -> surviving column
-
-    def drop(pos: int, *, merge_right: bool):
-        nonlocal diagset
-        newdiag = set()
-        for d in diagset:
-            if merge_right:
-                if d <= pos - 1:
-                    newdiag.add(d)
-                elif d >= pos + 1:
-                    newdiag.add(d - 1)
-            else:
-                if d <= pos - 2:
-                    newdiag.add(d)
-                elif d >= pos + 1:
-                    newdiag.add(d - 1)
-        diagset = newdiag
-        survivors.pop(pos - 1)
-
-    def pin_class(rep: int, v: int):
-        if rep in pinned:
-            if pinned[rep] != v:
-                raise ValueError("empty flat: contradictory pins")
-            return
-        pinned[rep] = v
-        drop(survivors.index(column[rep]) + 1, merge_right=False)
-
-    for c in flat:
-        if c[0] == "coord":
-            _, orig, v = c
-            pin_class(find(orig), v)
-        else:
-            _, i = c
-            if i not in arr.diagonals:
-                raise ValueError(f"diagonal {i} is not a hyperplane of the arrangement")
-            a, b = find(i), find(i + 1)
-            if a == b:
-                continue  # redundant merge
-            if a in pinned or b in pinned:
-                if a in pinned and b in pinned:
-                    if pinned[a] != pinned[b]:
-                        raise ValueError("empty flat: contradictory pins")
-                    parent[a] = b
-                    continue
-                known, other = (a, b) if a in pinned else (b, a)
-                # the merge pins the other class too: its column goes
-                drop(survivors.index(column[other]) + 1, merge_right=False)
-                parent[other] = known
-                continue
-            pa = survivors.index(column[a]) + 1
-            pb = survivors.index(column[b]) + 1
-            if abs(pa - pb) != 1:
-                raise ValueError("diagonal endpoints are no longer adjacent")
-            left, right = (a, b) if pa < pb else (b, a)
-            drop(min(pa, pb), merge_right=True)
-            parent[left] = right
-    if not survivors:
+    original coordinates, the last one of each unpinned class.  Two
+    consecutive survivors keep a diagonal iff their classes are adjacent
+    and the diagonal at the left class's end is in the arrangement."""
+    free = [(k, hi) for k, (_, hi, pin) in enumerate(_flat_classes(arr, flat)) if pin is None]
+    if not free:
         raise ValueError("the flat is a single vertex: no inherited coordinates")
-    return Arrangement(len(survivors), frozenset(diagset)), survivors
+    diagonals = frozenset(
+        d for d, ((k, hi), (k2, _)) in enumerate(zip(free, free[1:]), 1)
+        if k2 == k + 1 and hi in arr.diagonals
+    )
+    return Arrangement(len(free), diagonals), [hi for _, hi in free]
 
 
 def restrict_cell_key(
@@ -344,29 +279,18 @@ def restrict_cell_key(
 ) -> Optional[str]:
     """Map a cell of the ambient cluster lying in the flat to inherited
     coordinates, given the flat's `restrict_arrangement` result; None
-    when the cell is not contained in the flat."""
+    when the cell is not contained in the flat.  The relation across a
+    restricted diagonal d is the cell's relation at the original
+    diagonal survivors[d-1]: the coordinates up to the next survivor are
+    joined by '='."""
     if not set(flat) <= cell_constraints(key, arr):
         return None
     positions, rels = split_key(key)
-    diags = arr.diag_list()
-    relmap = dict(zip(diags, rels))
+    relmap = dict(zip(arr.diag_list(), rels))
     sub_arr, survivors = restricted
     newpos = "".join(positions[i - 1] for i in survivors)
-    newrels = []
-    for d in sub_arr.diag_list():
-        a, b = survivors[d - 1], survivors[d]
-        # relation between original coordinates a and b: they were adjacent
-        # through a chain of merged coordinates, all carrying '=' except
-        # exactly the surviving comparison
-        chain = [r for r in range(a, b) if r in diags]
-        vals = [relmap[r] for r in chain]
-        strict = [v for v in vals if v != "="]
-        if len(chain) != b - a:
-            raise AssertionError("gap in the restricted diagonal chain")
-        if len(strict) > 1:
-            raise AssertionError("more than one strict relation across a merge")
-        newrels.append(strict[0] if strict else "=")
-    return cell_key(newpos, "".join(newrels))
+    newrels = "".join(relmap[survivors[d - 1]] for d in sub_arr.diag_list())
+    return cell_key(newpos, newrels)
 
 
 def subcluster(
@@ -380,22 +304,6 @@ def subcluster(
 
 # --------------------------------------------------------------------------
 # Exact convexity verification
-
-
-def _closure_contains_corner(key: str, corner: Sequence[int], arr: Arrangement) -> bool:
-    positions, rels = split_key(key)
-    for i, p in enumerate(positions):
-        if p in "01" and corner[i] != int(p):
-            return False
-    for d, r in zip(arr.diag_list(), rels):
-        a, b = corner[d - 1], corner[d]
-        if r == "=" and a != b:
-            return False
-        if r == "<" and a > b:
-            return False
-        if r == ">" and a < b:
-            return False
-    return True
 
 
 def _in_convex_hull(point: Sequence[Fraction], hull: List[Sequence[Fraction]]) -> bool:
@@ -459,7 +367,7 @@ def verify_convex_cells(cx: ClusterComplex) -> bool:
         combinatorial = {
             cx.vertex_coords(v) for v in cx.complex.vertices_of(key)
         }
-        geometric = {c for c in corners if _closure_contains_corner(key, c, arr)}
+        geometric = {c for c in corners if face_of(cx.vertex_of_coords(c), key, arr)}
         if combinatorial != geometric:
             return False
         if len(combinatorial) < d + 1:

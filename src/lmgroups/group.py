@@ -751,27 +751,17 @@ def in_F(w: GroupWord, depth: int = DEFAULT_DEPTH) -> Verdict:
             return Verdict("yes")
         # outside F the element moves an endpoint; the move shows up at
         # the depth of the tree pair's leaves
-        moved = _moved_endpoint(w, max(depth, max(len(a) for a, _ in pm) + 1))
+        moved = action.moved_endpoint(w, max(depth, max(len(a) for a, _ in pm) + 1))
         if moved is None:
             raise AssertionError("tree pair outside F but endpoints undisturbed")
         return Verdict("no", moved)
     for name in AVAILABLE_CHARACTERS[w.tag] - {"chi0", "chi1"}:
         if char_value(name, w) != 0:
             return Verdict("no", ("character", name, char_value(name, w)))
-    if not action.fixes_endpoints(w, depth):
-        return Verdict("no", _moved_endpoint(w, depth))
+    moved = action.moved_endpoint(w, depth)
+    if moved is not None:
+        return Verdict("no", moved)
     return Verdict("unknown", "nonempty standard-form tail only")
-
-
-def _moved_endpoint(w: GroupWord, scan: int) -> Optional[str]:
-    """The shortest 0^d or 1^d with d <= scan whose forced image leaves
-    the constant sequence, or None."""
-    for d in range(1, scan + 1):
-        for base in ("0", "1"):
-            xi = base * d
-            if set(action.act_prefix(w, xi).forced) - {base}:
-                return xi
-    return None
 
 
 def same_coset(g: GroupWord, g2: GroupWord, depth: int = DEFAULT_DEPTH) -> Verdict:

@@ -6,11 +6,22 @@ basis depending on the group: G uses (chi0, chi1, psi), Gy uses
 psi).  The first invariant removes two character classes; from the
 second invariant on, the whole nonnegative cone spanned by those two
 classes is removed, and nothing more changes in higher invariants.
-All geometry is exact rational sign arithmetic.
+`sigma_membership` is the only place that states this, by exact sign
+tests.
 
-Normal subgroups correspond to subgroups A of Z^3 through the
-abelianization; for the groups other than G the classification covers
-the subgroups containing the commutator subgroup only.
+A normal subgroup N containing the commutator subgroup corresponds to
+a subgroup A of Z^3 through the abelianization.  By the Bieri-Renz
+criterion N is of type F_n exactly when every nonzero character
+vanishing on A lies in the n-th invariant.  A character with a nonzero
+psi coordinate lies in every invariant, so only the characters
+(x, y, 0) matter, and those vanishing on A are read off the
+projections (g0, g1) of A's generators: the whole plane z = 0 when
+every projection is zero, only 0 when two projections are independent,
+and otherwise the line spanned by (-v, u, 0) for any nonzero projection
+(u, v).  `type_Fn` tests that line's two directions with
+`sigma_membership`, and the classifier reads its answers at n = 1 and
+n = 2.  For the groups other than G the classification covers the
+subgroups containing the commutator subgroup only.
 """
 
 from __future__ import annotations
@@ -18,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import inf
-from typing import List, Sequence, Tuple
+from typing import Tuple
 
 Vector = Tuple[Fraction, Fraction, Fraction]
 
@@ -39,6 +50,20 @@ EXCLUDED_SIGNS = {
 }
 
 
+def _triple(coords) -> Vector:
+    vec = tuple(Fraction(c) for c in coords)
+    if len(vec) != 3:
+        raise ValueError(f"a character is a triple of rationals, not {len(vec)} of them")
+    return vec
+
+
+def _check(tag: str, n) -> None:
+    if tag not in BASES:
+        raise ValueError(f"unknown group tag {tag!r}")
+    if n != inf and (not isinstance(n, int) or n < 1):
+        raise ValueError("the invariant index is a positive integer or infinity")
+
+
 @dataclass(frozen=True)
 class CharacterVector:
     tag: str
@@ -47,29 +72,25 @@ class CharacterVector:
     def __post_init__(self):
         if self.tag not in BASES:
             raise ValueError(f"characters live on the Lodha-Moore tags, not {self.tag!r}")
-        object.__setattr__(self, "coords", tuple(Fraction(c) for c in self.coords))
+        object.__setattr__(self, "coords", _triple(self.coords))
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
 
 
-def _as_vector(chi) -> Vector:
-    if isinstance(chi, CharacterVector):
-        return chi.coords
-    return tuple(Fraction(c) for c in chi)
-
-
 def sigma_membership(tag: str, chi, n) -> bool:
     """Whether the class of chi lies in the n-th invariant of the tagged
     group: for n = 1 the two excluded classes are removed; for n >= 2
-    (or infinity) the closed nonnegative cone they span is removed."""
-    if tag not in BASES:
-        raise ValueError(f"unknown group tag {tag!r}")
-    a, b, c = _as_vector(chi)
+    (or infinity) the closed nonnegative cone they span is removed.  A
+    CharacterVector must carry the same tag."""
+    _check(tag, n)
+    if isinstance(chi, CharacterVector):
+        if chi.tag != tag:
+            raise ValueError(f"a character of {chi.tag} is not a character of {tag}")
+        chi = chi.coords
+    a, b, c = _triple(chi)
     if a == b == c == 0:
         raise ValueError("the zero vector has no character class")
-    if n != inf and (not isinstance(n, int) or n < 1):
-        raise ValueError("the invariant index is a positive integer or infinity")
     s1, s2 = EXCLUDED_SIGNS[tag]
     if n == 1:
         on_ray1 = b == 0 and c == 0 and s1 * a > 0
@@ -77,34 +98,6 @@ def sigma_membership(tag: str, chi, n) -> bool:
         return not (on_ray1 or on_ray2)
     in_cone = c == 0 and s1 * a >= 0 and s2 * b >= 0
     return not in_cone
-
-
-# --------------------------------------------------------------------------
-# Integer lattices
-
-
-def _row_reduce(rows: List[List[int]]) -> List[List[int]]:
-    """Hermite-style integer row reduction; returns nonzero rows."""
-    m = [list(r) for r in rows if any(r)]
-    out: List[List[int]] = []
-    for col in range(3):
-        nz = [r for r in m if r[col]]
-        if not nz:
-            continue
-        while len(nz) > 1:
-            nz.sort(key=lambda r: abs(r[col]))
-            piv = nz[0]
-            for r in nz[1:]:
-                q = r[col] // piv[col]
-                for j in range(3):
-                    r[j] -= q * piv[j]
-            nz = [piv] + [r for r in nz[1:] if r[col]]
-        piv = nz[0]
-        if piv[col] < 0:
-            piv[:] = [-v for v in piv]
-        out.append(piv)
-        m = [r for r in m if r is not piv and any(r)]
-    return out
 
 
 @dataclass(frozen=True)
@@ -117,149 +110,31 @@ class LatticeSubgroup:
             raise ValueError("generators are integer triples")
         object.__setattr__(self, "generators", gens)
 
-    def reduced(self) -> List[List[int]]:
-        return _row_reduce([list(g) for g in self.generators])
-
-    def rank(self) -> int:
-        return len(self.reduced())
-
 
 def lattice(*gens) -> LatticeSubgroup:
     return LatticeSubgroup(tuple(tuple(g) for g in gens))
 
 
-def _projection_12(A: LatticeSubgroup) -> List[List[int]]:
-    rows = [[g[0], g[1], 0] for g in A.generators]
-    return [r for r in _row_reduce(rows)]
+def type_Fn(A: LatticeSubgroup, n, tag: str = "G") -> bool:
+    """True iff every nonzero character vanishing on A lies in the n-th
+    invariant (Bieri-Renz), checked on the characters (x, y, 0) that
+    vanish on A."""
+    _check(tag, n)
+    proj = [(g[0], g[1]) for g in A.generators if g[0] or g[1]]
+    if not proj:
+        return False  # the whole plane z = 0 vanishes, excluded rays included
+    u, v = proj[0]
+    if any(u * y != v * x for x, y in proj[1:]):
+        return True  # only 0 vanishes on A
+    return sigma_membership(tag, (-v, u, 0), n) and sigma_membership(tag, (v, -u, 0), n)
 
 
 def classify_normal_subgroup(A: LatticeSubgroup, tag: str = "G") -> str:
     """NotFinitelyGenerated / FinitelyGeneratedNotFinitelyPresented /
-    TypeFInfinity for the subgroup over A, by exact integer reduction.
-
-    For the tags other than G this classifies the subgroups containing
-    the commutator subgroup only.
-    """
-    if tag not in BASES:
-        raise ValueError(f"unknown group tag {tag!r}")
-    pi1 = any(g[0] for g in A.generators)
-    pi2 = any(g[1] for g in A.generators)
-    if not pi1 or not pi2:
+    TypeFInfinity for the subgroup over A: not of type F_1, of type F_1
+    but not F_2, or of type F_2 and hence of every type F_n."""
+    if not type_Fn(A, 1, tag):
         return "NotFinitelyGenerated"
-    proj = _projection_12(A)
-    if len(proj) == 1:
-        u, v = proj[0][0], proj[0][1]
-        s1, s2 = EXCLUDED_SIGNS[tag]
-        # annihilated by a*e1 + b*e2 with a, b > 0 iff the generator's
-        # signs are mixed relative to the excluded directions
-        if s1 * s2 * u * v < 0:
-            return "FinitelyGeneratedNotFinitelyPresented"
+    if not type_Fn(A, 2, tag):
+        return "FinitelyGeneratedNotFinitelyPresented"
     return "TypeFInfinity"
-
-
-def _annihilator(A: LatticeSubgroup) -> List[Vector]:
-    """Basis of the rational annihilator of A's span in character
-    coordinates."""
-    rows = A.reduced()
-    r = len(rows)
-    if r == 0:
-        return [(Fraction(1), Fraction(0), Fraction(0)),
-                (Fraction(0), Fraction(1), Fraction(0)),
-                (Fraction(0), Fraction(0), Fraction(1))]
-    if r == 3:
-        return []
-    # solve <x, row> = 0 exactly over the rationals
-    mat = [[Fraction(v) for v in row] for row in rows]
-    # Gauss-Jordan
-    pivots: List[int] = []
-    ri = 0
-    for col in range(3):
-        piv = next((i for i in range(ri, r) if mat[i][col] != 0), None)
-        if piv is None:
-            continue
-        mat[ri], mat[piv] = mat[piv], mat[ri]
-        mat[ri] = [v / mat[ri][col] for v in mat[ri]]
-        for i in range(r):
-            if i != ri and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [v - f * w for v, w in zip(mat[i], mat[ri])]
-        pivots.append(col)
-        ri += 1
-    basis = []
-    free = [c for c in range(3) if c not in pivots]
-    for fc in free:
-        vec = [Fraction(0)] * 3
-        vec[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = -mat[i][fc]
-        basis.append(tuple(vec))
-    return basis
-
-
-def type_Fn(A: LatticeSubgroup, n, tag: str = "G") -> bool:
-    """True iff every nonzero character vanishing on A lies in the n-th
-    invariant, decided by finitely many cone cases on the annihilator
-    subspace (dimension <= 3 keeps the casework complete)."""
-    if n != inf and (not isinstance(n, int) or n < 1):
-        raise ValueError("the finiteness index is a positive integer or infinity")
-    if tag not in BASES:
-        raise ValueError(f"unknown group tag {tag!r}")
-    W = _annihilator(A)
-    d = len(W)
-    if d == 0:
-        return True
-    s1, s2 = EXCLUDED_SIGNS[tag]
-    e1 = (Fraction(s1), Fraction(0), Fraction(0))
-    e2 = (Fraction(0), Fraction(s2), Fraction(0))
-
-    def contains(vec: Vector) -> bool:
-        return _in_span(W, vec)
-
-    if n == 1:
-        return not (contains(e1) or contains(e2))
-    # n >= 2: W must avoid the closed cone {a e1 + b e2 : a, b >= 0}\{0}
-    if d == 3:
-        return False
-    if d == 1:
-        (x, y, z) = W[0]
-        if z != 0:
-            return True
-        return not (s1 * x >= 0 and s2 * y >= 0) and not (s1 * x <= 0 and s2 * y <= 0)
-    # d == 2: intersect W with the plane z = 0
-    # W = {u + t v}; find the line in that plane
-    u, v = W
-    if u[2] == 0 and v[2] == 0:
-        return False  # W is the whole excluded plane: contains e1
-    if v[2] != 0:
-        u, v = v, u  # now u has nonzero last coordinate
-    if v[2] != 0:
-        # make v's last coordinate vanish
-        v = tuple(vv - (v[2] / u[2]) * uu for vv, uu in zip(v, u))
-    x, y = v[0], v[1]
-    if x == 0 and y == 0:
-        return True  # the plane meets z = 0 only at the origin: impossible at d=2
-    return not (s1 * x >= 0 and s2 * y >= 0) and not (s1 * x <= 0 and s2 * y <= 0)
-
-
-def _in_span(basis: Sequence[Vector], vec: Vector) -> bool:
-    rows = [list(b) for b in basis]
-    mat = [[Fraction(v) for v in row] for row in rows]
-    target = [Fraction(v) for v in vec]
-    # reduce target against the basis
-    ri = 0
-    for col in range(3):
-        piv = next((i for i in range(ri, len(mat)) if mat[i][col] != 0), None)
-        if piv is None:
-            continue
-        mat[ri], mat[piv] = mat[piv], mat[ri]
-        scale = mat[ri][col]
-        mat[ri] = [v / scale for v in mat[ri]]
-        for i in range(len(mat)):
-            if i != ri and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [v - f * w for v, w in zip(mat[i], mat[ri])]
-        if target[col] != 0:
-            f = target[col]
-            target = [v - f * w for v, w in zip(target, mat[ri])]
-        ri += 1
-    return all(v == 0 for v in target)

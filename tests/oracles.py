@@ -14,13 +14,23 @@ collapses the cell complex once, with a heap, before subdividing.
 The tuple-state action interpreter, the per-letter partial actions and
 the tree pairs pm_x/pm_p restate the generator rows by hand; the library
 now builds letter machines and prefix codes from the row tables in
-`words`, and the tests compare the two.
+`words`, and the tests compare the two.  The endpoint scan that restarts
+the action for each 0^d and 1^d is the former helper of `in_F`.
+
+The integer Hermite reduction, the rational annihilator and its cone
+casework decided the finiteness types next to the sign test of
+`sigma_membership`; the library now reduces both to that test.  The
+union-find of forced values and the column-dropping loop restricted an
+arrangement to a flat; the library now reads flats as coordinate
+classes.
 """
 
+from fractions import Fraction
 from itertools import product
+from math import inf
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from lmgroups import words
+from lmgroups import action, words
 from lmgroups.action import PrefixResult
 
 from lmgroups.arrangements import (
@@ -28,11 +38,14 @@ from lmgroups.arrangements import (
     REL,
     Arrangement,
     ClusterComplex,
+    Constraint,
+    cell_constraints,
     cell_key,
     face_of,
     split_key,
 )
 from lmgroups.group import IDENTITY_PM, GroupWord, PrefixMap, TagViolation, pm_compose
+from lmgroups.sigma import BASES, EXCLUDED_SIGNS, LatticeSubgroup, Vector
 from lmgroups.topology import Complex, homology_of_simplices, order_complex
 from lmgroups.words import X_ROWS, independent, p_rows
 
@@ -111,8 +124,7 @@ def enumerate_cells(arr: Arrangement) -> ClusterComplex:
                 f for f in by_dim.get(d - 1, []) if face_of(f, k, arr)
             )
     cx = Complex(cells, facets)
-    info = {k: split_key(k) for k in cells}
-    return ClusterComplex(arr, cx, info)
+    return ClusterComplex(arr, cx)
 
 
 def _flat_cell_sets(piece, ids: Dict[str, str]) -> List[FrozenSet[str]]:
@@ -477,3 +489,349 @@ def pm_of_word(w: GroupWord) -> PrefixMap:
             raise TagViolation("tree pairs exist only for x/p words")
         pm = pm_compose(pm, step)
     return pm
+
+
+# --------------------------------------------------------------------------
+# The former endpoint scan of in_F: one act_prefix from scratch per 0^d, 1^d
+
+
+def _moved_endpoint(w: GroupWord, scan: int) -> Optional[str]:
+    """The shortest 0^d or 1^d with d <= scan whose forced image leaves
+    the constant sequence, or None."""
+    for d in range(1, scan + 1):
+        for base in ("0", "1"):
+            xi = base * d
+            if set(action.act_prefix(w, xi).forced) - {base}:
+                return xi
+    return None
+
+
+# --------------------------------------------------------------------------
+# The former finiteness decisions: integer row reduction of a projection
+# for the classifier, rational annihilator casework for type F_n
+
+
+def _row_reduce(rows: List[List[int]]) -> List[List[int]]:
+    """Hermite-style integer row reduction; returns nonzero rows."""
+    m = [list(r) for r in rows if any(r)]
+    out: List[List[int]] = []
+    for col in range(3):
+        nz = [r for r in m if r[col]]
+        if not nz:
+            continue
+        while len(nz) > 1:
+            nz.sort(key=lambda r: abs(r[col]))
+            piv = nz[0]
+            for r in nz[1:]:
+                q = r[col] // piv[col]
+                for j in range(3):
+                    r[j] -= q * piv[j]
+            nz = [piv] + [r for r in nz[1:] if r[col]]
+        piv = nz[0]
+        if piv[col] < 0:
+            piv[:] = [-v for v in piv]
+        out.append(piv)
+        m = [r for r in m if r is not piv and any(r)]
+    return out
+
+
+def reduced(A: LatticeSubgroup) -> List[List[int]]:
+    return _row_reduce([list(g) for g in A.generators])
+
+
+def _projection_12(A: LatticeSubgroup) -> List[List[int]]:
+    rows = [[g[0], g[1], 0] for g in A.generators]
+    return [r for r in _row_reduce(rows)]
+
+
+def classify_normal_subgroup(A: LatticeSubgroup, tag: str = "G") -> str:
+    """NotFinitelyGenerated / FinitelyGeneratedNotFinitelyPresented /
+    TypeFInfinity for the subgroup over A, by exact integer reduction.
+
+    For the tags other than G this classifies the subgroups containing
+    the commutator subgroup only.
+    """
+    if tag not in BASES:
+        raise ValueError(f"unknown group tag {tag!r}")
+    pi1 = any(g[0] for g in A.generators)
+    pi2 = any(g[1] for g in A.generators)
+    if not pi1 or not pi2:
+        return "NotFinitelyGenerated"
+    proj = _projection_12(A)
+    if len(proj) == 1:
+        u, v = proj[0][0], proj[0][1]
+        s1, s2 = EXCLUDED_SIGNS[tag]
+        # annihilated by a*e1 + b*e2 with a, b > 0 iff the generator's
+        # signs are mixed relative to the excluded directions
+        if s1 * s2 * u * v < 0:
+            return "FinitelyGeneratedNotFinitelyPresented"
+    return "TypeFInfinity"
+
+
+def _annihilator(A: LatticeSubgroup) -> List[Vector]:
+    """Basis of the rational annihilator of A's span in character
+    coordinates."""
+    rows = reduced(A)
+    r = len(rows)
+    if r == 0:
+        return [(Fraction(1), Fraction(0), Fraction(0)),
+                (Fraction(0), Fraction(1), Fraction(0)),
+                (Fraction(0), Fraction(0), Fraction(1))]
+    if r == 3:
+        return []
+    # solve <x, row> = 0 exactly over the rationals
+    mat = [[Fraction(v) for v in row] for row in rows]
+    # Gauss-Jordan
+    pivots: List[int] = []
+    ri = 0
+    for col in range(3):
+        piv = next((i for i in range(ri, r) if mat[i][col] != 0), None)
+        if piv is None:
+            continue
+        mat[ri], mat[piv] = mat[piv], mat[ri]
+        mat[ri] = [v / mat[ri][col] for v in mat[ri]]
+        for i in range(r):
+            if i != ri and mat[i][col] != 0:
+                f = mat[i][col]
+                mat[i] = [v - f * w for v, w in zip(mat[i], mat[ri])]
+        pivots.append(col)
+        ri += 1
+    basis = []
+    free = [c for c in range(3) if c not in pivots]
+    for fc in free:
+        vec = [Fraction(0)] * 3
+        vec[fc] = Fraction(1)
+        for i, pc in enumerate(pivots):
+            vec[pc] = -mat[i][fc]
+        basis.append(tuple(vec))
+    return basis
+
+
+def type_Fn(A: LatticeSubgroup, n, tag: str = "G") -> bool:
+    """True iff every nonzero character vanishing on A lies in the n-th
+    invariant, decided by finitely many cone cases on the annihilator
+    subspace (dimension <= 3 keeps the casework complete)."""
+    if n != inf and (not isinstance(n, int) or n < 1):
+        raise ValueError("the finiteness index is a positive integer or infinity")
+    if tag not in BASES:
+        raise ValueError(f"unknown group tag {tag!r}")
+    W = _annihilator(A)
+    d = len(W)
+    if d == 0:
+        return True
+    s1, s2 = EXCLUDED_SIGNS[tag]
+    e1 = (Fraction(s1), Fraction(0), Fraction(0))
+    e2 = (Fraction(0), Fraction(s2), Fraction(0))
+
+    def contains(vec: Vector) -> bool:
+        return _in_span(W, vec)
+
+    if n == 1:
+        return not (contains(e1) or contains(e2))
+    # n >= 2: W must avoid the closed cone {a e1 + b e2 : a, b >= 0}\{0}
+    if d == 3:
+        return False
+    if d == 1:
+        (x, y, z) = W[0]
+        if z != 0:
+            return True
+        return not (s1 * x >= 0 and s2 * y >= 0) and not (s1 * x <= 0 and s2 * y <= 0)
+    # d == 2: intersect W with the plane z = 0
+    # W = {u + t v}; find the line in that plane
+    u, v = W
+    if u[2] == 0 and v[2] == 0:
+        return False  # W is the whole excluded plane: contains e1
+    if v[2] != 0:
+        u, v = v, u  # now u has nonzero last coordinate
+    if v[2] != 0:
+        # make v's last coordinate vanish
+        v = tuple(vv - (v[2] / u[2]) * uu for vv, uu in zip(v, u))
+    x, y = v[0], v[1]
+    if x == 0 and y == 0:
+        return True  # the plane meets z = 0 only at the origin: impossible at d=2
+    return not (s1 * x >= 0 and s2 * y >= 0) and not (s1 * x <= 0 and s2 * y <= 0)
+
+
+def _in_span(basis: Sequence[Vector], vec: Vector) -> bool:
+    rows = [list(b) for b in basis]
+    mat = [[Fraction(v) for v in row] for row in rows]
+    target = [Fraction(v) for v in vec]
+    # reduce target against the basis
+    ri = 0
+    for col in range(3):
+        piv = next((i for i in range(ri, len(mat)) if mat[i][col] != 0), None)
+        if piv is None:
+            continue
+        mat[ri], mat[piv] = mat[piv], mat[ri]
+        scale = mat[ri][col]
+        mat[ri] = [v / scale for v in mat[ri]]
+        for i in range(len(mat)):
+            if i != ri and mat[i][col] != 0:
+                f = mat[i][col]
+                mat[i] = [v - f * w for v, w in zip(mat[i], mat[ri])]
+        if target[col] != 0:
+            f = target[col]
+            target = [v - f * w for v, w in zip(target, mat[ri])]
+        ri += 1
+    return all(v == 0 for v in target)
+
+
+# --------------------------------------------------------------------------
+# The former flat restriction: a union-find of forced values and a
+# column-dropping loop
+
+
+def _forced_values(arr: Arrangement, flat: Sequence[Constraint]) -> Dict[int, Optional[int]]:
+    """Forced value (0/1/None) per original coordinate on the flat."""
+    parent = list(range(arr.n + 1))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    pin: Dict[int, int] = {}
+    for c in flat:
+        if c[0] == "diag":
+            i = c[1]
+            a, b = find(i), find(i + 1)
+            if a != b:
+                parent[max(a, b)] = min(a, b)
+    for c in flat:
+        if c[0] == "coord":
+            _, i, v = c
+            r = find(i)
+            if r in pin and pin[r] != v:
+                raise ValueError("empty flat: contradictory pins")
+            pin[r] = v
+    return {i: pin.get(find(i)) for i in range(1, arr.n + 1)}
+
+
+def classify_flat(arr: Arrangement, flat: Sequence[Constraint]) -> str:
+    """"Diagonal" iff some generating diagonal {x_i = x_{i+1}} has its
+    (merged) value unforced on the flat; otherwise "Facial"."""
+    for c in flat:
+        if c[0] == "diag" and c[1] not in arr.diagonals:
+            raise ValueError(f"diagonal {c[1]} is not a hyperplane of the arrangement")
+        if c[0] == "coord" and not (1 <= c[1] <= arr.n):
+            raise ValueError(f"coordinate {c[1]} out of range")
+        if c[0] == "coord" and c[2] not in (0, 1):
+            raise ValueError("coordinate walls sit at 0 or 1")
+    forced = _forced_values(arr, flat)
+    for c in flat:
+        if c[0] == "diag" and forced[c[1]] is None:
+            return "Diagonal"
+    return "Facial"
+
+
+def restrict_arrangement(
+    arr: Arrangement, flat: Sequence[Constraint]
+) -> Tuple[Arrangement, List[int]]:
+    """Inherited arrangement on the flat plus the list of surviving
+    original coordinates (a merged diagonal pair keeps its right member
+    as the surviving column)."""
+    n = arr.n
+    parent = list(range(n + 1))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    survivors = list(range(1, n + 1))
+    diagset = set(arr.diagonals)
+    pinned: Dict[int, int] = {}  # class representative -> value
+    column: Dict[int, int] = {i: i for i in range(1, n + 1)}  # rep -> surviving column
+
+    def drop(pos: int, *, merge_right: bool):
+        nonlocal diagset
+        newdiag = set()
+        for d in diagset:
+            if merge_right:
+                if d <= pos - 1:
+                    newdiag.add(d)
+                elif d >= pos + 1:
+                    newdiag.add(d - 1)
+            else:
+                if d <= pos - 2:
+                    newdiag.add(d)
+                elif d >= pos + 1:
+                    newdiag.add(d - 1)
+        diagset = newdiag
+        survivors.pop(pos - 1)
+
+    def pin_class(rep: int, v: int):
+        if rep in pinned:
+            if pinned[rep] != v:
+                raise ValueError("empty flat: contradictory pins")
+            return
+        pinned[rep] = v
+        drop(survivors.index(column[rep]) + 1, merge_right=False)
+
+    for c in flat:
+        if c[0] == "coord":
+            _, orig, v = c
+            pin_class(find(orig), v)
+        else:
+            _, i = c
+            if i not in arr.diagonals:
+                raise ValueError(f"diagonal {i} is not a hyperplane of the arrangement")
+            a, b = find(i), find(i + 1)
+            if a == b:
+                continue  # redundant merge
+            if a in pinned or b in pinned:
+                if a in pinned and b in pinned:
+                    if pinned[a] != pinned[b]:
+                        raise ValueError("empty flat: contradictory pins")
+                    parent[a] = b
+                    continue
+                known, other = (a, b) if a in pinned else (b, a)
+                # the merge pins the other class too: its column goes
+                drop(survivors.index(column[other]) + 1, merge_right=False)
+                parent[other] = known
+                continue
+            pa = survivors.index(column[a]) + 1
+            pb = survivors.index(column[b]) + 1
+            if abs(pa - pb) != 1:
+                raise ValueError("diagonal endpoints are no longer adjacent")
+            left, right = (a, b) if pa < pb else (b, a)
+            drop(min(pa, pb), merge_right=True)
+            parent[left] = right
+    if not survivors:
+        raise ValueError("the flat is a single vertex: no inherited coordinates")
+    return Arrangement(len(survivors), frozenset(diagset)), survivors
+
+
+def restrict_cell_key(
+    key: str,
+    arr: Arrangement,
+    flat: Sequence[Constraint],
+    restricted: Tuple[Arrangement, List[int]],
+) -> Optional[str]:
+    """Map a cell of the ambient cluster lying in the flat to inherited
+    coordinates, given the flat's `restrict_arrangement` result; None
+    when the cell is not contained in the flat."""
+    if not set(flat) <= cell_constraints(key, arr):
+        return None
+    positions, rels = split_key(key)
+    diags = arr.diag_list()
+    relmap = dict(zip(diags, rels))
+    sub_arr, survivors = restricted
+    newpos = "".join(positions[i - 1] for i in survivors)
+    newrels = []
+    for d in sub_arr.diag_list():
+        a, b = survivors[d - 1], survivors[d]
+        # relation between original coordinates a and b: they were adjacent
+        # through a chain of merged coordinates, all carrying '=' except
+        # exactly the surviving comparison
+        chain = [r for r in range(a, b) if r in diags]
+        vals = [relmap[r] for r in chain]
+        strict = [v for v in vals if v != "="]
+        if len(chain) != b - a:
+            raise AssertionError("gap in the restricted diagonal chain")
+        if len(strict) > 1:
+            raise AssertionError("more than one strict relation across a merge")
+        newrels.append(strict[0] if strict else "=")
+    return cell_key(newpos, "".join(newrels))

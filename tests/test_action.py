@@ -127,6 +127,17 @@ def test_fixes_endpoints_examples():
     assert action.fixes_endpoints(group.word("y[10] y[110]^-1"), 16)
 
 
+def test_moved_endpoint_matches_restarting_scan():
+    rng = random.Random(29)
+    samples = [random_word(rng, 6) for _ in range(200)]
+    samples += [group.word(s) for s in ("x[e]", "p0", "p2^-1", "y[10] y[110]^-1", "x[e]^-1 y[0]")]
+    for w in samples:
+        for scan in (4, 16, 24):
+            moved = action.moved_endpoint(w, scan)
+            assert moved == oracles._moved_endpoint(w, scan)
+            assert action.fixes_endpoints(w, scan) == (moved is None)
+
+
 def test_composition_coherence():
     rng = random.Random(3)
     for _ in range(8):

@@ -5,7 +5,9 @@ import pytest
 
 from lmgroups.arrangements import (
     Arrangement,
+    cell_constraints,
     cell_counts,
+    classify_flat,
     complex_to_json,
     enumerate_cells,
     face_of,
@@ -230,6 +232,39 @@ def test_facial_subcluster_inheritance_cell_for_cell():
                     restrict_cell_key(k, arr, flat, restricted) for k in cx.complex.cells()
                 } - {None}
                 assert mapped == set(inherited.complex.cells())
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError:
+        return ValueError
+
+
+def test_flats_match_former_union_find():
+    # every arrangement with n <= 4, every set of diagonal constraints
+    # (those outside the arrangement included), every pin pattern, in the
+    # given and in reversed order
+    for n in range(1, 5):
+        for D in all_diag_subsets(n):
+            arr = Arrangement(n, frozenset(D))
+            cells = {k: cell_constraints(k, arr) for k in enumerate_cells(arr).complex.cells()}
+            for joined in all_diag_subsets(n):
+                for pins in product((None, 0, 1), repeat=n):
+                    flat = [("diag", i) for i in joined]
+                    flat += [("coord", i, v) for i, v in enumerate(pins, 1) if v is not None]
+                    for order in (flat, flat[::-1]):
+                        kind = _outcome(classify_flat, arr, order)
+                        assert kind == _outcome(oracles.classify_flat, arr, order)
+                        restricted = _outcome(restrict_arrangement, arr, order)
+                        assert restricted == _outcome(oracles.restrict_arrangement, arr, order)
+                        if restricted is ValueError:
+                            continue
+                        # both return None first on the cells outside the flat
+                        inside = [k for k, c in cells.items() if c.issuperset(order)]
+                        for k in inside:
+                            mapped = restrict_cell_key(k, arr, order, restricted)
+                            assert mapped == oracles.restrict_cell_key(k, arr, order, restricted)
 
 
 def test_verify_convex_cells():

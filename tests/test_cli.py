@@ -38,6 +38,13 @@ def test_sigma(capsys):
     assert capsys.readouterr().out.strip() == "true"
 
 
+def test_sigma_rejects_a_character_that_is_not_a_triple(capsys):
+    assert run(["sigma", "--char", "1,0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: a character is a triple of rationals, not 2 of them" in captured.err
+
+
 def test_wordproblem_exit_codes(capsys):
     assert run(["wordproblem", "--tag", "G", "y[01] y[10] y[01]^-1 y[10]^-1"]) == 0
     capsys.readouterr()

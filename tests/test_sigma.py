@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction
+from itertools import product
 from math import inf
 
+import oracles
 import pytest
 
 from lmgroups.sigma import (
@@ -163,3 +165,68 @@ def test_character_vector_validation():
         CharacterVector("Shat", (1, 0, 0))
     v = CharacterVector("G", (Fraction(1, 2), 0, 1))
     assert not v.is_zero()
+    for coords in ((1, 0), (1, 0, 0, 0)):
+        with pytest.raises(ValueError, match="a character is a triple"):
+            CharacterVector("G", coords)
+        with pytest.raises(ValueError, match="a character is a triple"):
+            sigma_membership("G", coords, 1)
+
+
+def test_membership_rejects_a_mistagged_character():
+    chi = CharacterVector("Gy", (0, -1, 0))
+    assert not sigma_membership("Gy", chi, 1)
+    with pytest.raises(ValueError, match="a character of Gy is not a character of G"):
+        sigma_membership("G", chi, 1)
+
+
+def test_type_Fn_rejects_a_bad_index():
+    for A in (lattice((1, 0, 0), (0, 1, 0), (0, 0, 1)), lattice((1, 0, 0)), lattice()):
+        for n in (0, -1, 1.5, "2"):
+            with pytest.raises(ValueError, match="invariant index"):
+                type_Fn(A, n)
+
+
+def seeded_lattices(seed, count):
+    """Lattices with 0-4 generators and entries in [-6, 6]; about a third
+    have collinear (g0, g1) projections."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        k = rng.randint(0, 4)
+        if rng.random() < 0.35:
+            u, v = rng.randint(-3, 3), rng.randint(-3, 3)
+            scales = [rng.randint(-2, 2) for _ in range(k)]
+            gens = [(c * u, c * v, rng.randint(-6, 6)) for c in scales]
+        else:
+            gens = [tuple(rng.randint(-6, 6) for _ in range(3)) for _ in range(k)]
+        out.append(gens)
+    return out
+
+
+def test_finiteness_matches_former_linear_algebra():
+    for gens in seeded_lattices(55, 2000):
+        A = lattice(*gens)
+        for tag in BASES:
+            assert classify_normal_subgroup(A, tag) == oracles.classify_normal_subgroup(A, tag)
+            for n in (1, 2, 5, inf):
+                assert type_Fn(A, n, tag) == oracles.type_Fn(A, n, tag)
+
+
+def test_type_Fn_is_the_bieri_renz_criterion_on_a_box():
+    # With m the largest generator entry (at least 1), a character that
+    # vanishes on A and lies outside an invariant can be chosen in the
+    # plane z = 0 with entries at most m: the primitive direction of the
+    # vanishing line, or e1 when the whole plane vanishes.  The box
+    # [-m, m]^3 therefore decides type F_n exactly.
+    for gens in seeded_lattices(89, 150):
+        A = lattice(*gens)
+        m = max([1] + [abs(c) for g in gens for c in g])
+        box = range(-m, m + 1)
+        vanishing = [
+            (x, y, z) for x, y, z in product(box, repeat=3)
+            if (x or y or z) and not any(x * a + y * b + z * c for a, b, c in gens)
+        ]
+        for tag in BASES:
+            for n in (1, 2, 5, inf):
+                expected = all(sigma_membership(tag, chi, n) for chi in vanishing)
+                assert type_Fn(A, n, tag) == expected
