@@ -10,9 +10,11 @@ leads to None: the input has left the subscript's cylinder) in front of
 the root machine of x, y or p_n; the two y root machines continue into
 each other.  A chain state is (machine, buffered bits) or None.  Feeding
 input bit by bit through the chain gives the output prefix forced by an
-input prefix; the chain states are hashable, which the depth-bounded
-equality search exploits for memoized pruning instead of enumerating
-2^d inputs.
+input prefix.  A letter whose state has reached None only passes bits
+through, so it is dropped from the chain.  Chain states are hashable:
+the depth-bounded equality search walks pairs of them breadth-first
+and expands each distinct node once, instead of enumerating 2^d
+inputs.
 """
 
 from __future__ import annotations
@@ -95,14 +97,18 @@ def _pending(state: State) -> str:
 
 
 def feed_word(states: Tuple[State, ...], bits: str) -> Tuple[Tuple[State, ...], str]:
-    """Feed input bits through the whole chain; return final emission."""
-    sts = list(states)
+    """Feed input bits through the whole chain; return final emission.
+    Letters that reach None (the identity) only pass bits through, so
+    they are dropped from the returned chain."""
+    sts = []
     out = bits
-    for j in range(len(sts)):
+    for st in states:
         chunk, out = out, ""
         for b in chunk:
-            sts[j], o = _feed(sts[j], b)
+            st, o = _feed(st, b)
             out += o
+        if st is not None:
+            sts.append(st)
     return tuple(sts), out
 
 
@@ -144,38 +150,44 @@ def equal_at_depth(w1, w2, depth: int) -> Optional[str]:
     """Search all inputs of length <= depth for one forcing incompatible
     output prefixes of w1 and w2.
 
-    Returns such an input (a sound witness that the words are distinct
-    homeomorphisms), or None if the words agree so far.  The search
-    walks the input tree once, sharing state: a node is pruned when the
-    same pair of chain states and the same outstanding output lag have
-    already been cleared to at least the remaining depth.
+    Returns the shortlex-least such input (a sound witness that the
+    words are distinct homeomorphisms), or None if the words agree so
+    far.  The search is breadth-first over nodes (chain states of w1,
+    chain states of w2, outputs emitted by one word and not yet matched
+    by the other), in lexicographic order within a level, and expands
+    each node once: a node reached again has already been tested, and so
+    has every continuation of it, by a shortlex-smaller input.  It stops
+    early when a level adds no new node.
     """
-    memo = {}
-
-    def walk(st1, st2, a, b, path, remaining):
-        # a/b: output emitted by one word but not yet matched by the other
-        if _incompatible(a + forced_tail(st1), b + forced_tail(st2)):
-            return path
-        if remaining == 0:
+    if depth < 0:
+        raise ValueError(f"search depth must be >= 0, got {depth}")
+    root = (initial_states(w1), initial_states(w2), "", "")
+    if _incompatible(forced_tail(root[0]), forced_tail(root[1])):
+        return ""
+    seen = {root}
+    level = [(root, "")]
+    for _ in range(depth):
+        nxt = []
+        for (st1, st2, a, b), path in level:
+            for bit in "01":
+                s1, o1 = feed_word(st1, bit)
+                s2, o2 = feed_word(st2, bit)
+                na, nb = a + o1, b + o2
+                m = min(len(na), len(nb))
+                if na[:m] != nb[:m]:  # only agreeing output may leave the key
+                    return path + bit
+                na, nb = na[m:], nb[m:]
+                node = (s1, s2, na, nb)
+                if node in seen:
+                    continue
+                if _incompatible(na + forced_tail(s1), nb + forced_tail(s2)):
+                    return path + bit
+                seen.add(node)
+                nxt.append((node, path + bit))
+        if not nxt:
             return None
-        key = (st1, st2, a, b)
-        if memo.get(key, -1) >= remaining:
-            return None
-        for bit in "01":
-            s1, o1 = feed_word(st1, bit)
-            s2, o2 = feed_word(st2, bit)
-            na, nb = a + o1, b + o2
-            m = min(len(na), len(nb))
-            if na[:m] != nb[:m]:
-                return path + bit
-            na, nb = na[m:], nb[m:]
-            r = walk(s1, s2, na, nb, path + bit, remaining - 1)
-            if r is not None:
-                return r
-        memo[key] = remaining
-        return None
-
-    return walk(initial_states(w1), initial_states(w2), "", "", "", depth)
+        level = nxt
+    return None
 
 
 def moved_endpoint(word, depth: int) -> Optional[str]:

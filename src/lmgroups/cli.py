@@ -110,10 +110,10 @@ def cmd_xcluster(args):
 def cmd_asclink(args):
     cx = xcomplex.assemble(_parse_pieces(args.piece, args.tag), args.tag)
     link = xcomplex.ascending_link(cx, args.vertex)
-    hom = topology.reduced_homology(link)
+    hom, collapsible = topology.homology_and_collapsible(link)
     cells = {d: len(link.cells_of_dim(d)) for d in range(link.dimension() + 1)}
     payload = {"cells": cells, "reduced_homology": {str(k): v for k, v in hom.items()},
-               "collapsible": topology.is_collapsible(link)}
+               "collapsible": collapsible}
     _emit(args, payload, f"cells {cells} homology {hom}")
     return 0
 

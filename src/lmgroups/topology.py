@@ -254,14 +254,24 @@ def _collapse(cx: Complex) -> Set[str]:
     return set(cofacets)
 
 
+def _is_vertex(cx: Complex, rest: Set[str]) -> bool:
+    return len(rest) == 1 and cx.dims[next(iter(rest))] == 0
+
+
+def homology_and_collapsible(cx: Complex) -> Tuple[Dict[int, Tuple[int, List[int]]], bool]:
+    """reduced_homology(cx) and is_collapsible(cx), read from one collapse."""
+    rest = _collapse(cx)
+    h = homology_of_simplices(order_complex(cx.subcomplex(rest)))
+    for d in range(cx.dimension() + 1):
+        h.setdefault(d, (0, []))
+    return h, _is_vertex(cx, rest)
+
+
 def reduced_homology(cx: Complex) -> Dict[int, Tuple[int, List[int]]]:
     """Reduced integral homology of a cell complex: collapse free pairs,
     then take the barycentric subdivision of what remains.  Every degree
     up to the dimension of the complex gets an entry."""
-    h = homology_of_simplices(order_complex(cx.subcomplex(_collapse(cx))))
-    for d in range(cx.dimension() + 1):
-        h.setdefault(d, (0, []))
-    return h
+    return homology_and_collapsible(cx)[0]
 
 
 def is_trivial_homology(h: Dict[int, Tuple[int, List[int]]]) -> bool:
@@ -271,5 +281,4 @@ def is_trivial_homology(h: Dict[int, Tuple[int, List[int]]]) -> bool:
 def is_collapsible(cx: Complex) -> bool:
     """Greedy free-face collapse down to a single vertex.  True is a
     certificate of contractibility; False is inconclusive."""
-    rest = _collapse(cx)
-    return len(rest) == 1 and cx.dims[next(iter(rest))] == 0
+    return _is_vertex(cx, _collapse(cx))

@@ -2,8 +2,10 @@ import random
 from fractions import Fraction
 
 import oracles
+import pytest
 
 from lmgroups import action, group
+from lmgroups.circle import relator_schemas
 from lmgroups.words import all_words, letter_code
 
 # independent recursive-descent oracle for forced prefixes, structured
@@ -71,6 +73,19 @@ def random_word(rng, max_len=6, tag="Shat"):
             sub = "".join(rng.choice("01") for _ in range(rng.randint(0, 3)))
             letters.append((kind, sub, rng.choice([1, -1])))
     return group.GroupWord(tuple(letters), tag)
+
+
+def _separates(w1, w2, xi):
+    f1 = action.act_prefix(w1, xi).forced
+    f2 = action.act_prefix(w2, xi).forced
+    m = min(len(f1), len(f2))
+    return f1[:m] != f2[:m]
+
+
+def shortlex_witness(w1, w2, depth):
+    """The shortlex-least input of length <= depth whose forced outputs
+    separate w1 and w2, found by enumeration; None if there is none."""
+    return next((xi for xi in all_words(depth) if _separates(w1, w2, xi)), None)
 
 
 def test_act_prefix_examples():
@@ -205,22 +220,7 @@ def test_equal_at_depth_matches_brute_force():
         w2 = random_word(rng, 3) if rng.random() < 0.6 else group.GroupWord(
             w1.letters, "Shat"
         )
-        brute_differs = False
-        for xi in all_words(depth):
-            f1 = action.act_prefix(w1, xi).forced
-            f2 = action.act_prefix(w2, xi).forced
-            m = min(len(f1), len(f2))
-            if f1[:m] != f2[:m]:
-                brute_differs = True
-                break
-        witness = action.equal_at_depth(w1, w2, depth)
-        assert (witness is not None) == brute_differs
-        if witness is not None:
-            assert len(witness) <= depth
-            f1 = action.act_prefix(w1, witness).forced
-            f2 = action.act_prefix(w2, witness).forced
-            m = min(len(f1), len(f2))
-            assert f1[:m] != f2[:m]
+        assert action.equal_at_depth(w1, w2, depth) == shortlex_witness(w1, w2, depth)
 
 
 def test_letter_machines_match_tuple_interpreter():
@@ -230,7 +230,10 @@ def test_letter_machines_match_tuple_interpreter():
         for xi in all_words(7):
             assert action.act_prefix(w, xi) == oracles.act_prefix(w, xi)
     for w1, w2 in zip(ws[:60], ws[60:]):
-        assert action.equal_at_depth(w1, w2, 12) == oracles.equal_at_depth(w1, w2, 12)
+        witness = action.equal_at_depth(w1, w2, 12)
+        assert (witness is None) == (oracles.equal_at_depth(w1, w2, 12) is None)
+        if witness is not None:
+            assert witness == shortlex_witness(w1, w2, len(witness))
     for w in ws:
         assert action.equal_at_depth(w, w, 12) is None
         assert oracles.equal_at_depth(w, w, 12) is None
@@ -253,3 +256,87 @@ def test_letter_codes_against_recursive_oracle():
             w = group.GroupWord(((kind, sub, sign),), "Shat")
             for pat, out in code:
                 assert oracle_forced(w, pat) == out
+
+
+def test_equal_at_depth_rejects_a_negative_depth():
+    with pytest.raises(ValueError, match="depth"):
+        action.equal_at_depth(group.word("x[e]"), group.identity("Shat"), -1)
+    assert action.equal_at_depth(group.word("x[e]"), group.identity("Shat"), 0) is None
+    assert action.equal_at_depth(group.word("p0"), group.identity("Shat"), 0) is None
+
+
+def _first_reached(w1, w2, depth):
+    """How many distinct search nodes are first reached at each level
+    below depth: a plain level-set walk, no witness, no order."""
+    level = {(action.initial_states(w1), action.initial_states(w2), "", "")}
+    seen = set(level)
+    counts = []
+    for _ in range(depth):
+        counts.append(len(level))
+        nxt = set()
+        for st1, st2, a, b in level:
+            for bit in "01":
+                s1, o1 = action.feed_word(st1, bit)
+                s2, o2 = action.feed_word(st2, bit)
+                na, nb = a + o1, b + o2
+                m = min(len(na), len(nb))
+                nxt.add((s1, s2, na[m:], nb[m:]))
+        level = nxt - seen
+        seen |= level
+    return counts
+
+
+def _bench_size_pairs(seed, n=60):
+    """Relator conjugates against the identity, and random words against
+    their unvalidated standard forms and against the identity."""
+    rng = random.Random(seed)
+    rels = relator_schemas(2, 2)
+    e = group.identity("Shat")
+    pairs = []
+    while len(pairs) < n:
+        u = random_word(rng, 3)
+        pairs.append((u * rng.choice(rels) * u.inverse(), e))
+        w = random_word(rng, 8)
+        try:
+            sf = group.rewrite_standard_form(w, validate=False)
+        except group.RewriteBudgetExceeded:
+            continue
+        pairs += [(w, sf.word()), (w, e)]
+    return pairs
+
+
+def test_search_expands_each_node_once_at_bench_depth(monkeypatch):
+    depth = 16
+    feed_word = action.feed_word
+    bits_fed = []
+
+    def counting_feed_word(states, bits):
+        sts, out = feed_word(states, bits)
+        assert None not in sts
+        bits_fed.append(bits)
+        return sts, out
+
+    def work(pairs):
+        counts = []
+        for w1, w2 in pairs:
+            del bits_fed[:]
+            witness = action.equal_at_depth(w1, w2, depth)
+            assert all(len(b) == 1 for b in bits_fed)
+            counts.append((witness, len(bits_fed)))
+        return counts
+
+    for seed in (1, 2):
+        pairs = _bench_size_pairs(seed)
+        monkeypatch.setattr(action, "feed_word", counting_feed_word)
+        counts = work(pairs)
+        assert work(pairs) == counts
+        monkeypatch.undo()
+        for (w1, w2), (witness, n_calls) in zip(pairs, counts):
+            assert (witness is None) == (oracles.equal_at_depth(w1, w2, depth) is None)
+            nodes = _first_reached(w1, w2, depth)
+            if witness is None:
+                # agreement to depth: each node below depth is expanded once
+                assert n_calls == 4 * sum(nodes)
+            else:
+                assert witness == shortlex_witness(w1, w2, len(witness))
+                assert n_calls <= 4 * sum(nodes[:len(witness)])

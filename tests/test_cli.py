@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from lmgroups import group
+from lmgroups import group, topology
 from lmgroups.cli import run
 
 
@@ -84,6 +84,25 @@ def test_asclink(capsys):
     assert "collapsible" in out or "cells" in out
 
 
+def test_asclink_collapses_once(capsys, monkeypatch):
+    argv = ["asclink", "--piece", "e|y[010];y[0110]^-1;y[0111];y[0001]", "--vertex", "e"]
+    collapse = topology._collapse
+    runs = []
+
+    def counting_collapse(cx):
+        runs.append(cx)
+        return collapse(cx)
+
+    monkeypatch.setattr(topology, "_collapse", counting_collapse)
+    for extra in ([], ["--json"]):
+        del runs[:]
+        assert run(argv + extra) == 0
+        assert len(runs) == 1
+    doc = json.loads(capsys.readouterr().out.split("\n", 1)[1])
+    assert doc["collapsible"] is True
+    assert doc["reduced_homology"] == {str(d): [0, []] for d in range(4)}
+
+
 def test_homology_command(capsys):
     assert run(["homology", "--piece", "e|y[010];y[0110]^-1;y[0111]"]) == 0
     out = capsys.readouterr().out
@@ -110,6 +129,15 @@ def test_relcheck(capsys):
     assert run(["relcheck", "--maxlen", "1", "--maxp", "1"]) == 0
     out = capsys.readouterr().out
     assert "0 failures" in out
+
+
+def test_negative_depth_exits_1(capsys):
+    for argv in (["wordproblem", "--depth", "-1", "x[e]"],
+                 ["relcheck", "--depth", "-1", "--maxlen", "1", "--maxp", "1"]):
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip() == "error: search depth must be >= 0, got -1"
 
 
 def test_error_exit(capsys):
