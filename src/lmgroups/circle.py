@@ -341,9 +341,7 @@ def _zero_one_factors(first: str) -> List[GroupWord]:
 FAMILIES = ("PairConsecutive", "PairNonConsecutive", "Balanced0", "Balanced1")
 
 
-def s_witness(
-    w: GroupWord, family: str, depth: int = group.DEFAULT_DEPTH
-) -> List[GroupWord]:
+def s_witness(w: GroupWord, family: str) -> List[GroupWord]:
     """A factorization of w into T-words and conjugates of the pair
     generator, certifying membership in S; validated against the action
     oracle and the character test."""
@@ -387,7 +385,7 @@ def s_witness(
         if not in_S(fac):
             raise AssertionError("factor escapes S")
         product = product * fac
-    witness = action.equal_at_depth(_as_shat(w), product, depth)
+    witness = action.equal_at_depth(_as_shat(w), product, group.DEFAULT_DEPTH)
     if witness is not None:
         raise AssertionError(f"factorization mismatch at input {witness!r}")
     return factors

@@ -18,6 +18,13 @@ rewriting engine that converts any word to a standard form
 f . y_{s1}^{e1} ... y_{sn}^{en} with f a T-word and the subscripts
 strictly increasing in the tree order, and the word-problem /
 F-membership / coset machinery built on all of that.
+
+The rewriter holds the word as a head of x/p units and a tail of y
+units.  One `push` moves an x/p unit left through the tail into the
+head, transporting each y unit it passes or expanding it when the
+partial action is undefined; one scan then sorts the tail, stepping
+back one position after a cancellation or a swap and starting over only
+after a rule that transports the tail's prefix.
 """
 
 from __future__ import annotations
@@ -169,27 +176,15 @@ def word(text: str, tag: str = "Shat") -> GroupWord:
     return GroupWord(tuple(letters), tag)
 
 
-def infer_tag(text_or_letters) -> str:
-    """Smallest tag admitting the letters (used by the CLI)."""
-    if isinstance(text_or_letters, str):
-        letters = word(text_or_letters, "Shat").letters
-    else:
-        letters = text_or_letters
-    has_p = any(k == "p" for k, _, _ in letters)
-    ysubs = [s for k, s, _ in letters if k == "y"]
-    if has_p:
-        return "Shat" if ysubs else "T"
-    if not ysubs:
-        return "F"
-    zero = any(is_zero_run(s) for s in ysubs)
-    one = any(is_one_run(s) for s in ysubs)
-    if zero and one:
-        return "yGy"
-    if zero:
-        return "yG"
-    if one:
-        return "Gy"
-    return "G"
+def infer_tag(text: str) -> str:
+    """The first tag in TAGS under which every letter of the text is
+    valid (used by the CLI); the last, Shat, admits every parsed word."""
+    letters = word(text, "Shat").letters
+    for tag in TAGS:
+        try:
+            return GroupWord(letters, tag).tag
+        except TagViolation:
+            continue
 
 
 def x_letter(sub: str, exp: int = 1, tag: str = "Shat") -> GroupWord:
@@ -297,22 +292,23 @@ def special_form(text: str) -> SpecialForm:
     return sf
 
 
+def is_special_entries(entries: Sequence[Tuple[str, int]]) -> bool:
+    """The special-form rule on (subscript, sign) units: nonempty,
+    alternating signs, consecutive subscripts."""
+    return bool(entries) and all(
+        e2 == -e1 and consecutive(s, t) is not None
+        for (s, e1), (t, e2) in zip(entries, entries[1:])
+    )
+
+
 def is_special_form(w: GroupWord) -> Optional[SpecialForm]:
     """The validated special form if the word literally matches the
     pattern y_{s1}^{e1}...y_{sk}^{ek} with consecutive subscripts and
     alternating unit signs, else None."""
-    units: List[Tuple[str, int]] = []
-    for k, s, e in w.letters:
-        if k != "y":
-            return None
-        sg = 1 if e > 0 else -1
-        units.extend([(s, sg)] * abs(e))
-    if not units:
+    if any(k != "y" for k, _, _ in w.letters):
         return None
-    for (s, e1), (t, e2) in zip(units, units[1:]):
-        if e2 != -e1 or consecutive(s, t) is None:
-            return None
-    return SpecialForm(tuple(units))
+    units = [(s, sg) for _, s, sg in w.unit_letters()]
+    return SpecialForm(tuple(units)) if is_special_entries(units) else None
 
 
 def independent_forms(forms) -> bool:
@@ -364,10 +360,6 @@ def pm_compose(m1: PrefixMap, m2: PrefixMap) -> PrefixMap:
             elif c.startswith(b) and c != b:
                 out.append((a + c[len(b):], d))
     return pm_reduce(tuple(sorted(out)))
-
-
-def pm_invert(m: PrefixMap) -> PrefixMap:
-    return tuple(sorted((b, a) for a, b in m))
 
 
 def pm_of_word(w: GroupWord) -> PrefixMap:
@@ -499,13 +491,13 @@ class StandardForm:
         return GroupWord(self.head.letters, self.tag) * tail
 
 
-def _expand_y(sub: str, sg: int) -> List[Letter]:
-    # y_s = x_s y_{s0} y_{s10}^-1 y_{s11}
+def _expand_y(sub: str, sg: int) -> Tuple[List[Tuple[str, int]], Letter]:
+    """The three y units and the x unit of y_s = x_s y_{s0} y_{s10}^-1 y_{s11}
+    (for sg > 0; the inverse for sg < 0, its x unit on the right)."""
+    ys = [(sub + "0", 1), (sub + "10", -1), (sub + "11", 1)]
     if sg > 0:
-        return [("x", sub, 1), ("y", sub + "0", 1),
-                ("y", sub + "10", -1), ("y", sub + "11", 1)]
-    return [("y", sub + "11", -1), ("y", sub + "10", 1),
-            ("y", sub + "0", -1), ("x", sub, -1)]
+        return ys, ("x", sub, 1)
+    return [(s, -e) for s, e in reversed(ys)], ("x", sub, -1)
 
 
 def _commutes(s: str, t: str) -> bool:
@@ -536,18 +528,16 @@ def _ordered_commuting(
     return pos
 
 
-def _find_quad(L: List[Letter], start: int) -> Optional[Tuple[int, int, int, int, str]]:
-    """Locate letters y_{u0} y_{u10}^-1 y_{u11} y_u^-1 (in that order,
-    possibly separated by letters that commute across them) in the y
-    tail starting at `start`; their product is x_u^-1."""
-    tail = [(s, e) for _, s, e in L[start:]]
+def _find_quad(tail: List[Tuple[str, int]]) -> Optional[Tuple[int, int, int, int, str]]:
+    """Locate units y_{u0} y_{u10}^-1 y_{u11} y_u^-1 (in that order,
+    possibly separated by units that commute across them) in a unit tail
+    of (subscript, sign) entries; their product is x_u^-1."""
     for q, (u, e) in enumerate(tail):
         if e != -1:
             continue
         pos = _ordered_commuting(tail, [(u + "0", 1), (u + "10", -1), (u + "11", 1)], q)
         if pos is not None:
-            p1, p2, p3 = (start + p for p in pos)
-            return p1, p2, p3, start + q, u
+            return (*pos, q, u)
     return None
 
 
@@ -561,121 +551,120 @@ def rewrite_standard_form(
 ) -> StandardForm:
     """Convert w into a standard form representing the same element.
 
-    Strategy: push x/p letters leftward through y letters by the
-    transport relations, expanding y_s = x_s y_{s0} y_{s10}^-1 y_{s11}
-    whenever the needed partial action is undefined; then sort the y
-    tail by the tree order using commutation of independent letters,
-    expanding nested out-of-order pairs, and contracting the quadruple
-    y_{u0} y_{u10}^-1 y_{u11} y_u^-1 back to x_u^-1.  Budgets guard
-    termination; the result is checked against the action oracle.
+    The word is a head of x/p units and a tail of y units (subscript,
+    sign), read left to right: a y unit joins the tail, any other unit
+    is pushed into the head.  `push(g, r)` moves g left from just before
+    the last r tail units, transporting each y_s it meets or, where the
+    partial action is undefined, expanding y_s = x_s y_{s0} y_{s10}^-1
+    y_{s11} and pushing that x unit first.  One scan then sorts the tail
+    by the tree order and steps back one position after a cancellation
+    or an independent swap.  An expansion, a quad contraction
+    (y_{u0} y_{u10}^-1 y_{u11} y_u^-1 = x_u^-1) or a head absorption
+    transports the tail's prefix, so the scan starts over.  Budgets
+    guard termination; the result is checked against the action oracle.
     """
-    L = w.unit_letters()
+    unread = w.unit_letters()[::-1]
+    head: List[Letter] = []
+    tail: List[Tuple[str, int]] = []
+    moving: List[List] = []  # [unit, r] on the way into head, innermost last
     steps = 0
+
+    def budget_exceeded(message):
+        letters = list(head)
+        done = 0
+        for g, r in reversed(moving):
+            letters += [("y", s, e) for s, e in tail[done:len(tail) - r]] + [g]
+            done = len(tail) - r
+        letters += [("y", s, e) for s, e in tail[done:]] + unread[::-1]
+        return RewriteBudgetExceeded(GroupWord(_merge_letters(letters), w.tag), message)
 
     def bump():
         nonlocal steps
         steps += 1
         if steps > max_steps:
-            raise RewriteBudgetExceeded(_word_of(L, w.tag), "rewriting step budget exceeded")
+            raise budget_exceeded("rewriting step budget exceeded")
 
-    def guard(sub):
-        if len(sub) + 2 > max_subscript:
-            raise RewriteBudgetExceeded(
-                _word_of(L, w.tag), "rewriting subscript depth budget exceeded"
-            )
+    def expand(i):
+        # tail[i] becomes its three y units; returns (x unit, units to its right)
+        s, e = tail[i]
+        if len(s) + 2 > max_subscript:
+            raise budget_exceeded("rewriting subscript depth budget exceeded")
+        ys, x = _expand_y(s, e)
+        tail[i:i + 1] = ys
+        return x, len(tail) - i - (0 if e > 0 else 3)
 
-    while True:
-        moved = False
-        # phase 1: no y letter may precede an x/p letter
-        for i in range(len(L) - 1):
-            if L[i][0] == "y" and L[i + 1][0] in ("x", "p"):
-                bump()
-                _, s, e = L[i]
-                g = L[i + 1]
-                s2 = partial_action(s, g)
-                if s2 is not None:
-                    L[i], L[i + 1] = g, ("y", s2, e)
-                else:
-                    guard(s)
-                    L[i:i + 1] = _expand_y(s, e)
-                moved = True
-                break
-        if moved:
-            continue
-
-        h = next((i for i, l in enumerate(L) if l[0] == "y"), len(L))
-
-        # phase 2: cancel, sort and merge the y tail
-        for j in range(h, len(L) - 1):
-            (k1, s, e), (k2, t, f) = L[j], L[j + 1]
-            if s == t and e + f == 0:
-                bump()
-                del L[j:j + 2]
-                moved = True
-                break
-            if s == t or tree_order_less(s, t):
+    def push(g, r):
+        moving.append([g, r])
+        while moving:
+            g, r = moving[-1]
+            i = len(tail) - r - 1
+            if i < 0:
+                head.append(moving.pop()[0])
                 continue
             bump()
-            if independent(s, t):
-                L[j], L[j + 1] = L[j + 1], L[j]
+            s, e = tail[i]
+            s2 = partial_action(s, g)
+            if s2 is None:
+                moving.append(list(expand(i)))
             else:
-                # t extends s and must come first: deepen y_s
-                guard(s)
-                L[j:j + 1] = _expand_y(s, e)
-            moved = True
-            break
-        if moved:
-            continue
+                tail[i] = (s2, e)
+                moving[-1][1] = r + 1
 
-        quad = _find_quad(L, h)
+    while unread:
+        k, s, e = unread.pop()
+        if k == "y":
+            tail.append((s, e))
+        else:
+            push((k, s, e), 0)
+
+    j = 0
+    while True:
+        while j + 1 < len(tail):
+            (s, e), (t, f) = tail[j], tail[j + 1]
+            if s == t and e + f == 0:
+                bump()
+                del tail[j:j + 2]
+                j = max(j - 1, 0)
+            elif s == t or tree_order_less(s, t):
+                j += 1
+            else:
+                bump()
+                if independent(s, t):
+                    tail[j], tail[j + 1] = tail[j + 1], tail[j]
+                    j = max(j - 1, 0)
+                else:
+                    # t extends s and must come first: deepen y_s
+                    push(*expand(j))
+                    j = 0
+        j = 0
+        quad = _find_quad(tail)
         if quad is not None:
             bump()
             p1, p2, p3, q, u = quad
             for idx in (q, p3, p2, p1):
-                del L[idx]
-            L.insert(q - 3, ("x", u, -1))
+                del tail[idx]
+            push(("x", u, -1), len(tail) - q + 3)
             continue
-
         # head absorption: x_u^-1 y_u = y_{u0} y_{u10}^-1 y_{u11}, after
         # sliding x_u^-1 right through the tail prefix (transport by x_u)
-        if h > 0 and L[h - 1][0] == "x" and L[h - 1][2] == -1:
-            u = L[h - 1][1]
-            j = next(
-                (j for j in range(h, len(L)) if L[j][1] == u and L[j][2] == 1), None
-            )
-            if j is not None:
-                transformed: Optional[List[Letter]] = []
-                for jj in range(h, j):
-                    v2 = partial_action(L[jj][1], ("x", u, 1))
-                    if v2 is None:
-                        transformed = None
-                        break
-                    transformed.append(("y", v2, L[jj][2]))
-                if transformed is not None:
-                    bump()
-                    L[h - 1:j + 1] = transformed + [
-                        ("y", u + "0", 1),
-                        ("y", u + "10", -1),
-                        ("y", u + "11", 1),
-                    ]
-                    continue
+        if head and head[-1][0] == "x" and head[-1][2] == -1 and (head[-1][1], 1) in tail:
+            u = head[-1][1]
+            k = tail.index((u, 1))
+            moved = [(partial_action(s, ("x", u, 1)), e) for s, e in tail[:k]]
+            if all(s2 is not None for s2, _ in moved):
+                bump()
+                head.pop()
+                tail[:k + 1] = moved + _expand_y(u, 1)[0]
+                continue
         break
 
-    h = next((i for i, l in enumerate(L) if l[0] == "y"), len(L))
-    head = GroupWord(_merge_letters(L[:h]), w.tag)
-    tail_units = L[h:]
-    tail: List[Tuple[str, int]] = []
-    for _, s, e in tail_units:
-        if tail and tail[-1][0] == s:
-            tail[-1] = (s, tail[-1][1] + e)
-            if tail[-1][1] == 0:
-                tail.pop()
-        else:
-            tail.append((s, e))
-    for (s, _), (t, _) in zip(tail, tail[1:]):
+    merged = _merge_letters([("y", s, e) for s, e in tail])
+    for (_, s, _), (_, t, _) in zip(merged, merged[1:]):
         if not tree_order_less(s, t):
             raise AssertionError("standard-form tail is not sorted")
-    sf = StandardForm(head, tuple(tail), w.tag)
+    sf = StandardForm(
+        GroupWord(_merge_letters(head), w.tag), tuple((s, e) for _, s, e in merged), w.tag
+    )
     if validate:
         witness = action.equal_at_depth(w, sf.word(), depth)
         if witness is not None:
@@ -697,10 +686,6 @@ def _merge_letters(units: List[Letter]) -> Tuple[Letter, ...]:
         else:
             out.append((k, s, e))
     return tuple(out)
-
-
-def _word_of(units: List[Letter], tag: str) -> GroupWord:
-    return GroupWord(_merge_letters(units), tag)
 
 
 # --------------------------------------------------------------------------
@@ -732,7 +717,7 @@ def word_problem(w: GroupWord, depth: int = DEFAULT_DEPTH) -> Verdict:
     return Verdict("unknown", f"agrees with the identity to depth {depth}")
 
 
-def in_F(w: GroupWord, depth: int = DEFAULT_DEPTH) -> Verdict:
+def in_F(w: GroupWord) -> Verdict:
     """Sound tri-state membership in F.
 
     Yes: empty standard-form tail and an order-preserving tree pair.
@@ -742,7 +727,7 @@ def in_F(w: GroupWord, depth: int = DEFAULT_DEPTH) -> Verdict:
     if w.tag == "F":
         return Verdict("yes")
     try:
-        sf = rewrite_standard_form(w, depth=depth)
+        sf = rewrite_standard_form(w)
     except RewriteBudgetExceeded as exc:
         return Verdict("unknown", str(exc))
     if not sf.tail:
@@ -751,22 +736,22 @@ def in_F(w: GroupWord, depth: int = DEFAULT_DEPTH) -> Verdict:
             return Verdict("yes")
         # outside F the element moves an endpoint; the move shows up at
         # the depth of the tree pair's leaves
-        moved = action.moved_endpoint(w, max(depth, max(len(a) for a, _ in pm) + 1))
+        moved = action.moved_endpoint(w, max(DEFAULT_DEPTH, max(len(a) for a, _ in pm) + 1))
         if moved is None:
             raise AssertionError("tree pair outside F but endpoints undisturbed")
         return Verdict("no", moved)
     for name in AVAILABLE_CHARACTERS[w.tag] - {"chi0", "chi1"}:
         if char_value(name, w) != 0:
             return Verdict("no", ("character", name, char_value(name, w)))
-    moved = action.moved_endpoint(w, depth)
+    moved = action.moved_endpoint(w, DEFAULT_DEPTH)
     if moved is not None:
         return Verdict("no", moved)
     return Verdict("unknown", "nonempty standard-form tail only")
 
 
-def same_coset(g: GroupWord, g2: GroupWord, depth: int = DEFAULT_DEPTH) -> Verdict:
+def same_coset(g: GroupWord, g2: GroupWord) -> Verdict:
     """Whether Fg = Fg2, decided as F-membership of g g2^-1."""
-    return in_F(g * g2.inverse(), depth=depth)
+    return in_F(g * g2.inverse())
 
 
 # --------------------------------------------------------------------------
@@ -797,17 +782,17 @@ def _triple_contract(tail: List[Tuple[str, int]]) -> Optional[List[Tuple[str, in
     return None
 
 
-def canonical_coset(g: GroupWord, depth: int = DEFAULT_DEPTH) -> GroupWord:
+def canonical_coset(g: GroupWord) -> GroupWord:
     """Canonical representative word for the coset Fg: the standard-form
     tail with the F head dropped and every left-absorbable triple
     y_{u0} y_{u10}^-1 y_{u11} contracted to y_u."""
-    return _canonical_coset_cached(g.letters, g.tag, depth)
+    return _canonical_coset_cached(g.letters, g.tag)
 
 
 @lru_cache(maxsize=65536)
-def _canonical_coset_cached(letters, tag: str, depth: int) -> GroupWord:
+def _canonical_coset_cached(letters, tag: str) -> GroupWord:
     g = GroupWord(letters, tag)
-    sf = rewrite_standard_form(g, depth=depth)
+    sf = rewrite_standard_form(g)
     if sf.head.letters and not pm_order_preserving(pm_of_word(sf.head)):
         raise TagViolation("coset representative has a head outside F")
     units = [(s, sg) for s, e in sf.tail for sg in ([1] * e if e > 0 else [-1] * (-e))]
@@ -816,7 +801,7 @@ def _canonical_coset_cached(letters, tag: str, depth: int) -> GroupWord:
         if new is None:
             break
         yw = GroupWord(tuple(("y", s, e) for s, e in new), g.tag)
-        sf2 = rewrite_standard_form(yw, depth=depth)
+        sf2 = rewrite_standard_form(yw)
         if sf2.head.letters and not pm_order_preserving(pm_of_word(sf2.head)):
             raise AssertionError("contracted tail produced a head outside F")
         units = [
@@ -826,7 +811,3 @@ def _canonical_coset_cached(letters, tag: str, depth: int) -> GroupWord:
     if psi_like_value(key) != psi_like_value(g):
         raise AssertionError("coset key changed the psi height")
     return key
-
-
-def coset_key_string(g: GroupWord, depth: int = DEFAULT_DEPTH) -> str:
-    return canonical_coset(g, depth=depth).to_string()

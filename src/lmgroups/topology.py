@@ -60,12 +60,6 @@ class Complex:
             return frozenset({key})
         return frozenset(f for f in self.faces(key) if self.dims[f] == 0)
 
-    def closed_star(self, vertex: str) -> List[str]:
-        return sorted(
-            (c for c in self.dims if vertex in self.vertices_of(c)),
-            key=lambda k: (self.dims[k], k),
-        )
-
     def edges(self) -> List[Tuple[str, FrozenSet[str]]]:
         return [(e, self.vertices_of(e)) for e in self.cells_of_dim(1)]
 
@@ -85,15 +79,6 @@ class Complex:
             {k: self.dims[k] for k in keep},
             {k: self.facets[k] for k in keep},
         )
-
-    def validate(self) -> bool:
-        for c in self.dims:
-            d = self.dims[c]
-            if d > 0 and len(self.vertices_of(c)) < d + 1:
-                raise ValueError(f"{d}-cell {c} has fewer than {d + 1} vertices")
-            if d > 0 and not self.facets[c]:
-                raise ValueError(f"{d}-cell {c} has no facets")
-        return True
 
 
 def order_complex(cx: Complex) -> List[Tuple[str, ...]]:

@@ -18,7 +18,7 @@ from . import group
 from .arrangements import Arrangement, ClusterComplex, enumerate_cells, is_flat_restriction
 from .group import GroupWord, SpecialForm, canonical_coset, psi_like_value
 from .topology import Complex, is_collapsible, reduced_homology
-from .words import consecutive, independent, tree_key
+from .words import independent, tree_key
 
 __all__ = [
     "ClusterError",
@@ -85,9 +85,6 @@ class XComplex:
     vertex_words: Dict[str, GroupWord]
     pieces: List[XCluster]
 
-    def vertices(self) -> List[str]:
-        return self.complex.cells_of_dim(0)
-
 
 def sort_params(params: Sequence[SpecialForm]) -> Tuple[SpecialForm, ...]:
     return tuple(sorted(params, key=lambda f: tree_key(f.subscripts()[0])))
@@ -105,20 +102,10 @@ def _difference_entries(
     return letters
 
 
-def _entries_special(entries: List[Tuple[str, int]]) -> bool:
-    if not entries:
-        return False
-    for (s, e1), (t, e2) in zip(entries, entries[1:]):
-        if e2 != -e1 or consecutive(s, t) is None:
-            return False
-    return True
-
-
 def build_x_cluster(
     base: GroupWord,
     params: Sequence[SpecialForm],
     tag: str = "G",
-    depth: int = group.DEFAULT_DEPTH,
 ) -> XCluster:
     """The labeled k-cluster spanned by independent special-form
     parameters over a base coset; hard-errors when the special-form
@@ -146,7 +133,7 @@ def build_x_cluster(
             if c:
                 w = w * forms[i].word(tag)
         w = w * base
-        key = canonical_coset(w, depth=depth)
+        key = canonical_coset(w)
         labels[v] = key.to_string()
         label_words[v] = key
     if len(set(labels.values())) != len(labels):
@@ -164,7 +151,7 @@ def build_x_cluster(
     for a in range(len(vertex_keys)):
         for b in range(a + 1, len(vertex_keys)):
             va, vb = vertex_keys[a], vertex_keys[b]
-            rule = _entries_special(_difference_entries(forms, sets[va], sets[vb]))
+            rule = group.is_special_entries(_difference_entries(forms, sets[va], sets[vb]))
             present = frozenset({va, vb}) in arrangement_edges
             if rule != present:
                 mismatches.append((labels[va], labels[vb], rule, present))
@@ -197,12 +184,11 @@ def _restricts_to_flat(piece: XCluster, ids: Dict[str, str], shared: Set[str]) -
 def assemble(
     pieces: Sequence[Tuple[GroupWord, Sequence[SpecialForm]]],
     tag: str = "G",
-    depth: int = group.DEFAULT_DEPTH,
 ) -> XComplex:
     """Union of labeled clusters with vertices identified by canonical
     coset keys and cells deduplicated by identified vertex sets; every
     pairwise intersection must be a subcluster of both pieces."""
-    built = [build_x_cluster(b, p, tag, depth) for b, p in pieces]
+    built = [build_x_cluster(b, p, tag) for b, p in pieces]
     idmaps = [_global_ids(pc) for pc in built]
 
     dims: Dict[str, int] = {}
@@ -306,7 +292,6 @@ def ascending_link(cx: XComplex, vertex: str) -> Complex:
 def find_cone_vertex(
     pieces: Sequence[Tuple[GroupWord, Sequence[SpecialForm]]],
     tag: str = "G",
-    depth: int = group.DEFAULT_DEPTH,
 ) -> Tuple[int, bool]:
     """Least m for which the extra parameter on the subscript 0^m 1
     yields buildable enlarged clusters that cone off the whole original
@@ -314,11 +299,11 @@ def find_cone_vertex(
     if not pieces:
         return (0, True)
     for base, _ in pieces:
-        sf = group.rewrite_standard_form(base, depth=depth)
+        sf = group.rewrite_standard_form(base)
         if sf.tail or not group.pm_order_preserving(group.pm_of_word(sf.head)):
             raise ClusterError("cone search expects all pieces based at the trivial coset")
     subs = sorted({s for _, params in pieces for f in params for s in f.subscripts()})
-    original = assemble(pieces, tag, depth)
+    original = assemble(pieces, tag)
     froot = group.identity(tag).to_string()
     orig_nbrs = original.complex.adjacent_vertices(froot)
     max_m = max((len(s) for s in subs), default=0) + 3
@@ -331,7 +316,6 @@ def find_cone_vertex(
             big = assemble(
                 [(base, list(params) + [apex_form]) for base, params in pieces],
                 tag,
-                depth,
             )
         except ClusterError:
             continue

@@ -54,7 +54,7 @@ def clean_params(rng, max_forms=3, max_sub=5):
                 merged = xcomplex._difference_entries(
                     forms, frozenset({i}), frozenset({j})
                 )
-                if xcomplex._entries_special(merged) and j != i + 1:
+                if group.is_special_entries(merged) and j != i + 1:
                     ok = False
         if ok:
             return list(forms)

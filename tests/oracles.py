@@ -17,6 +17,12 @@ now builds letter machines and prefix codes from the row tables in
 `words`, and the tests compare the two.  The endpoint scan that restarts
 the action for each 0^d and 1^d is the former helper of `in_F`.
 
+The rewriter that restarts its four-phase scan at index 0 after every
+rule application is the former `group.rewrite_standard_form`; the
+library now keeps the word as a head of x/p letters and a tail of y
+units and resumes at the touched position.  The tag inference that
+lists the tag rules case by case is the former `group.infer_tag`.
+
 The integer Hermite reduction, the rational annihilator and its cone
 casework decided the finiteness types next to the sign test of
 `sigma_membership`; the library now reduces both to that test.  The
@@ -44,10 +50,30 @@ from lmgroups.arrangements import (
     face_of,
     split_key,
 )
-from lmgroups.group import IDENTITY_PM, GroupWord, PrefixMap, TagViolation, pm_compose
+from lmgroups.group import (
+    DEFAULT_DEPTH,
+    IDENTITY_PM,
+    GroupWord,
+    Letter,
+    PrefixMap,
+    RewriteBudgetExceeded,
+    StandardForm,
+    TagViolation,
+    _merge_letters,
+    _ordered_commuting,
+    pm_compose,
+    word,
+)
 from lmgroups.sigma import BASES, EXCLUDED_SIGNS, LatticeSubgroup, Vector
 from lmgroups.topology import Complex, homology_of_simplices, order_complex
-from lmgroups.words import X_ROWS, independent, p_rows
+from lmgroups.words import (
+    X_ROWS,
+    independent,
+    is_one_run,
+    is_zero_run,
+    p_rows,
+    tree_order_less,
+)
 
 
 def _classes(n: int, diags: Sequence[int], rels: str) -> List[int]:
@@ -406,7 +432,6 @@ def equal_at_depth(w1, w2, depth: int) -> Optional[str]:
         return None
 
     return walk(initial_states(w1), initial_states(w2), "", "", "", depth)
-
 
 
 # --------------------------------------------------------------------------
@@ -835,3 +860,192 @@ def restrict_cell_key(
             raise AssertionError("more than one strict relation across a merge")
         newrels.append(strict[0] if strict else "=")
     return cell_key(newpos, "".join(newrels))
+
+
+# --------------------------------------------------------------------------
+# group: the restarting rewriter and the case-by-case tag inference
+
+
+def infer_tag(text_or_letters) -> str:
+    """Smallest tag admitting the letters (used by the CLI)."""
+    if isinstance(text_or_letters, str):
+        letters = word(text_or_letters, "Shat").letters
+    else:
+        letters = text_or_letters
+    has_p = any(k == "p" for k, _, _ in letters)
+    ysubs = [s for k, s, _ in letters if k == "y"]
+    if has_p:
+        return "Shat" if ysubs else "T"
+    if not ysubs:
+        return "F"
+    zero = any(is_zero_run(s) for s in ysubs)
+    one = any(is_one_run(s) for s in ysubs)
+    if zero and one:
+        return "yGy"
+    if zero:
+        return "yG"
+    if one:
+        return "Gy"
+    return "G"
+
+
+def _expand_y(sub: str, sg: int) -> List[Letter]:
+    # y_s = x_s y_{s0} y_{s10}^-1 y_{s11}
+    if sg > 0:
+        return [("x", sub, 1), ("y", sub + "0", 1),
+                ("y", sub + "10", -1), ("y", sub + "11", 1)]
+    return [("y", sub + "11", -1), ("y", sub + "10", 1),
+            ("y", sub + "0", -1), ("x", sub, -1)]
+
+
+def _find_quad(L: List[Letter], start: int) -> Optional[Tuple[int, int, int, int, str]]:
+    """Locate letters y_{u0} y_{u10}^-1 y_{u11} y_u^-1 (in that order,
+    possibly separated by letters that commute across them) in the y
+    tail starting at `start`; their product is x_u^-1."""
+    tail = [(s, e) for _, s, e in L[start:]]
+    for q, (u, e) in enumerate(tail):
+        if e != -1:
+            continue
+        pos = _ordered_commuting(tail, [(u + "0", 1), (u + "10", -1), (u + "11", 1)], q)
+        if pos is not None:
+            p1, p2, p3 = (start + p for p in pos)
+            return p1, p2, p3, start + q, u
+    return None
+
+
+def rewrite_standard_form(
+    w: GroupWord,
+    *,
+    max_steps: int = 100_000,
+    max_subscript: int = 12,
+    validate: bool = True,
+    depth: int = DEFAULT_DEPTH,
+) -> StandardForm:
+    """Convert w into a standard form representing the same element.
+
+    Strategy: push x/p letters leftward through y letters by the
+    transport relations, expanding y_s = x_s y_{s0} y_{s10}^-1 y_{s11}
+    whenever the needed partial action is undefined; then sort the y
+    tail by the tree order using commutation of independent letters,
+    expanding nested out-of-order pairs, and contracting the quadruple
+    y_{u0} y_{u10}^-1 y_{u11} y_u^-1 back to x_u^-1.  Budgets guard
+    termination; the result is checked against the action oracle.
+    """
+    L = w.unit_letters()
+    steps = 0
+
+    def bump():
+        nonlocal steps
+        steps += 1
+        if steps > max_steps:
+            raise RewriteBudgetExceeded(_word_of(L, w.tag), "rewriting step budget exceeded")
+
+    def guard(sub):
+        if len(sub) + 2 > max_subscript:
+            raise RewriteBudgetExceeded(
+                _word_of(L, w.tag), "rewriting subscript depth budget exceeded"
+            )
+
+    while True:
+        moved = False
+        # phase 1: no y letter may precede an x/p letter
+        for i in range(len(L) - 1):
+            if L[i][0] == "y" and L[i + 1][0] in ("x", "p"):
+                bump()
+                _, s, e = L[i]
+                g = L[i + 1]
+                s2 = words.partial_action(s, g)
+                if s2 is not None:
+                    L[i], L[i + 1] = g, ("y", s2, e)
+                else:
+                    guard(s)
+                    L[i:i + 1] = _expand_y(s, e)
+                moved = True
+                break
+        if moved:
+            continue
+
+        h = next((i for i, l in enumerate(L) if l[0] == "y"), len(L))
+
+        # phase 2: cancel, sort and merge the y tail
+        for j in range(h, len(L) - 1):
+            (k1, s, e), (k2, t, f) = L[j], L[j + 1]
+            if s == t and e + f == 0:
+                bump()
+                del L[j:j + 2]
+                moved = True
+                break
+            if s == t or tree_order_less(s, t):
+                continue
+            bump()
+            if independent(s, t):
+                L[j], L[j + 1] = L[j + 1], L[j]
+            else:
+                # t extends s and must come first: deepen y_s
+                guard(s)
+                L[j:j + 1] = _expand_y(s, e)
+            moved = True
+            break
+        if moved:
+            continue
+
+        quad = _find_quad(L, h)
+        if quad is not None:
+            bump()
+            p1, p2, p3, q, u = quad
+            for idx in (q, p3, p2, p1):
+                del L[idx]
+            L.insert(q - 3, ("x", u, -1))
+            continue
+
+        # head absorption: x_u^-1 y_u = y_{u0} y_{u10}^-1 y_{u11}, after
+        # sliding x_u^-1 right through the tail prefix (transport by x_u)
+        if h > 0 and L[h - 1][0] == "x" and L[h - 1][2] == -1:
+            u = L[h - 1][1]
+            j = next(
+                (j for j in range(h, len(L)) if L[j][1] == u and L[j][2] == 1), None
+            )
+            if j is not None:
+                transformed: Optional[List[Letter]] = []
+                for jj in range(h, j):
+                    v2 = words.partial_action(L[jj][1], ("x", u, 1))
+                    if v2 is None:
+                        transformed = None
+                        break
+                    transformed.append(("y", v2, L[jj][2]))
+                if transformed is not None:
+                    bump()
+                    L[h - 1:j + 1] = transformed + [
+                        ("y", u + "0", 1),
+                        ("y", u + "10", -1),
+                        ("y", u + "11", 1),
+                    ]
+                    continue
+        break
+
+    h = next((i for i, l in enumerate(L) if l[0] == "y"), len(L))
+    head = GroupWord(_merge_letters(L[:h]), w.tag)
+    tail_units = L[h:]
+    tail: List[Tuple[str, int]] = []
+    for _, s, e in tail_units:
+        if tail and tail[-1][0] == s:
+            tail[-1] = (s, tail[-1][1] + e)
+            if tail[-1][1] == 0:
+                tail.pop()
+        else:
+            tail.append((s, e))
+    for (s, _), (t, _) in zip(tail, tail[1:]):
+        if not tree_order_less(s, t):
+            raise AssertionError("standard-form tail is not sorted")
+    sf = StandardForm(head, tuple(tail), w.tag)
+    if validate:
+        witness = action.equal_at_depth(w, sf.word(), depth)
+        if witness is not None:
+            raise AssertionError(
+                f"rewriting produced an unequal word (witness input {witness!r})"
+            )
+    return sf
+
+
+def _word_of(units: List[Letter], tag: str) -> GroupWord:
+    return GroupWord(_merge_letters(units), tag)

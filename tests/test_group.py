@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -42,6 +43,24 @@ def test_tag_constraints():
     word("y[11]", "Gy")
     word("y[e]", "yGy")
     word("y[e] p3", "Shat")
+
+
+def test_tag_inference_matches_case_by_case_rules():
+    import oracles
+
+    alphabet = (
+        [f"x[{s or 'e'}]" for s in all_words(2)]
+        + [f"y[{s or 'e'}]" for s in all_words(3)]
+        + ["p0", "p1"]
+    )
+    seen = set()
+    for n in range(4):
+        for letters in itertools.product(alphabet, repeat=n):
+            text = " ".join(letters) or "e"
+            tag = group.infer_tag(text)
+            assert tag == oracles.infer_tag(text), text
+            seen.add(tag)
+    assert seen == set(group.TAGS)
 
 
 def test_parse_and_print_round_trip():
@@ -152,18 +171,22 @@ def test_rewrite_examples():
     assert sf.head.letters == () and sf.tail == ()
 
 
+def _random_shat_letters(rng, length):
+    subs = list(all_words(3))
+    letters = []
+    for _ in range(length):
+        kind = rng.choice(["x", "y", "y", "p"])
+        if kind == "p":
+            letters.append(("p", rng.randint(0, 2), rng.choice([1, -1])))
+        else:
+            letters.append((kind, rng.choice(subs), rng.choice([1, -1])))
+    return tuple(letters)
+
+
 def test_rewrite_random_words_validate():
     rng = random.Random(17)
-    subs = list(all_words(3))
     for _ in range(500):
-        letters = []
-        for _ in range(rng.randint(1, 8)):
-            kind = rng.choice(["x", "y", "y", "p"])
-            if kind == "p":
-                letters.append(("p", rng.randint(0, 2), rng.choice([1, -1])))
-            else:
-                letters.append((kind, rng.choice(subs), rng.choice([1, -1])))
-        w = GroupWord(tuple(letters), "Shat")
+        w = GroupWord(_random_shat_letters(rng, rng.randint(1, 8)), "Shat")
         sf = rewrite_standard_form(w)  # validates against the action oracle
         assert all(k in ("x", "p") for k, _, _ in sf.head.letters)
         from lmgroups.words import tree_order_less
@@ -285,6 +308,52 @@ def test_rewrite_budget_error_carries_partial_word():
     with pytest.raises(group.RewriteBudgetExceeded) as info:
         rewrite_standard_form(w)
     assert isinstance(info.value.partial, GroupWord)
+    # the whole word as it stands: head, moving letters, tail, unread input
+    assert action.equal_at_depth(info.value.partial, w, 16) is None
+
+
+def _rewrite_outcome(rewrite, w, **budgets):
+    try:
+        sf = rewrite(w, validate=False, **budgets)
+    except group.RewriteBudgetExceeded as exc:
+        return type(exc), str(exc), exc.partial.letters
+    return sf.head.letters, sf.tail
+
+
+def test_head_tail_rewriter_matches_restarting_oracle():
+    import oracles
+
+    for seed in (1, 2, 3):
+        rng = random.Random(seed)
+        for length, count in ((8, 40), (16, 20), (32, 3)):
+            for _ in range(count):
+                w = GroupWord(_random_shat_letters(rng, length), "Shat")
+                assert _rewrite_outcome(rewrite_standard_form, w) == _rewrite_outcome(
+                    oracles.rewrite_standard_form, w
+                ), w
+
+
+def test_head_tail_rewriter_trips_the_same_budgets():
+    import oracles
+
+    rng = random.Random(5)
+    inputs = [GroupWord(_random_shat_letters(rng, n), "Shat") for n in [8] * 8 + [16] * 8]
+    inputs.append(word(f"y[0] x[{'0' * 11}]", "Shat"))
+    tripped = set()
+    for w in inputs:
+        for steps in (1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144):
+            for sub in (4, 6, 8, 12):
+                new = _rewrite_outcome(rewrite_standard_form, w, max_steps=steps, max_subscript=sub)
+                old = _rewrite_outcome(
+                    oracles.rewrite_standard_form, w, max_steps=steps, max_subscript=sub
+                )
+                assert new == old, (w, steps, sub)
+                if len(new) == 3:
+                    tripped.add(new[1])
+    assert tripped == {
+        "rewriting step budget exceeded",
+        "rewriting subscript depth budget exceeded",
+    }
 
 
 def test_contractions_pass_commuting_letters_only():
@@ -295,8 +364,8 @@ def test_contractions_pass_commuting_letters_only():
               ("y", "01", -1)]
     blocked = [("y", "010", 1), ("y", "0110", -1), ("y", "0111", 1), ("y", "011", 1),
                ("y", "01", -1)]
-    assert _find_quad(passed, 0) == (0, 2, 3, 4, "01")
-    assert _find_quad(blocked, 0) is None
+    assert _find_quad([(s, e) for _, s, e in passed]) == (0, 2, 3, 4, "01")
+    assert _find_quad([(s, e) for _, s, e in blocked]) is None
     assert rewrite_standard_form(GroupWord(tuple(passed), "G")).tail == (("01010", 1),)
     assert rewrite_standard_form(GroupWord(tuple(blocked), "G")).tail == tuple(
         (s, e) for _, s, e in blocked
