@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import product
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
@@ -306,58 +305,12 @@ def subcluster(
 # Exact convexity verification
 
 
-def _in_convex_hull(point: Sequence[Fraction], hull: List[Sequence[Fraction]]) -> bool:
-    """Exact feasibility of point = sum(l_i h_i), l >= 0, sum l = 1,
-    by a phase-one simplex with Bland's rule over Fractions."""
-    if not hull:
-        return False
-    m = len(point) + 1
-    k = len(hull)
-    # rows: equations; columns: k lambda vars + m artificial vars
-    A = [[Fraction(h[r]) for h in hull] for r in range(len(point))]
-    A.append([Fraction(1)] * k)
-    b = [Fraction(p) for p in point] + [Fraction(1)]
-    for r in range(m):
-        if b[r] < 0:
-            A[r] = [-v for v in A[r]]
-            b[r] = -b[r]
-    tab = [A[r] + [Fraction(1) if c == r else Fraction(0) for c in range(m)] + [b[r]] for r in range(m)]
-    basis = [k + r for r in range(m)]
-    cost = [Fraction(0)] * (k + m) + [Fraction(0)]
-    for r in range(m):
-        for c in range(k + m + 1):
-            cost[c] -= tab[r][c]
-    for c in range(k, k + m):
-        cost[c] += 1
-    while True:
-        enter = next((c for c in range(k + m) if cost[c] < 0), None)
-        if enter is None:
-            break
-        ratios = [
-            (tab[r][-1] / tab[r][enter], r)
-            for r in range(m)
-            if tab[r][enter] > 0
-        ]
-        if not ratios:
-            return False  # unbounded phase-one: cannot happen
-        _, pivot = min(ratios, key=lambda t: (t[0], basis[t[1]]))
-        pv = tab[pivot][enter]
-        tab[pivot] = [v / pv for v in tab[pivot]]
-        for r in range(m):
-            if r != pivot and tab[r][enter]:
-                f = tab[r][enter]
-                tab[r] = [v - f * w for v, w in zip(tab[r], tab[pivot])]
-        if cost[enter]:
-            f = cost[enter]
-            cost = [v - f * w for v, w in zip(cost, tab[pivot])]
-        basis[pivot] = enter
-    return -cost[-1] == 0
-
-
 def verify_convex_cells(cx: ClusterComplex) -> bool:
-    """Each cell's corner set must match its combinatorial vertex set,
-    be convex independent, and span the closed cell (which has integral
-    extreme points, so corners suffice)."""
+    """Each cell's corner set must match its combinatorial vertex set
+    and have at least d + 1 points.  The closed cell has integral extreme
+    points, so its corners span it, and they are in convex position with
+    no check: each 0/1 corner c is the unique maximiser over the cube of
+    sum (2 c_i - 1) x_i, so no corner lies in the hull of the others."""
     arr = cx.arrangement
     if arr.n > 6:
         raise ValueError("convexity check bounded at n <= 6")
@@ -372,11 +325,6 @@ def verify_convex_cells(cx: ClusterComplex) -> bool:
             return False
         if len(combinatorial) < d + 1:
             return False
-        pts = sorted(combinatorial)
-        for i, v in enumerate(pts):
-            others = [p for j, p in enumerate(pts) if j != i]
-            if _in_convex_hull([Fraction(c) for c in v], others):
-                return False
     return True
 
 

@@ -264,13 +264,14 @@ class SpecialForm:
     entries: Tuple[Tuple[str, int], ...]  # (subscript, sign), signs alternating
 
     def __post_init__(self):
-        if not self.entries:
-            raise ValueError("a special form is nonempty")
-        for (s, e1), (t, e2) in zip(self.entries, self.entries[1:]):
-            if e2 != -e1:
-                raise ValueError("signs must alternate")
-            if consecutive(s, t) is None:
-                raise ValueError(f"subscripts {s!r}, {t!r} are not consecutive")
+        for s, e in self.entries:
+            if e not in (1, -1):
+                raise ValueError(f"special-form signs are +-1, got {e!r}")
+            check_word(s)
+        if not is_special_entries(self.entries):
+            raise ValueError(
+                "a special form is nonempty, with alternating signs and consecutive subscripts"
+            )
 
     def subscripts(self) -> Tuple[str, ...]:
         return tuple(s for s, _ in self.entries)
@@ -333,20 +334,22 @@ IDENTITY_PM: PrefixMap = (("", ""),)
 
 
 def pm_reduce(m: PrefixMap) -> PrefixMap:
+    """The reduced tree pair: sibling leaves u0, u1 mapped onto sibling
+    leaves v0, v1 merge into u -> v, from the leaves up toward the root.
+    A merge only adds the parent, so only the parent needs a new look;
+    the reduced pair is unique, so the order of merges does not matter."""
     d = dict(m)
-    again = True
-    while again:
-        again = False
-        for a in list(d):
-            if a.endswith("0"):
-                a1 = a[:-1] + "1"
-                if a in d and a1 in d:
-                    b0, b1 = d[a], d[a1]
-                    if b0.endswith("0") and b1 == b0[:-1] + "1":
-                        del d[a], d[a1]
-                        d[a[:-1]] = b0[:-1]
-                        again = True
-                        break
+    todo = list(d)
+    while todo:
+        a = todo.pop()
+        if not a:
+            continue
+        u = a[:-1]
+        b0, b1 = d.get(u + "0"), d.get(u + "1")
+        if b0 is not None and b0.endswith("0") and b1 == b0[:-1] + "1":
+            del d[u + "0"], d[u + "1"]
+            d[u] = b0[:-1]
+            todo.append(u)
     return tuple(sorted(d.items()))
 
 
@@ -396,54 +399,21 @@ def decide_T_identity(w: GroupWord) -> bool:
     return pm_is_identity(pm_of_word(w))
 
 
-def comb_leaves(k: int) -> List[str]:
-    """The k-leaf right comb: 0, 10, 110, ..., 1^(k-2)0, 1^(k-1)."""
-    if k < 1:
-        raise ValueError("a code has at least one leaf")
-    if k == 1:
-        return [""]
-    return ["1" * i + "0" for i in range(k - 1)] + ["1" * (k - 1)]
-
-
-def _embed_x_letters(letters: List[Letter], prefix: str) -> List[Letter]:
-    return [("x", prefix + s, e) for _, s, e in letters]
-
-
-def pm_to_word_F(pm: PrefixMap, _budget: int = 10_000) -> List[Letter]:
-    """Letters of an x-word realizing an order-preserving prefix map.
-
-    The root letter x shifts leaves across the top split, so emitting
-    x^{+-1} rebalances the split until both sides agree, after which the
-    two subtrees convert independently (x_u acts inside the cylinder at
-    u exactly as x acts globally)."""
-    pm = pm_reduce(pm)
-    if pm == IDENTITY_PM:
-        return []
-    if not pm_order_preserving(pm):
-        raise ValueError("not an order-preserving prefix map")
+def _comb_letters(leaves: List[str]) -> List[Letter]:
+    """Letters of the x-word that carries the sorted leaves of a complete
+    prefix code, in order, onto the right comb 0, 10, ..., 1^(k-2)0,
+    1^(k-1) (the right-vine normal form of Cannon-Floyd-Parry): walking
+    down the right spine, x_{1^k} rotates the subtree at 1^k right until
+    1^k 0 is a leaf."""
     letters: List[Letter] = []
-    for _ in range(_budget):
-        if pm == IDENTITY_PM:
-            return letters
-        pairs = sorted(pm)
-        a = sum(1 for d, _ in pairs if d.startswith("0"))
-        c = sum(1 for _, r in pairs if r.startswith("0"))
-        if a == c:
-            break
-        if a > c:
-            letters.append(("x", "", 1))
-            pm = pm_compose(tuple(sorted(letter_code("x", "", -1))), pm)
+    k = 0
+    while len(leaves) > k + 1:
+        if "1" * k + "0" in leaves:
+            k += 1
         else:
-            letters.append(("x", "", -1))
-            pm = pm_compose(tuple(sorted(letter_code("x", "", 1))), pm)
-    else:
-        raise AssertionError("root rebalancing did not converge")
-    pairs = sorted(pm)
-    a = sum(1 for d, _ in pairs if d.startswith("0"))
-    left = tuple(sorted((d[1:], r[1:]) for d, r in pairs[:a]))
-    right = tuple(sorted((d[1:], r[1:]) for d, r in pairs[a:]))
-    letters += _embed_x_letters(pm_to_word_F(left), "0")
-    letters += _embed_x_letters(pm_to_word_F(right), "1")
+            letter = ("x", "1" * k, 1)
+            letters.append(letter)
+            leaves = [partial_action(s, letter) for s in leaves]
     return letters
 
 
@@ -463,13 +433,10 @@ def pm_to_word_T(pm: PrefixMap) -> GroupWord:
     for j, d in enumerate(doms):
         if img[d] != rngs[(j + r) % k]:
             raise ValueError("prefix map does not preserve the cyclic order")
-    comb = comb_leaves(k)
-    letters: List[Letter] = []
-    letters += pm_to_word_F(tuple(sorted(zip(doms, comb))))
+    letters = _comb_letters(doms)
     if r:
         letters.append(("p", k - 2, r))
-    v_letters = pm_to_word_F(tuple(sorted(zip(rngs, comb))))
-    letters += [(kk, ss, -ee) for kk, ss, ee in reversed(v_letters)]
+    letters += [(kk, ss, -ee) for kk, ss, ee in reversed(_comb_letters(rngs))]
     out = GroupWord(_merge_letters(letters), "T")
     if pm_of_word(out) != pm:
         raise AssertionError("tree-pair conversion produced a different map")

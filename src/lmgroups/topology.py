@@ -22,7 +22,9 @@ from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
 class Complex:
     dims: Dict[str, int]
     facets: Dict[str, FrozenSet[str]]
-    _faces: Dict[str, FrozenSet[str]] = field(default_factory=dict, repr=False)
+    _faces: Dict[str, FrozenSet[str]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         for c, fs in self.facets.items():

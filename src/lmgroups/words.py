@@ -8,6 +8,7 @@ and the tree pairs of T are all built from them.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product
 from typing import Iterator, Optional, Tuple
 
@@ -96,6 +97,7 @@ def p_rows(n: int, sign: int) -> Tuple[Tuple[str, str], ...]:
     return tuple(rows)
 
 
+@lru_cache(maxsize=4096)
 def letter_code(kind: str, sub, sign: int) -> Tuple[Tuple[str, str], ...]:
     """The complete prefix code of a unit x or p letter: (pattern, image)
     rows covering every input.  x_sub is the identity on each leaf that

@@ -23,6 +23,15 @@ library now keeps the word as a head of x/p letters and a tail of y
 units and resumes at the touched position.  The tag inference that
 lists the tag rules case by case is the former `group.infer_tag`.
 
+The tree-pair reduction that restarts its scan after every merge, and
+the conversion of tree pairs to words that rebalances the root split and
+recurses into both subtrees, are the former `group.pm_reduce`,
+`group.pm_to_word_F` and `group.pm_to_word_T`; the library now merges
+siblings from a worklist and rotates each side onto the right comb.  The
+phase-one simplex that asked whether a cube corner lies in the hull of
+other corners is the former convexity check of `arrangements`; no 0/1
+corner ever does, so the library no longer asks.
+
 The integer Hermite reduction, the rational annihilator and its cone
 casework decided the finiteness types next to the sign test of
 `sigma_membership`; the library now reduces both to that test.  The
@@ -61,7 +70,9 @@ from lmgroups.group import (
     TagViolation,
     _merge_letters,
     _ordered_commuting,
+    identity,
     pm_compose,
+    pm_order_preserving,
     word,
 )
 from lmgroups.sigma import BASES, EXCLUDED_SIGNS, LatticeSubgroup, Vector
@@ -71,6 +82,7 @@ from lmgroups.words import (
     independent,
     is_one_run,
     is_zero_run,
+    letter_code,
     p_rows,
     tree_order_less,
 )
@@ -1049,3 +1061,184 @@ def rewrite_standard_form(
 
 def _word_of(units: List[Letter], tag: str) -> GroupWord:
     return GroupWord(_merge_letters(units), tag)
+
+
+# --------------------------------------------------------------------------
+# group: the restarting tree-pair reduction and the root-rebalancing
+# conversion of order-preserving prefix maps to x-words
+
+
+def pm_reduce(m: PrefixMap) -> PrefixMap:
+    d = dict(m)
+    again = True
+    while again:
+        again = False
+        for a in list(d):
+            if a.endswith("0"):
+                a1 = a[:-1] + "1"
+                if a in d and a1 in d:
+                    b0, b1 = d[a], d[a1]
+                    if b0.endswith("0") and b1 == b0[:-1] + "1":
+                        del d[a], d[a1]
+                        d[a[:-1]] = b0[:-1]
+                        again = True
+                        break
+    return tuple(sorted(d.items()))
+
+
+def comb_leaves(k: int) -> List[str]:
+    """The k-leaf right comb: 0, 10, 110, ..., 1^(k-2)0, 1^(k-1)."""
+    if k < 1:
+        raise ValueError("a code has at least one leaf")
+    if k == 1:
+        return [""]
+    return ["1" * i + "0" for i in range(k - 1)] + ["1" * (k - 1)]
+
+
+def _embed_x_letters(letters: List[Letter], prefix: str) -> List[Letter]:
+    return [("x", prefix + s, e) for _, s, e in letters]
+
+
+def pm_to_word_F(pm: PrefixMap, _budget: int = 10_000) -> List[Letter]:
+    """Letters of an x-word realizing an order-preserving prefix map.
+
+    The root letter x shifts leaves across the top split, so emitting
+    x^{+-1} rebalances the split until both sides agree, after which the
+    two subtrees convert independently (x_u acts inside the cylinder at
+    u exactly as x acts globally)."""
+    pm = pm_reduce(pm)
+    if pm == IDENTITY_PM:
+        return []
+    if not pm_order_preserving(pm):
+        raise ValueError("not an order-preserving prefix map")
+    letters: List[Letter] = []
+    for _ in range(_budget):
+        if pm == IDENTITY_PM:
+            return letters
+        pairs = sorted(pm)
+        a = sum(1 for d, _ in pairs if d.startswith("0"))
+        c = sum(1 for _, r in pairs if r.startswith("0"))
+        if a == c:
+            break
+        if a > c:
+            letters.append(("x", "", 1))
+            pm = pm_compose(tuple(sorted(letter_code("x", "", -1))), pm)
+        else:
+            letters.append(("x", "", -1))
+            pm = pm_compose(tuple(sorted(letter_code("x", "", 1))), pm)
+    else:
+        raise AssertionError("root rebalancing did not converge")
+    pairs = sorted(pm)
+    a = sum(1 for d, _ in pairs if d.startswith("0"))
+    left = tuple(sorted((d[1:], r[1:]) for d, r in pairs[:a]))
+    right = tuple(sorted((d[1:], r[1:]) for d, r in pairs[a:]))
+    letters += _embed_x_letters(pm_to_word_F(left), "0")
+    letters += _embed_x_letters(pm_to_word_F(right), "1")
+    return letters
+
+
+def pm_to_word_T(pm: PrefixMap) -> GroupWord:
+    """A T-word realizing a cyclic-order-preserving prefix map: comb the
+    domain and range, rotate by the leaf shift with the comb rotation
+    p_{k-2}, and validate against the input map."""
+    pm = pm_reduce(pm)
+    if pm == IDENTITY_PM:
+        return identity("T")
+    pairs = sorted(pm)
+    doms = [d for d, _ in pairs]
+    rngs = sorted(r for _, r in pairs)
+    k = len(pairs)
+    img = dict(pairs)
+    r = rngs.index(img[doms[0]])
+    for j, d in enumerate(doms):
+        if img[d] != rngs[(j + r) % k]:
+            raise ValueError("prefix map does not preserve the cyclic order")
+    comb = comb_leaves(k)
+    letters: List[Letter] = []
+    letters += pm_to_word_F(tuple(sorted(zip(doms, comb))))
+    if r:
+        letters.append(("p", k - 2, r))
+    v_letters = pm_to_word_F(tuple(sorted(zip(rngs, comb))))
+    letters += [(kk, ss, -ee) for kk, ss, ee in reversed(v_letters)]
+    out = GroupWord(_merge_letters(letters), "T")
+    if pm_of_word(out) != pm:
+        raise AssertionError("tree-pair conversion produced a different map")
+    return out
+
+
+# --------------------------------------------------------------------------
+# arrangements: the exact phase-one simplex behind the convexity check
+
+
+def _in_convex_hull(point: Sequence[Fraction], hull: List[Sequence[Fraction]]) -> bool:
+    """Exact feasibility of point = sum(l_i h_i), l >= 0, sum l = 1,
+    by a phase-one simplex with Bland's rule over Fractions."""
+    if not hull:
+        return False
+    m = len(point) + 1
+    k = len(hull)
+    # rows: equations; columns: k lambda vars + m artificial vars
+    A = [[Fraction(h[r]) for h in hull] for r in range(len(point))]
+    A.append([Fraction(1)] * k)
+    b = [Fraction(p) for p in point] + [Fraction(1)]
+    for r in range(m):
+        if b[r] < 0:
+            A[r] = [-v for v in A[r]]
+            b[r] = -b[r]
+    tab = [A[r] + [Fraction(1) if c == r else Fraction(0) for c in range(m)] + [b[r]] for r in range(m)]
+    basis = [k + r for r in range(m)]
+    cost = [Fraction(0)] * (k + m) + [Fraction(0)]
+    for r in range(m):
+        for c in range(k + m + 1):
+            cost[c] -= tab[r][c]
+    for c in range(k, k + m):
+        cost[c] += 1
+    while True:
+        enter = next((c for c in range(k + m) if cost[c] < 0), None)
+        if enter is None:
+            break
+        ratios = [
+            (tab[r][-1] / tab[r][enter], r)
+            for r in range(m)
+            if tab[r][enter] > 0
+        ]
+        if not ratios:
+            return False  # unbounded phase-one: cannot happen
+        _, pivot = min(ratios, key=lambda t: (t[0], basis[t[1]]))
+        pv = tab[pivot][enter]
+        tab[pivot] = [v / pv for v in tab[pivot]]
+        for r in range(m):
+            if r != pivot and tab[r][enter]:
+                f = tab[r][enter]
+                tab[r] = [v - f * w for v, w in zip(tab[r], tab[pivot])]
+        if cost[enter]:
+            f = cost[enter]
+            cost = [v - f * w for v, w in zip(cost, tab[pivot])]
+        basis[pivot] = enter
+    return -cost[-1] == 0
+
+
+def verify_convex_cells(cx: ClusterComplex) -> bool:
+    """Each cell's corner set must match its combinatorial vertex set,
+    be convex independent, and span the closed cell (which has integral
+    extreme points, so corners suffice)."""
+    arr = cx.arrangement
+    if arr.n > 6:
+        raise ValueError("convexity check bounded at n <= 6")
+    corners = list(product((0, 1), repeat=arr.n))
+    for key in cx.complex.cells():
+        d = cx.complex.dims[key]
+        combinatorial = {
+            cx.vertex_coords(v) for v in cx.complex.vertices_of(key)
+        }
+        geometric = {c for c in corners if face_of(cx.vertex_of_coords(c), key, arr)}
+        if combinatorial != geometric:
+            return False
+        if len(combinatorial) < d + 1:
+            return False
+        pts = sorted(combinatorial)
+        for i, v in enumerate(pts):
+            others = [p for j, p in enumerate(pts) if j != i]
+            if _in_convex_hull([Fraction(c) for c in v], others):
+                return False
+    return True

@@ -5,6 +5,7 @@ import pytest
 
 from lmgroups.arrangements import (
     Arrangement,
+    ClusterComplex,
     cell_constraints,
     cell_counts,
     classify_flat,
@@ -19,6 +20,7 @@ from lmgroups.arrangements import (
     subcluster,
     verify_convex_cells,
 )
+from lmgroups.topology import Complex
 
 
 def all_diag_subsets(n):
@@ -268,10 +270,25 @@ def test_flats_match_former_union_find():
 
 
 def test_verify_convex_cells():
-    assert verify_convex_cells(enumerate_cells(Arrangement(2, frozenset({1}))))
-    assert verify_convex_cells(enumerate_cells(Arrangement(3, frozenset())))
-    assert verify_convex_cells(enumerate_cells(Arrangement(3, frozenset({1, 2}))))
-    assert verify_convex_cells(enumerate_cells(Arrangement(4, frozenset({2}))))
+    for n in range(1, 6):
+        for D in all_diag_subsets(n):
+            assert verify_convex_cells(enumerate_cells(Arrangement(n, frozenset(D))))
+
+
+def test_convexity_check_matches_former_lp_check():
+    for n in range(1, 5):
+        for D in all_diag_subsets(n):
+            cx = enumerate_cells(Arrangement(n, frozenset(D)))
+            assert verify_convex_cells(cx) == oracles.verify_convex_cells(cx)
+    # one edge of the square re-attached to the corners of its diagonal
+    cx = enumerate_cells(Arrangement(2, frozenset()))
+    facets = dict(cx.complex.facets)
+    facets[cx.complex.cells_of_dim(1)[0]] = frozenset(
+        {cx.vertex_of_coords((0, 0)), cx.vertex_of_coords((1, 1))}
+    )
+    bad = ClusterComplex(cx.arrangement, Complex(dict(cx.complex.dims), facets))
+    assert not verify_convex_cells(bad)
+    assert not oracles.verify_convex_cells(bad)
 
 
 def test_serialization():
@@ -285,7 +302,7 @@ def test_serialization():
 def test_exact_hull_feasibility():
     from fractions import Fraction
 
-    from lmgroups.arrangements import _in_convex_hull
+    from oracles import _in_convex_hull
 
     sq = [(0, 0), (1, 0), (0, 1), (1, 1)]
     sq = [tuple(Fraction(v) for v in p) for p in sq]

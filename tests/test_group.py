@@ -1,12 +1,15 @@
 import itertools
 import random
 
+import oracles
 import pytest
 
 from lmgroups import action, group
 from lmgroups.group import (
+    IDENTITY_PM,
     CharacterUndefined,
     GroupWord,
+    SpecialForm,
     TagViolation,
     canonical_coset,
     char_value,
@@ -16,6 +19,7 @@ from lmgroups.group import (
     is_special_form,
     pm_apply,
     pm_of_word,
+    pm_reduce,
     pm_to_word_T,
     rewrite_standard_form,
     same_coset,
@@ -25,7 +29,7 @@ from lmgroups.group import (
     _find_quad,
     _triple_contract,
 )
-from lmgroups.words import all_words, consecutive
+from lmgroups.words import all_words, consecutive, letter_code
 
 
 def test_tag_constraints():
@@ -115,6 +119,13 @@ def test_special_form_examples():
         sf = is_special_form(word(text, "G"))
         assert sf is not None
         assert abs(sum(e for _, e in sf.entries)) <= 1
+
+
+def test_special_form_constructor_applies_the_rule():
+    # a sign other than +-1, a subscript that is not a binary word, no entry
+    for entries in ((("01", 2),), (("0x", 1),), ()):
+        with pytest.raises(ValueError):
+            SpecialForm(entries)
 
 
 def test_special_form_concatenation_property():
@@ -245,6 +256,33 @@ def test_tree_pair_word_round_trip():
         back = pm_to_word_T(pm)
         assert pm_of_word(back) == pm
         assert action.equal_at_depth(w, back.retag("T"), 12) is None
+
+
+def _compose_unreduced(m1, m2):
+    return tuple(sorted(
+        (a, d + b[len(c):]) if b.startswith(c) else (a + c[len(b):], d)
+        for a, b in m1
+        for c, d in m2
+        if b.startswith(c) or c.startswith(b)
+    ))
+
+
+def test_tree_pairs_match_former_reduction_and_conversion():
+    """Right-comb rotation gives the former root-rebalancing words letter
+    for letter, and the worklist reduction of the unreduced letter-code
+    composition gives the former restarting reduction."""
+    rng = random.Random(29)
+    gens = [("x", s) for s in all_words(3)] + [("p", n) for n in range(4)]
+    for _ in range(2000):
+        letters = tuple(
+            (*rng.choice(gens), rng.choice((1, -1))) for _ in range(rng.randint(1, 9))
+        )
+        pm = pm_of_word(GroupWord(letters, "T"))
+        assert pm_to_word_T(pm).letters == oracles.pm_to_word_T(pm).letters
+        raw = IDENTITY_PM
+        for kind, sub, sg in letters:
+            raw = _compose_unreduced(raw, letter_code(kind, sub, sg))
+        assert pm_reduce(raw) == oracles.pm_reduce(raw) == pm
 
 
 def test_pm_apply_matches_partial_action():

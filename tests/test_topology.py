@@ -37,6 +37,13 @@ def simplicial_complex(top_simplices):
     return Complex(dims, facets)
 
 
+def test_face_cache_takes_no_part_in_equality():
+    a = enumerate_cells(Arrangement(2, frozenset({1}))).complex
+    b = enumerate_cells(Arrangement(2, frozenset({1}))).complex
+    a.vertices_of(a.cells_of_dim(2)[0])
+    assert a == b
+
+
 def test_smith_diagonal_known():
     assert smith_diagonal([[2, 4], [6, 8]]) == [2, 4]
     assert smith_diagonal([[1, 0], [0, 1]]) == [1, 1]
