@@ -143,10 +143,13 @@ def _cells(arr: Arrangement) -> Dict[str, int]:
     return dict(sorted((cell_key(p, r), d) for p, r, d in partial))
 
 
-def _facets(positions: str, rels: str, arr: Arrangement) -> FrozenSet[str]:
+def _facets(
+    positions: str, rels: str, arr: Arrangement, cells: Dict[str, int]
+) -> FrozenSet[str]:
     """The cells one dimension down in the closure: pin one interior
     class to a wall, or merge two interior classes across a strict
-    diagonal."""
+    diagonal.  A pinned sign vector is a facet exactly when it is a cell,
+    that is, a key of the table `cells` of every satisfiable one."""
     diags = arr.diag_list()
     out = set()
     for k, d in enumerate(diags):
@@ -163,8 +166,9 @@ def _facets(positions: str, rels: str, arr: Arrangement) -> FrozenSet[str]:
                 "=" if pinned[d - 1] == pinned[d] != "i" else r
                 for d, r in zip(diags, rels)
             )
-            if satisfiable(pinned, pinned_rels, arr):
-                out.add(cell_key(pinned, pinned_rels))
+            key = cell_key(pinned, pinned_rels)
+            if key in cells:
+                out.add(key)
     return frozenset(out)
 
 
@@ -181,7 +185,7 @@ def enumerate_cells(arr: Arrangement) -> ClusterComplex:
     """All satisfiable sign vectors of the arrangement, graded by the
     number of interior coordinate classes, with the facet relation."""
     cells = _cells(arr)
-    facets = {k: _facets(*split_key(k), arr) for k in cells}
+    facets = {k: _facets(*split_key(k), arr, cells) for k in cells}
     return ClusterComplex(arr, Complex(cells, facets))
 
 

@@ -22,6 +22,7 @@ from .words import (
     consecutive,
     independent,
     is_one_run,
+    is_zero_run,
     partial_action,
 )
 
@@ -204,10 +205,6 @@ def _conjugate(core: GroupWord, f: GroupWord) -> GroupWord:
     return f.inverse() * core.retag("Shat") * f
 
 
-def _as_shat(w: GroupWord) -> GroupWord:
-    return w.retag("Shat")
-
-
 def t_transporter(
     from_pair: Tuple[str, str], to_pair: Tuple[str, str]
 ) -> GroupWord:
@@ -304,27 +301,23 @@ def _pair_factors(s: str, t: str) -> List[GroupWord]:
         raise WitnessError(f"{s!r}, {t!r} are not independent")
     if {s, t} == {"0", "1"}:
         return _zero_one_factors(s)
-    if is_one_run(s) != is_one_run(t) and _pure_run(s) and _pure_run(t):
+    if is_one_run(s) != is_one_run(t) and all(is_zero_run(u) or is_one_run(u) for u in (s, t)):
         # a run of 1s against a run of 0s sits astride the seam of the
         # circle, where no transporter exists; step through a middle leaf
         u = "10" if independent("10", s) and independent("10", t) else "01"
         return _pair_factors(s, u) + _pair_factors(u, t)
     if consecutive(s, t) is not None:
         f = t_transporter(("10", "110"), (s, t))
-        return [_as_shat(_conjugate(PAIR_GEN, f))]
+        return [_conjugate(PAIR_GEN, f)]
     if consecutive(t, s) is not None:
         inner = _pair_factors(t, s)
         return [w.inverse() for w in reversed(inner)]
     f = t_transporter(("10", "1110"), (s, t))
     # y_10 y_1110^-1 = (y_10 y_110^-1) (x^-1 y_10 y_110^-1 x)
     return [
-        _as_shat(_conjugate(PAIR_GEN, f)),
-        _as_shat(_conjugate(PAIR_GEN, group.word("x[e]", "T") * f)),
+        _conjugate(PAIR_GEN, f),
+        _conjugate(PAIR_GEN, group.word("x[e]", "T") * f),
     ]
-
-
-def _pure_run(s: str) -> bool:
-    return is_one_run(s) or s == "0" * len(s)
 
 
 def _zero_one_factors(first: str) -> List[GroupWord]:
@@ -332,7 +325,7 @@ def _zero_one_factors(first: str) -> List[GroupWord]:
     # expansion y_1 = x_1 y_10 y_110^-1 y_111
     factors = _pair_factors("0", "111")
     factors += [w.inverse() for w in reversed(_pair_factors("10", "110"))]
-    factors.append(_as_shat(group.x_letter("1", -1, "T")))
+    factors.append(group.x_letter("1", -1))
     if first == "1":
         factors = [w.inverse() for w in reversed(factors)]
     return factors
@@ -385,7 +378,7 @@ def s_witness(w: GroupWord, family: str) -> List[GroupWord]:
         if not in_S(fac):
             raise AssertionError("factor escapes S")
         product = product * fac
-    witness = action.equal_at_depth(_as_shat(w), product, group.DEFAULT_DEPTH)
+    witness = action.equal_at_depth(w.retag("Shat"), product, group.DEFAULT_DEPTH)
     if witness is not None:
         raise AssertionError(f"factorization mismatch at input {witness!r}")
     return factors

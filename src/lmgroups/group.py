@@ -30,6 +30,7 @@ after a rule that transports the tail's prefix.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -354,14 +355,20 @@ def pm_reduce(m: PrefixMap) -> PrefixMap:
 
 
 def pm_compose(m1: PrefixMap, m2: PrefixMap) -> PrefixMap:
-    """Apply m1 then m2."""
+    """Apply m1 then m2, where m2 is a complete prefix code sorted by
+    domain: each image b of m1 extends the greatest domain leaf <= b, or
+    else is a proper prefix of the contiguous run of leaves after it."""
+    doms = [c for c, _ in m2]
     out = []
     for a, b in m1:
-        for c, d in m2:
-            if b.startswith(c):
-                out.append((a, d + b[len(c):]))
-            elif c.startswith(b) and c != b:
-                out.append((a + c[len(b):], d))
+        i = bisect_right(doms, b) - 1
+        if i >= 0 and b.startswith(doms[i]):
+            out.append((a, m2[i][1] + b[len(doms[i]):]))
+            continue
+        i += 1
+        while i < len(m2) and doms[i].startswith(b):
+            out.append((a + doms[i][len(b):], m2[i][1]))
+            i += 1
     return pm_reduce(tuple(sorted(out)))
 
 
@@ -372,10 +379,6 @@ def pm_of_word(w: GroupWord) -> PrefixMap:
             raise TagViolation("tree pairs exist only for x/p words")
         pm = pm_compose(pm, tuple(sorted(letter_code(kind, sub, sg))))
     return pm
-
-
-def pm_is_identity(m: PrefixMap) -> bool:
-    return pm_reduce(m) == IDENTITY_PM
 
 
 def pm_order_preserving(m: PrefixMap) -> bool:
@@ -396,7 +399,7 @@ def decide_T_identity(w: GroupWord) -> bool:
     """Exact word problem for T via reduced tree pairs."""
     if any(k == "y" for k, _, _ in w.letters):
         raise TagViolation("decide_T_identity expects an x/p word")
-    return pm_is_identity(pm_of_word(w))
+    return pm_reduce(pm_of_word(w)) == IDENTITY_PM
 
 
 def _comb_letters(leaves: List[str]) -> List[Letter]:
@@ -666,33 +669,35 @@ class Verdict:
 
 
 def word_problem(w: GroupWord, depth: int = DEFAULT_DEPTH) -> Verdict:
-    """Identity only when the standard form has an empty tail and a
-    trivial tree pair; NotIdentity only with an action witness."""
-    budget_note = ""
-    try:
-        sf = rewrite_standard_form(w, depth=depth)
-    except RewriteBudgetExceeded as exc:
-        sf = None
-        budget_note = str(exc)
-    if sf is not None and not sf.tail and decide_T_identity(sf.head):
-        return Verdict("identity")
+    """NotIdentity with an action witness, searched first; Identity only
+    when the standard form has an empty tail and a trivial tree pair."""
     witness = action.equal_at_depth(w, identity(w.tag), depth)
     if witness is not None:
         return Verdict("not-identity", witness)
-    if sf is None:
-        return Verdict("unknown", budget_note)
+    try:
+        sf = rewrite_standard_form(w, depth=depth)
+    except RewriteBudgetExceeded as exc:
+        return Verdict("unknown", str(exc))
+    if not sf.tail and decide_T_identity(sf.head):
+        return Verdict("identity")
     return Verdict("unknown", f"agrees with the identity to depth {depth}")
 
 
 def in_F(w: GroupWord) -> Verdict:
     """Sound tri-state membership in F.
 
+    No: a psi-type character separates w from F (tested first, in
+    CHARACTERS order), or w moves an endpoint.
     Yes: empty standard-form tail and an order-preserving tree pair.
-    No: a psi-type character separates w from F, or w moves an endpoint.
     Unknown otherwise (a nonempty tail alone is not proof).
     """
     if w.tag == "F":
         return Verdict("yes")
+    for name in CHARACTERS:
+        if name in AVAILABLE_CHARACTERS[w.tag] and name not in ("chi0", "chi1"):
+            value = char_value(name, w)
+            if value != 0:
+                return Verdict("no", ("character", name, value))
     try:
         sf = rewrite_standard_form(w)
     except RewriteBudgetExceeded as exc:
@@ -707,9 +712,6 @@ def in_F(w: GroupWord) -> Verdict:
         if moved is None:
             raise AssertionError("tree pair outside F but endpoints undisturbed")
         return Verdict("no", moved)
-    for name in AVAILABLE_CHARACTERS[w.tag] - {"chi0", "chi1"}:
-        if char_value(name, w) != 0:
-            return Verdict("no", ("character", name, char_value(name, w)))
     moved = action.moved_endpoint(w, DEFAULT_DEPTH)
     if moved is not None:
         return Verdict("no", moved)
@@ -749,16 +751,11 @@ def _triple_contract(tail: List[Tuple[str, int]]) -> Optional[List[Tuple[str, in
     return None
 
 
+@lru_cache(maxsize=65536)
 def canonical_coset(g: GroupWord) -> GroupWord:
     """Canonical representative word for the coset Fg: the standard-form
     tail with the F head dropped and every left-absorbable triple
     y_{u0} y_{u10}^-1 y_{u11} contracted to y_u."""
-    return _canonical_coset_cached(g.letters, g.tag)
-
-
-@lru_cache(maxsize=65536)
-def _canonical_coset_cached(letters, tag: str) -> GroupWord:
-    g = GroupWord(letters, tag)
     sf = rewrite_standard_form(g)
     if sf.head.letters and not pm_order_preserving(pm_of_word(sf.head)):
         raise TagViolation("coset representative has a head outside F")

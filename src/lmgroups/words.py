@@ -14,7 +14,7 @@ from typing import Iterator, Optional, Tuple
 
 
 def check_word(s: str) -> str:
-    if any(c not in "01" for c in s):
+    if not isinstance(s, str) or any(c not in "01" for c in s):
         raise ValueError(f"not a binary word: {s!r}")
     return s
 

@@ -291,10 +291,9 @@ def find_cone_vertex(
     link of the base coset; returns (m, True) once verified."""
     if not pieces:
         return (0, True)
-    for base, _ in pieces:
-        sf = group.rewrite_standard_form(base)
-        if sf.tail or not group.pm_order_preserving(group.pm_of_word(sf.head)):
-            raise ClusterError("cone search expects all pieces based at the trivial coset")
+    # the search cones off the link of the root vertex, labelled e
+    if any(canonical_coset(base).letters for base, _ in pieces):
+        raise ClusterError("cone search expects all pieces based at the trivial coset")
     subs = sorted({s for _, params in pieces for f in params for s in f.subscripts()})
     original = assemble(pieces, tag)
     froot = group.identity(tag).to_string()

@@ -23,14 +23,23 @@ library now keeps the word as a head of x/p letters and a tail of y
 units and resumes at the touched position.  The tag inference that
 lists the tag rules case by case is the former `group.infer_tag`.
 
-The tree-pair reduction that restarts its scan after every merge, and
-the conversion of tree pairs to words that rebalances the root split and
-recurses into both subtrees, are the former `group.pm_reduce`,
-`group.pm_to_word_F` and `group.pm_to_word_T`; the library now merges
-siblings from a worklist and rotates each side onto the right comb.  The
-phase-one simplex that asked whether a cube corner lies in the hull of
-other corners is the former convexity check of `arrangements`; no 0/1
-corner ever does, so the library no longer asks.
+The tree-pair reduction that restarts its scan after every merge, the
+composition that pairs every row of one map with every row of the
+other, and the conversion of tree pairs to words that rebalances the
+root split and recurses into both subtrees, are the former
+`group.pm_reduce`, `group.pm_compose`, `group.pm_to_word_F` and
+`group.pm_to_word_T`; the library now merges siblings from a worklist,
+finds each row's partner by bisection and rotates each side onto the
+right comb.  The phase-one simplex that asked whether a cube corner
+lies in the hull of other corners is the former convexity check of
+`arrangements`; no 0/1 corner ever does, so the library no longer asks.
+
+The word problem and F-membership that rewrite before they look at an
+action witness or a character are the former `group.word_problem` and
+`group.in_F`, here on top of this module's former rewriter and tree
+pairs; the former `in_F`'s character loop reads the CHARACTERS order,
+so that its witness does not depend on the hash seed.  The library now
+rewrites only where a standard form is the answer.
 
 The integer Hermite reduction, the rational annihilator and its cone
 casework decided the finiteness types next to the sign test of
@@ -60,6 +69,8 @@ from lmgroups.arrangements import (
     split_key,
 )
 from lmgroups.group import (
+    AVAILABLE_CHARACTERS,
+    CHARACTERS,
     DEFAULT_DEPTH,
     IDENTITY_PM,
     GroupWord,
@@ -68,10 +79,12 @@ from lmgroups.group import (
     RewriteBudgetExceeded,
     StandardForm,
     TagViolation,
+    Verdict,
     _merge_letters,
     _ordered_commuting,
+    char_value,
+    decide_T_identity,
     identity,
-    pm_compose,
     pm_order_preserving,
     word,
 )
@@ -1064,8 +1077,8 @@ def _word_of(units: List[Letter], tag: str) -> GroupWord:
 
 
 # --------------------------------------------------------------------------
-# group: the restarting tree-pair reduction and the root-rebalancing
-# conversion of order-preserving prefix maps to x-words
+# group: the restarting tree-pair reduction, the pairwise composition and
+# the root-rebalancing conversion of order-preserving prefix maps to x-words
 
 
 def pm_reduce(m: PrefixMap) -> PrefixMap:
@@ -1084,6 +1097,18 @@ def pm_reduce(m: PrefixMap) -> PrefixMap:
                         again = True
                         break
     return tuple(sorted(d.items()))
+
+
+def pm_compose(m1: PrefixMap, m2: PrefixMap) -> PrefixMap:
+    """Apply m1 then m2."""
+    out = []
+    for a, b in m1:
+        for c, d in m2:
+            if b.startswith(c):
+                out.append((a, d + b[len(c):]))
+            elif c.startswith(b) and c != b:
+                out.append((a + c[len(b):], d))
+    return pm_reduce(tuple(sorted(out)))
 
 
 def comb_leaves(k: int) -> List[str]:
@@ -1164,6 +1189,62 @@ def pm_to_word_T(pm: PrefixMap) -> GroupWord:
     if pm_of_word(out) != pm:
         raise AssertionError("tree-pair conversion produced a different map")
     return out
+
+
+# --------------------------------------------------------------------------
+# group: the word problem and F-membership that rewrite before they look
+# at their certificates
+
+
+def word_problem(w: GroupWord, depth: int = DEFAULT_DEPTH) -> Verdict:
+    """Identity only when the standard form has an empty tail and a
+    trivial tree pair; NotIdentity only with an action witness."""
+    budget_note = ""
+    try:
+        sf = rewrite_standard_form(w, depth=depth)
+    except RewriteBudgetExceeded as exc:
+        sf = None
+        budget_note = str(exc)
+    if sf is not None and not sf.tail and decide_T_identity(sf.head):
+        return Verdict("identity")
+    witness = action.equal_at_depth(w, identity(w.tag), depth)
+    if witness is not None:
+        return Verdict("not-identity", witness)
+    if sf is None:
+        return Verdict("unknown", budget_note)
+    return Verdict("unknown", f"agrees with the identity to depth {depth}")
+
+
+def in_F(w: GroupWord) -> Verdict:
+    """Sound tri-state membership in F.
+
+    Yes: empty standard-form tail and an order-preserving tree pair.
+    No: a psi-type character separates w from F, or w moves an endpoint.
+    Unknown otherwise (a nonempty tail alone is not proof).
+    """
+    if w.tag == "F":
+        return Verdict("yes")
+    try:
+        sf = rewrite_standard_form(w)
+    except RewriteBudgetExceeded as exc:
+        return Verdict("unknown", str(exc))
+    if not sf.tail:
+        pm = pm_of_word(sf.head)
+        if pm_order_preserving(pm):
+            return Verdict("yes")
+        # outside F the element moves an endpoint; the move shows up at
+        # the depth of the tree pair's leaves
+        moved = action.moved_endpoint(w, max(DEFAULT_DEPTH, max(len(a) for a, _ in pm) + 1))
+        if moved is None:
+            raise AssertionError("tree pair outside F but endpoints undisturbed")
+        return Verdict("no", moved)
+    for name in sorted(AVAILABLE_CHARACTERS[w.tag] - {"chi0", "chi1"}, key=CHARACTERS.index):
+        if char_value(name, w) != 0:
+            return Verdict("no", ("character", name, char_value(name, w)))
+    moved = action.moved_endpoint(w, DEFAULT_DEPTH)
+    if moved is not None:
+        return Verdict("no", moved)
+    return Verdict("unknown", "nonempty standard-form tail only")
 
 
 # --------------------------------------------------------------------------

@@ -1,10 +1,14 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import oracles
 import pytest
 
 from lmgroups import action, group
+from lmgroups.circle import relator_schemas
 from lmgroups.group import (
     IDENTITY_PM,
     CharacterUndefined,
@@ -30,6 +34,7 @@ from lmgroups.group import (
     _triple_contract,
 )
 from lmgroups.words import all_words, consecutive, letter_code
+from lmgroups.xcomplex import ClusterError, find_cone_vertex
 
 
 def test_tag_constraints():
@@ -438,3 +443,98 @@ def test_relator_suite_small_with_characters():
     for r in rels:
         assert char_value("psihat", r) == 0
         assert action.equal_at_depth(r, ident, 16) is None
+
+
+def test_pm_compose_bisection_matches_former_pairing():
+    """A map composed with a letter code and a map composed with a map:
+    bisection finds the same partners as the former all-pairs scan."""
+    rng = random.Random(31)
+    gens = [("x", s) for s in all_words(3)] + [("p", n) for n in range(4)]
+
+    def random_map():
+        letters = tuple(
+            (*rng.choice(gens), rng.choice((1, -1))) for _ in range(rng.randint(0, 6))
+        )
+        return pm_of_word(GroupWord(letters, "T"))
+
+    for _ in range(300):
+        m1, m2 = random_map(), random_map()
+        code = tuple(sorted(letter_code(*rng.choice(gens), rng.choice((1, -1)))))
+        assert group.pm_compose(m1, code) == oracles.pm_compose(m1, code)
+        assert group.pm_compose(m1, m2) == oracles.pm_compose(m1, m2)
+        assert group.pm_compose(code, m1) == oracles.pm_compose(code, m1)
+
+
+def _random_tagged_letters(rng, length, tag):
+    subs = list(all_words(3))
+    ysubs = [s for s in subs if group.y_subscript_allowed(tag, s)]
+    return tuple(
+        ("y", rng.choice(ysubs), rng.choice([1, -1])) if rng.random() < 0.6
+        else ("x", rng.choice(subs), rng.choice([1, -1]))
+        for _ in range(length)
+    )
+
+
+def _verdict_words(seed):
+    rng = random.Random(seed)
+    rels = relator_schemas(2, 2)
+    out = [GroupWord(_random_shat_letters(rng, 8), "Shat") for _ in range(40)]
+    for _ in range(40):
+        u = GroupWord(_random_shat_letters(rng, 3), "Shat")
+        out.append(u * rng.choice(rels) * u.inverse())
+    out += [GroupWord(_random_tagged_letters(rng, 8, "G"), "G") for _ in range(40)]
+    for tag in ("Gy", "yG", "yGy"):
+        out += [GroupWord(_random_tagged_letters(rng, 8, tag), tag) for _ in range(10)]
+    return out
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_word_problem_and_in_F_match_former_rewrite_first(seed):
+    """Searching for a witness first and testing the characters first
+    give the former verdicts and witnesses; the one allowed difference is
+    a character witness where the former in_F ran out of rewriting
+    budget."""
+    for w in _verdict_words(seed):
+        assert word_problem(w) == oracles.word_problem(w)
+        new, old = in_F(w), oracles.in_F(w)
+        if new != old:
+            assert old.result == "unknown" and "budget" in old.witness
+            kind, name, value = new.witness
+            assert new.result == "no" and kind == "character"
+            assert char_value(name, w) == value != 0
+
+
+def test_certificates_are_read_before_the_rewriter(monkeypatch):
+    calls = []
+    rewrite = group.rewrite_standard_form
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return rewrite(*args, **kwargs)
+
+    monkeypatch.setattr(group, "rewrite_standard_form", counted)
+    assert word_problem(word("y[10]", "yGy")).result == "not-identity"
+    assert in_F(word("y[01]", "G")) == group.Verdict("no", ("character", "psi", 1))
+    assert calls == []
+    param = [special_form("y[1001]")]
+    with pytest.raises(ClusterError):
+        find_cone_vertex([(word("y[01]", "G"), param)])
+    assert find_cone_vertex([(word("x[01]", "G"), param)]) == (2, True)
+
+
+def test_in_F_character_witness_ignores_hash_seed():
+    """Gy has two psi-type characters; the witness is the first of them
+    in CHARACTERS order under every hash seed.  A witness taken from a
+    set's iteration order reads psi under seeds 11, 12, 13 and 16 on
+    CPython 3.11."""
+    src = os.path.dirname(os.path.dirname(group.__file__))
+    code = "from lmgroups.group import in_F, word; print(in_F(word('y[1]', 'Gy')).witness)"
+    seen = set()
+    for seed in range(1, 17):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        seen.add(out.stdout.strip())
+    assert seen == {"('character', 'psi1', 1)"}

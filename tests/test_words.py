@@ -1,6 +1,8 @@
 import oracles
+import pytest
 
-from lmgroups.group import GroupWord, pm_of_word
+from lmgroups.action import act_prefix
+from lmgroups.group import GroupWord, SpecialForm, pm_of_word
 from lmgroups.words import (
     all_words,
     consecutive,
@@ -141,3 +143,15 @@ def test_prefix_codes_match_former_letter_actions():
                 assert partial_action(s, letter) == oracles.partial_action(s, letter)
             w = GroupWord((letter,), "T")
             assert pm_of_word(w) == oracles.pm_of_word(w)
+
+
+@pytest.mark.parametrize("sub", [["0", "1"], ("0", "1"), 1, None])
+def test_subscripts_must_be_strings(sub):
+    with pytest.raises(ValueError):
+        GroupWord((("x", sub, 1),), "G")
+    with pytest.raises(ValueError):
+        GroupWord((("y", sub, 1),), "yGy")
+    with pytest.raises(ValueError):
+        SpecialForm(((sub, 1),))
+    with pytest.raises(ValueError):
+        act_prefix(GroupWord((("x", "0", 1),), "G"), sub)
