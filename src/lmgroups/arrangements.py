@@ -6,14 +6,17 @@ An arrangement in dimension n consists of all coordinate walls
 {0, 1, interior} per coordinate and a relation in {<, =, >} per chosen
 diagonal.  Because the diagonals lie along a path, a sign vector is
 satisfiable exactly when every chosen diagonal sees an allowed pair of
-adjacent positions; cells are grown coordinate by coordinate from that
-pair table, and facets come from local moves.  A cell set is a flat
-restriction exactly when it equals the cells satisfying every
-constraint the set shares.  The diagonals of a flat join runs of
-adjacent coordinates, so a flat is read as its coordinate classes, left
-to right, each pinned to a wall or free; its kind, its inherited
-arrangement and its cell map follow from those classes.  All arithmetic
-is exact.
+adjacent positions.  Cells are grown coordinate by coordinate from that
+pair table, and a transfer matrix over the same table counts them by
+dimension without listing them, for any n.  Facets come from local
+moves: merge two interior classes across a strict diagonal, or pin one
+interior class to a wall, which only its two boundary diagonals can
+forbid.  A cell set is a flat restriction exactly when it equals the
+cells satisfying every constraint the set shares.  The diagonals of a
+flat join runs of adjacent coordinates, so a flat is read as its
+coordinate classes, left to right, each pinned to a wall or free; its
+kind, its inherited arrangement and its cell map follow from those
+classes.  All arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -68,11 +71,15 @@ ALLOWED = {
 }
 
 
-def satisfiable(positions: str, rels: str, arr: Arrangement) -> bool:
-    return all(
-        positions[d - 1] + positions[d] in ALLOWED[r]
-        for d, r in zip(arr.diag_list(), rels)
-    )
+# STEPS[diagonal][p]: each way to put a position q after p, as (q, the
+# relation across the diagonal, or '' without one, the dimension it adds)
+STEPS = {
+    False: {p: [(q, "", int(q == "i")) for q in POS] for p in POS},
+    True: {
+        p: [(q, r, int(q == "i" and r != "=")) for q in POS for r in REL if p + q in ALLOWED[r]]
+        for p in POS
+    },
+}
 
 
 def face_of(ckey: str, dkey: str, arr: Arrangement) -> bool:
@@ -127,65 +134,80 @@ def _cells(arr: Arrangement) -> Dict[str, int]:
     interior positions minus the '=' joining two of them."""
     if arr.n > 12:
         raise ValueError("dimension bound exceeded (n <= 12)")
-    partial = [("", "", 0)]
-    for j in range(arr.n):
-        grown = []
-        for positions, rels, dim in partial:
-            for p in POS:
-                inner = p == "i"
-                if j not in arr.diagonals:
-                    grown.append((positions + p, rels, dim + inner))
-                    continue
-                for r in REL:
-                    if positions[-1] + p in ALLOWED[r]:
-                        grown.append((positions + p, rels + r, dim + (inner and r != "=")))
-        partial = grown
+    partial = [(p, "", int(p == "i")) for p in POS]
+    for j in range(1, arr.n):
+        steps = STEPS[j in arr.diagonals]
+        partial = [
+            (positions + q, rels + r, dim + up)
+            for positions, rels, dim in partial
+            for q, r, up in steps[positions[-1]]
+        ]
     return dict(sorted((cell_key(p, r), d) for p, r, d in partial))
 
 
-def _facets(
-    positions: str, rels: str, arr: Arrangement, cells: Dict[str, int]
-) -> FrozenSet[str]:
-    """The cells one dimension down in the closure: pin one interior
-    class to a wall, or merge two interior classes across a strict
-    diagonal.  A pinned sign vector is a facet exactly when it is a cell,
-    that is, a key of the table `cells` of every satisfiable one."""
-    diags = arr.diag_list()
+# Pinning an interior class to a wall v: (v, the relation an interior
+# left neighbour must show, the one an interior right neighbour must show)
+PINS = (("0", ">", "<"), ("1", "<", ">"))
+
+
+def _facets(positions: str, rels: str, slot: List[Optional[int]]) -> FrozenSet[str]:
+    """The cells one dimension down in the closure, by a local rule;
+    slot[j] is the index in `rels` of diagonal j, None when j (0..n) is
+    not a diagonal.  Merging two interior classes across a strict
+    diagonal sets it to '='.  Pinning an interior class to v touches only
+    the class's two boundary diagonals: next to an interior neighbour the
+    pin stands only if the relation points the right way (v = 1 iff '<'
+    on the left, '>' on the right), and a wall neighbour equal to v
+    turns the relation into '='."""
     out = set()
-    for k, d in enumerate(diags):
-        if rels[k] != "=" and positions[d - 1] == positions[d] == "i":
-            out.add(cell_key(positions, rels[:k] + "=" + rels[k + 1:]))
-    eq = {d for d, r in zip(diags, rels) if r == "="}
-    bounds = [0] + [j for j in range(1, arr.n) if j not in eq] + [arr.n]
-    for lo, hi in zip(bounds, bounds[1:]):
-        if positions[lo] != "i":
+    lo = 0
+    for hi in range(1, len(positions) + 1):
+        right = slot[hi]
+        if right is not None and rels[right] == "=":
             continue
-        for v in "01":
-            pinned = positions[:lo] + v * (hi - lo) + positions[hi:]
-            pinned_rels = "".join(
-                "=" if pinned[d - 1] == pinned[d] != "i" else r
-                for d, r in zip(diags, rels)
-            )
-            key = cell_key(pinned, pinned_rels)
-            if key in cells:
-                out.add(key)
+        if positions[lo] == "i":
+            left = slot[lo]
+            a = positions[lo - 1] if left is not None else None
+            b = positions[hi] if right is not None else None
+            if b == "i":
+                out.add(f"{positions}|{rels[:right]}={rels[right + 1:]}")
+            for v, up, down in PINS:
+                if a == "i" and rels[left] != up or b == "i" and rels[right] != down:
+                    continue
+                pinned = rels
+                if a == v:
+                    pinned = f"{pinned[:left]}={pinned[left + 1:]}"
+                if b == v:
+                    pinned = f"{pinned[:right]}={pinned[right + 1:]}"
+                out.add(f"{positions[:lo]}{v * (hi - lo)}{positions[hi:]}|{pinned}")
+        lo = hi
     return frozenset(out)
 
 
 def cell_counts(arr: Arrangement) -> List[int]:
-    """Cell counts by dimension, without the face structure."""
-    cells = _cells(arr)
-    out = [0] * (max(cells.values()) + 1)
-    for d in cells.values():
-        out[d] += 1
-    return out
+    """Cell counts by dimension, without the face structure: a transfer
+    matrix over the pair table, stepping one coordinate at a time."""
+    # partial[p][d]: partial cells ending in position p with d interior classes
+    partial = {p: [int(p != "i"), int(p == "i")] for p in POS}
+    for j in range(1, arr.n):
+        grown = {q: [0] * (j + 2) for q in POS}
+        for p, counts in partial.items():
+            for q, _, up in STEPS[j in arr.diagonals][p]:
+                acc = grown[q]
+                for d, c in enumerate(counts):
+                    acc[d + up] += c
+        partial = grown
+    return [sum(col) for col in zip(*partial.values())]
 
 
 def enumerate_cells(arr: Arrangement) -> ClusterComplex:
     """All satisfiable sign vectors of the arrangement, graded by the
     number of interior coordinate classes, with the facet relation."""
     cells = _cells(arr)
-    facets = {k: _facets(*split_key(k), arr, cells) for k in cells}
+    slot: List[Optional[int]] = [None] * (arr.n + 1)
+    for k, d in enumerate(arr.diag_list()):
+        slot[d] = k
+    facets = {k: _facets(*split_key(k), slot) for k in cells}
     return ClusterComplex(arr, Complex(cells, facets))
 
 

@@ -80,15 +80,13 @@ def cmd_wordproblem(args):
 def cmd_cluster(args):
     diagonals = frozenset(int(t) for t in args.diagonals.split(",") if t.strip()) \
         if args.diagonals else frozenset()
-    cx = arrangements.enumerate_cells(arrangements.Arrangement(args.n, diagonals))
-    counts = cx.counts()
+    arr = arrangements.Arrangement(args.n, diagonals)
     if args.dot:
-        print(arrangements.skeleton_to_dot(cx))
-        return 0
-    if args.json:
-        print(arrangements.complex_to_json(cx))
-        return 0
-    print(" ".join(str(c) for c in counts))
+        print(arrangements.skeleton_to_dot(arrangements.enumerate_cells(arr)))
+    elif args.json:
+        print(arrangements.complex_to_json(arrangements.enumerate_cells(arr)))
+    else:
+        print(" ".join(str(c) for c in arrangements.cell_counts(arr)))
     return 0
 
 

@@ -6,15 +6,20 @@ complex (a homotopy equivalence), then takes the order complex of the
 face poset of what remains (its barycentric subdivision), which turns
 arbitrary polytopal cells into simplices and avoids tracking incidence
 signs for the original cells.  Ranks and torsion come from an integer
-Smith normal form of the simplicial boundary matrices.  A complex with
-no free face has a subdivision with no free face, so the simplices need
-no second collapse.
+Smith normal form of the simplicial boundary matrices.  These have a
+few +-1 entries per column, so the Smith form first eliminates unit
+pivots on sparse rows (the fast path of Dumas-Saunders-Villard, 2001);
+only a remainder without a unit entry goes to a dense loop that takes
+a least entry as its pivot.  A complex with no free face has a
+subdivision with no free face, so the simplices need no second
+collapse.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
 
 
@@ -101,8 +106,62 @@ def order_complex(cx: Complex) -> List[Tuple[str, ...]]:
 
 
 def smith_diagonal(rows: List[List[int]]) -> List[int]:
-    """Nonzero diagonal of the Smith normal form (d1 | d2 | ...)."""
-    m = [row[:] for row in rows]
+    """Nonzero diagonal of the Smith normal form (d1 | d2 | ...).
+
+    The rows are read into sparse dicts, and every +-1 entry is taken
+    as a pivot while there is one: a unit pivot row clears its column by
+    row operations, then its own row by column operations that touch
+    nothing else, and leaves a 1 on the diagonal.  Of the candidate
+    rows of a column, the one with the fewest entries goes first, to
+    keep the fill-in small.  Whatever remains has no unit entry and goes
+    to the dense elimination."""
+    width = len(rows[0]) if rows else 0
+    span = range(width)
+    cols: List[Set[int]] = [set() for _ in span]  # the rows holding each column
+    sparse: List[Dict[int, int]] = []
+    for i, row in enumerate(rows):
+        nonzero = list(compress(span, row))
+        sparse.append({j: row[j] for j in nonzero})
+        for j in nonzero:
+            cols[j].add(i)
+    units = 0
+    found = True
+    while found:
+        found = False
+        for c, holders in enumerate(cols):
+            if not holders:
+                continue
+            candidates = [(len(sparse[i]), i) for i in holders if sparse[i][c] in (1, -1)]
+            if not candidates:
+                continue
+            p = min(candidates)[1]
+            pivot = sparse[p]
+            sparse[p] = {}
+            for j in pivot:
+                cols[j].discard(p)
+            for i in list(holders):
+                row = sparse[i]
+                f = row[c] * pivot[c]  # row[c] / pivot[c], as pivot[c] is +-1
+                for j, v in pivot.items():
+                    w = row.get(j, 0) - f * v
+                    if w:
+                        row[j] = w
+                        cols[j].add(i)
+                    else:
+                        del row[j]
+                        cols[j].discard(i)
+            units += 1
+            found = True
+    rest = [row for row in sparse if row]
+    live = sorted({j for row in rest for j in row})
+    return [1] * units + _smith_dense([[row.get(j, 0) for j in live] for row in rest])
+
+
+def _smith_dense(m: List[List[int]]) -> List[int]:
+    """Smith diagonal of a dense matrix, modified in place: move a least
+    nonzero entry to the pivot, reduce its row and column by it, and
+    start over from a least entry while a remainder is left; once the
+    pivot is alone in its row and column, make it divide the rest."""
     if not m or not m[0]:
         return []
     R, C = len(m), len(m[0])
@@ -124,43 +183,31 @@ def smith_diagonal(rows: List[List[int]]) -> List[int]:
         m[r], m[pr] = m[pr], m[r]
         for i in range(R):
             m[i][r], m[i][pc] = m[i][pc], m[i][r]
-        again = True
-        while again:
-            again = False
+        piv = m[r][r]
+        again = False
+        for i in range(r + 1, R):
+            if m[i][r]:
+                q = m[i][r] // piv
+                for j in range(r, C):
+                    m[i][j] -= q * m[r][j]
+                again = again or m[i][r] != 0
+        for j in range(r + 1, C):
+            if m[r][j]:
+                q = m[r][j] // piv
+                for i in range(r, R):
+                    m[i][j] -= q * m[i][r]
+                again = again or m[r][j] != 0
+        if not again and best > 1:
+            # the pivot must divide every later entry: add a row holding
+            # one it does not divide, and reduce again
             for i in range(r + 1, R):
-                if m[i][r]:
-                    q = m[i][r] // m[r][r]
-                    for j in range(r, C):
-                        m[i][j] -= q * m[r][j]
-                    if m[i][r]:
-                        m[r], m[i] = m[i], m[r]
-                        again = True
-            for j in range(r + 1, C):
-                if m[r][j]:
-                    q = m[r][j] // m[r][r]
-                    for i in range(r, R):
-                        m[i][j] -= q * m[i][r]
-                    if m[r][j]:
-                        for i in range(r, R):
-                            m[i][r], m[i][j] = m[i][j], m[i][r]
-                        again = True
-        # enforce divisibility of later entries by the pivot (every entry
-        # is divisible by 1)
-        piv = abs(m[r][r])
-        if piv > 1:
-            for i in range(r + 1, R):
-                for j in range(r + 1, C):
-                    if m[i][j] % piv:
-                        for jj in range(r, C):
-                            m[r][jj] += m[i][jj]
-                        again = True
-                        break
-                else:
-                    continue
-                break
+                if any(m[i][j] % piv for j in range(r + 1, C)):
+                    m[r] = [x + y for x, y in zip(m[r], m[i])]
+                    again = True
+                    break
         if again:
             continue
-        diag.append(piv)
+        diag.append(best)
         r += 1
     return diag
 

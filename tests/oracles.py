@@ -4,12 +4,19 @@ The sign-vector sweep, its union-find satisfiability test and the
 pairwise facet scan enumerate arrangement cells the slow, obvious way;
 the flat-mask enumeration lists every flat restriction of a cluster
 piece.  The library replaced them with local path rules; the tests
-compare the two on every small input.
+compare the two on every small input.  The facet rule that rebuilds
+every relation of a pinned class and looks the result up in the cell
+table is the former `arrangements._facets`; the library now decides a
+pin from the class's two boundary diagonals.
 
 The free-pair collapse of the barycentric subdivision and the greedy
 collapse that rescans every cell after each step are the topology
 module's former homology and collapsibility pipelines; the library now
-collapses the cell complex once, with a heap, before subdividing.
+collapses the cell complex once, with a heap, before subdividing.  The
+dense Smith loop that picks its least pivot only once per diagonal
+entry is the former `topology.smith_diagonal`; the library now
+eliminates unit pivots on sparse rows first, and its dense loop picks a
+least entry again after every pass that leaves a remainder.
 
 The tuple-state action interpreter, the per-letter partial actions and
 the tree pairs pm_x/pm_p restate the generator rows by hand; the library
@@ -178,6 +185,35 @@ def enumerate_cells(arr: Arrangement) -> ClusterComplex:
     return ClusterComplex(arr, cx)
 
 
+def _facets(
+    positions: str, rels: str, arr: Arrangement, cells: Dict[str, int]
+) -> FrozenSet[str]:
+    """The cells one dimension down in the closure: pin one interior
+    class to a wall, or merge two interior classes across a strict
+    diagonal.  A pinned sign vector is a facet exactly when it is a cell,
+    that is, a key of the table `cells` of every satisfiable one."""
+    diags = arr.diag_list()
+    out = set()
+    for k, d in enumerate(diags):
+        if rels[k] != "=" and positions[d - 1] == positions[d] == "i":
+            out.add(cell_key(positions, rels[:k] + "=" + rels[k + 1:]))
+    eq = {d for d, r in zip(diags, rels) if r == "="}
+    bounds = [0] + [j for j in range(1, arr.n) if j not in eq] + [arr.n]
+    for lo, hi in zip(bounds, bounds[1:]):
+        if positions[lo] != "i":
+            continue
+        for v in "01":
+            pinned = positions[:lo] + v * (hi - lo) + positions[hi:]
+            pinned_rels = "".join(
+                "=" if pinned[d - 1] == pinned[d] != "i" else r
+                for d, r in zip(diags, rels)
+            )
+            key = cell_key(pinned, pinned_rels)
+            if key in cells:
+                out.add(key)
+    return frozenset(out)
+
+
 def _flat_cell_sets(piece, ids: Dict[str, str]) -> List[FrozenSet[str]]:
     """Cell-id sets of every flat restriction of the piece (subcluster
     candidates for the intersection test)."""
@@ -285,6 +321,71 @@ def is_collapsible(cx: Complex) -> bool:
         del dims[f], facets[f], cofaces[f]
         del dims[c], facets[c], cofaces[c]
     return len(dims) == 1 and next(iter(dims.values())) == 0
+
+
+def smith_diagonal(rows: List[List[int]]) -> List[int]:
+    """Nonzero diagonal of the Smith normal form (d1 | d2 | ...)."""
+    m = [row[:] for row in rows]
+    if not m or not m[0]:
+        return []
+    R, C = len(m), len(m[0])
+    diag: List[int] = []
+    r = 0
+    while r < min(R, C):
+        # pick the first entry of least nonzero magnitude in the remaining
+        # block; no entry is smaller than 1, so a row holding 1 ends the search
+        pr, pc, best = -1, -1, None
+        for i in range(r, R):
+            for j in range(r, C):
+                v = abs(m[i][j])
+                if v and (best is None or v < best):
+                    pr, pc, best = i, j, v
+            if best == 1:
+                break
+        if best is None:
+            break
+        m[r], m[pr] = m[pr], m[r]
+        for i in range(R):
+            m[i][r], m[i][pc] = m[i][pc], m[i][r]
+        again = True
+        while again:
+            again = False
+            for i in range(r + 1, R):
+                if m[i][r]:
+                    q = m[i][r] // m[r][r]
+                    for j in range(r, C):
+                        m[i][j] -= q * m[r][j]
+                    if m[i][r]:
+                        m[r], m[i] = m[i], m[r]
+                        again = True
+            for j in range(r + 1, C):
+                if m[r][j]:
+                    q = m[r][j] // m[r][r]
+                    for i in range(r, R):
+                        m[i][j] -= q * m[i][r]
+                    if m[r][j]:
+                        for i in range(r, R):
+                            m[i][r], m[i][j] = m[i][j], m[i][r]
+                        again = True
+        # enforce divisibility of later entries by the pivot (every entry
+        # is divisible by 1)
+        piv = abs(m[r][r])
+        if piv > 1:
+            for i in range(r + 1, R):
+                for j in range(r + 1, C):
+                    if m[i][j] % piv:
+                        for jj in range(r, C):
+                            m[r][jj] += m[i][jj]
+                        again = True
+                        break
+                else:
+                    continue
+                break
+        if again:
+            continue
+        diag.append(piv)
+        r += 1
+    return diag
 
 
 # --------------------------------------------------------------------------

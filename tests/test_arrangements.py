@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import chain, combinations, product
 
 import oracles
@@ -6,6 +7,7 @@ import pytest
 from lmgroups.arrangements import (
     Arrangement,
     ClusterComplex,
+    _cells,
     cell_constraints,
     cell_counts,
     classify_flat,
@@ -15,7 +17,6 @@ from lmgroups.arrangements import (
     is_flat_restriction,
     restrict_arrangement,
     restrict_cell_key,
-    satisfiable,
     skeleton_to_dot,
     subcluster,
     verify_convex_cells,
@@ -134,13 +135,40 @@ def test_cells_and_facets_match_sweep_oracle():
             assert cx.complex.dims == ref.complex.dims
             assert cx.complex.facets == ref.complex.facets
             if n <= 4:
+                cells = _cells(arr)
                 for pos in product("01i", repeat=n):
                     for rel in product("<=>", repeat=len(D)):
-                        args = ("".join(pos), "".join(rel), arr)
-                        assert satisfiable(*args) == oracles.satisfiable(*args)
+                        positions, rels = "".join(pos), "".join(rel)
+                        cell = f"{positions}|{rels}" in cells
+                        assert cell == oracles.satisfiable(positions, rels, arr)
     for n, D in ((2, {1}), (3, {1, 2}), (4, {1, 3}), (5, {2, 3, 4})):
         arr = Arrangement(n, frozenset(D))
         assert complex_to_json(enumerate_cells(arr)) == complex_to_json(oracles.enumerate_cells(arr))
+
+
+def test_local_facets_match_former_table_lookup():
+    # the sweep oracle takes 22 s at n = 6; the table lookup is checked on
+    # every arrangement with n <= 7
+    for n in range(1, 8):
+        for D in all_diag_subsets(n):
+            arr = Arrangement(n, frozenset(D))
+            cx = enumerate_cells(arr).complex
+            for key, facets in cx.facets.items():
+                positions, rels = key.split("|")
+                assert facets == oracles._facets(positions, rels, arr, cx.dims), key
+
+
+def test_transfer_matrix_counts_match_listed_cells():
+    for n in range(1, 9):
+        for D in all_diag_subsets(n):
+            arr = Arrangement(n, frozenset(D))
+            dims = Counter(_cells(arr).values())
+            assert cell_counts(arr) == [dims[d] for d in range(len(dims))], (n, D)
+    # no dimension bound: the cube [0,1]^200 is contractible
+    for D in (frozenset(), frozenset(range(1, 200)), frozenset(range(1, 200, 3))):
+        counts = cell_counts(Arrangement(200, D))
+        assert len(counts) == 201 and counts[0] == 2 ** 200
+        assert sum((-1) ** d * c for d, c in enumerate(counts)) == 1
 
 
 def test_flat_restriction_examples():

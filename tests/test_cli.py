@@ -16,6 +16,16 @@ def test_cluster_counts(capsys):
     assert capsys.readouterr().out.strip() == "4 5 2"
 
 
+def test_cluster_counts_need_no_cell_list(capsys):
+    # the counts come from the transfer matrix; the listing stops at n = 12
+    assert run(["cluster", "--n", "40", "--diagonals", "1,2,39"]) == 0
+    counts = [int(c) for c in capsys.readouterr().out.split()]
+    assert len(counts) == 41 and counts[0] == 2 ** 40
+    assert sum((-1) ** d * c for d, c in enumerate(counts)) == 1
+    assert run(["cluster", "--n", "40", "--json"]) == 1
+    assert "dimension bound exceeded" in capsys.readouterr().err
+
+
 def test_cluster_json(capsys):
     assert run(["cluster", "--n", "2", "--diagonals", "1", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
