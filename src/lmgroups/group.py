@@ -388,13 +388,6 @@ def pm_order_preserving(m: PrefixMap) -> bool:
     return imgs == sorted(imgs)
 
 
-def pm_apply(m: PrefixMap, s: str) -> Optional[str]:
-    for a, b in m:
-        if s.startswith(a):
-            return b + s[len(a):]
-    return None
-
-
 def decide_T_identity(w: GroupWord) -> bool:
     """Exact word problem for T via reduced tree pairs."""
     if any(k == "y" for k, _, _ in w.letters):

@@ -32,9 +32,15 @@ class Complex:
     )
 
     def __post_init__(self):
+        dims = self.dims
+        if self.facets.keys() != dims.keys():
+            raise ValueError("facets and dims must name the same cells")
         for c, fs in self.facets.items():
+            below = dims[c] - 1
             for f in fs:
-                if self.dims[f] != self.dims[c] - 1:
+                if dims.get(f) != below:
+                    if f not in dims:
+                        raise ValueError(f"facet {f} of {c} is not a cell")
                     raise ValueError(f"facet {f} of {c} has the wrong dimension")
 
     def cells(self) -> List[str]:

@@ -264,6 +264,8 @@ def verify_morse(cx: XComplex, values: Optional[Dict[str, MorseValue]] = None) -
 def ascending_link(cx: XComplex, vertex: str) -> Complex:
     """Link of the vertex in its ascending star: one link cell per cell
     whose (h, f)-minimum sits at the vertex."""
+    if cx.complex.dims.get(vertex) != 0:
+        raise ValueError(f"{vertex!r} is not a vertex of the complex")
     vals = morse_values(cx)
     if not verify_morse(cx, vals):
         raise ClusterError("not a Morse function")

@@ -1,83 +1,41 @@
-"""Brute-force reference implementations kept as differential oracles.
+"""Reference implementations for the tests: one per concept, the closest
+to the definition, with a second only at sizes the first cannot reach.
 
-The sign-vector sweep, its union-find satisfiability test and the
-pairwise facet scan enumerate arrangement cells the slow, obvious way;
-the flat-mask enumeration lists every flat restriction of a cluster
-piece.  The library replaced them with local path rules; the tests
-compare the two on every small input.  The facet rule that rebuilds
-every relation of a pinned class and looks the result up in the cell
-table is the former `arrangements._facets`; the library now decides a
-pin from the class's two boundary diagonals.
+- Cells and facets, n <= 5: the sign-vector sweep `enumerate_cells`.
+- Facets, n = 6 and 7 (the sweep takes 22 s at n = 6): the former `_facets`.
+- Flats: the flat-mask enumeration `_flat_cell_sets`.
+- Homology: the barycentric subdivision pipeline `reduced_homology`.
+- Collapsibility: the greedy collapse `is_collapsible`, rescanning each step.
+- Smith form above 8 x 8 (minors in test_topology below): `smith_diagonal`.
+- Action: the tuple interpreter `act_prefix`, searched by `equal_at_depth`.
+- Partial actions: the hand-written rows of `partial_action`.
+- Tree pairs: the rows `pm_x`/`pm_p`, composed unreduced by `pm_of_word`.
+- Moved endpoints: the scan `_moved_endpoint`, restarted for each 0^d, 1^d.
+- Rewriting: the former `rewrite_standard_form`, restarted after each rule.
+- Convexity of cells: the phase-one simplex `_in_convex_hull`.
 
-The free-pair collapse of the barycentric subdivision and the greedy
-collapse that rescans every cell after each step are the topology
-module's former homology and collapsibility pipelines; the library now
-collapses the cell complex once, with a heap, before subdividing.  The
-dense Smith loop that picks its least pivot only once per diagonal
-entry is the former `topology.smith_diagonal`; the library now
-eliminates unit pivots on sparse rows first, and its dense loop picks a
-least entry again after every pass that leaves a remainder.
-
-The tuple-state action interpreter, the per-letter partial actions and
-the tree pairs pm_x/pm_p restate the generator rows by hand; the library
-now builds letter machines and prefix codes from the row tables in
-`words`, and the tests compare the two.  The endpoint scan that restarts
-the action for each 0^d and 1^d is the former helper of `in_F`.
-
-The rewriter that restarts its four-phase scan at index 0 after every
-rule application is the former `group.rewrite_standard_form`; the
-library now keeps the word as a head of x/p letters and a tail of y
-units and resumes at the touched position.  The tag inference that
-lists the tag rules case by case is the former `group.infer_tag`.
-
-The tree-pair reduction that restarts its scan after every merge, the
-composition that pairs every row of one map with every row of the
-other, and the conversion of tree pairs to words that rebalances the
-root split and recurses into both subtrees, are the former
-`group.pm_reduce`, `group.pm_compose`, `group.pm_to_word_F` and
-`group.pm_to_word_T`; the library now merges siblings from a worklist,
-finds each row's partner by bisection and rotates each side onto the
-right comb.  The phase-one simplex that asked whether a cube corner
-lies in the hull of other corners is the former convexity check of
-`arrangements`; no 0/1 corner ever does, so the library no longer asks.
-
-The word problem and F-membership that rewrite before they look at an
-action witness or a character are the former `group.word_problem` and
-`group.in_F`, here on top of this module's former rewriter and tree
-pairs; the former `in_F`'s character loop reads the CHARACTERS order,
-so that its witness does not depend on the hash seed.  The library now
-rewrites only where a standard form is the answer.
-
-The integer Hermite reduction, the rational annihilator and its cone
-casework decided the finiteness types next to the sign test of
-`sigma_membership`; the library now reduces both to that test.  The
-union-find of forced values and the column-dropping loop restricted an
-arrangement to a flat; the library now reads flats as coordinate
-classes.
+`same_map` and `is_reduced` state what equal and reduced tree pairs are.
+The memoised `equal_at_depth` is the only independent verdict at depth 12
+and 16, and the former rewriter the only check of step counts and of
+where a budget runs out.
 """
 
 from fractions import Fraction
 from itertools import product
-from math import inf
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from lmgroups import action, words
 from lmgroups.action import PrefixResult
-
 from lmgroups.arrangements import (
     POS,
     REL,
     Arrangement,
     ClusterComplex,
-    Constraint,
-    cell_constraints,
     cell_key,
     face_of,
     split_key,
 )
 from lmgroups.group import (
-    AVAILABLE_CHARACTERS,
-    CHARACTERS,
     DEFAULT_DEPTH,
     IDENTITY_PM,
     GroupWord,
@@ -86,26 +44,16 @@ from lmgroups.group import (
     RewriteBudgetExceeded,
     StandardForm,
     TagViolation,
-    Verdict,
     _merge_letters,
     _ordered_commuting,
-    char_value,
-    decide_T_identity,
-    identity,
-    pm_order_preserving,
-    word,
 )
-from lmgroups.sigma import BASES, EXCLUDED_SIGNS, LatticeSubgroup, Vector
 from lmgroups.topology import Complex, homology_of_simplices, order_complex
-from lmgroups.words import (
-    X_ROWS,
-    independent,
-    is_one_run,
-    is_zero_run,
-    letter_code,
-    p_rows,
-    tree_order_less,
-)
+from lmgroups.words import X_ROWS, independent, p_rows, tree_order_less
+
+
+# --------------------------------------------------------------------------
+# Arrangement cells: the sign-vector sweep, and the former facet table
+# lookup that checks facets where the sweep is too slow
 
 
 def _classes(n: int, diags: Sequence[int], rels: str) -> List[int]:
@@ -214,6 +162,10 @@ def _facets(
     return frozenset(out)
 
 
+# --------------------------------------------------------------------------
+# Flats: every constraint mask of a cluster piece
+
+
 def _flat_cell_sets(piece, ids: Dict[str, str]) -> List[FrozenSet[str]]:
     """Cell-id sets of every flat restriction of the piece (subcluster
     candidates for the intersection test)."""
@@ -244,6 +196,11 @@ def _flat_cell_sets(piece, ids: Dict[str, str]) -> List[FrozenSet[str]]:
         if cells:
             out.add(frozenset(cells))
     return sorted(out, key=sorted)
+
+
+# --------------------------------------------------------------------------
+# Homology of the barycentric subdivision, the rescanning collapse, and
+# the former dense Smith loop
 
 
 def _collapse_simplices(simplices: List[Tuple[str, ...]]) -> List[Tuple[str, ...]]:
@@ -561,7 +518,7 @@ def equal_at_depth(w1, w2, depth: int) -> Optional[str]:
 
 
 # --------------------------------------------------------------------------
-# The former partial actions and tree pairs of single letters
+# Partial actions and tree pairs from hand-written rows
 
 
 def _act_root_x(s: str, sign: int) -> Optional[str]:
@@ -629,7 +586,20 @@ def pm_p(n: int, sign: int) -> PrefixMap:
     return tuple(sorted(pairs))
 
 
+def pm_compose(m1: PrefixMap, m2: PrefixMap) -> PrefixMap:
+    """Apply m1 then m2 by pairing every row of one with every row of the
+    other whose leaves nest; nothing is merged back."""
+    return tuple(sorted(
+        (a, d + b[len(c):]) if b.startswith(c) else (a + c[len(b):], d)
+        for a, b in m1
+        for c, d in m2
+        if b.startswith(c) or c.startswith(b)
+    ))
+
+
 def pm_of_word(w: GroupWord) -> PrefixMap:
+    """The tree pair of an x/p word, letter by letter from pm_x and pm_p,
+    unreduced."""
     pm = IDENTITY_PM
     for kind, sub, sg in w.unit_letters():
         if kind == "x":
@@ -642,8 +612,45 @@ def pm_of_word(w: GroupWord) -> PrefixMap:
     return pm
 
 
+def same_map(m1: PrefixMap, m2: PrefixMap) -> bool:
+    """Whether two tree pairs are one map: where a domain leaf of one
+    extends a domain leaf of the other, both send it to the same place.
+    On complete prefix codes those leaves cover every point."""
+    for a, b in m1:
+        for c, d in m2:
+            if c.startswith(a) and b + c[len(a):] != d:
+                return False
+            if a.startswith(c) and d + a[len(c):] != b:
+                return False
+    return True
+
+
+def is_complete_prefix_code(leaves: Sequence[str]) -> bool:
+    """No leaf extends another, and the cylinders cover the Cantor set."""
+    depth = max(map(len, leaves))
+    return sum(2 ** (depth - len(s)) for s in leaves) == 2 ** depth and all(
+        not t.startswith(s) for s in leaves for t in leaves if s != t
+    )
+
+
+def is_reduced(pm: PrefixMap) -> bool:
+    """A reduced tree pair: domain and range are complete prefix codes,
+    and no sibling leaves u0, u1 go to sibling leaves v0, v1."""
+    img = dict(pm)
+    return (
+        len(img) == len(pm)
+        and is_complete_prefix_code(list(img))
+        and is_complete_prefix_code(list(img.values()))
+        and not any(
+            a.endswith("0") and b.endswith("0") and img.get(a[:-1] + "1") == b[:-1] + "1"
+            for a, b in pm
+        )
+    )
+
+
 # --------------------------------------------------------------------------
-# The former endpoint scan of in_F: one act_prefix from scratch per 0^d, 1^d
+# The former endpoint scan of in_F: the tuple interpreter from scratch
+# for each 0^d and 1^d
 
 
 def _moved_endpoint(w: GroupWord, scan: int) -> Optional[str]:
@@ -652,367 +659,14 @@ def _moved_endpoint(w: GroupWord, scan: int) -> Optional[str]:
     for d in range(1, scan + 1):
         for base in ("0", "1"):
             xi = base * d
-            if set(action.act_prefix(w, xi).forced) - {base}:
+            if set(act_prefix(w, xi).forced) - {base}:
                 return xi
     return None
 
 
 # --------------------------------------------------------------------------
-# The former finiteness decisions: integer row reduction of a projection
-# for the classifier, rational annihilator casework for type F_n
-
-
-def _row_reduce(rows: List[List[int]]) -> List[List[int]]:
-    """Hermite-style integer row reduction; returns nonzero rows."""
-    m = [list(r) for r in rows if any(r)]
-    out: List[List[int]] = []
-    for col in range(3):
-        nz = [r for r in m if r[col]]
-        if not nz:
-            continue
-        while len(nz) > 1:
-            nz.sort(key=lambda r: abs(r[col]))
-            piv = nz[0]
-            for r in nz[1:]:
-                q = r[col] // piv[col]
-                for j in range(3):
-                    r[j] -= q * piv[j]
-            nz = [piv] + [r for r in nz[1:] if r[col]]
-        piv = nz[0]
-        if piv[col] < 0:
-            piv[:] = [-v for v in piv]
-        out.append(piv)
-        m = [r for r in m if r is not piv and any(r)]
-    return out
-
-
-def reduced(A: LatticeSubgroup) -> List[List[int]]:
-    return _row_reduce([list(g) for g in A.generators])
-
-
-def _projection_12(A: LatticeSubgroup) -> List[List[int]]:
-    rows = [[g[0], g[1], 0] for g in A.generators]
-    return [r for r in _row_reduce(rows)]
-
-
-def classify_normal_subgroup(A: LatticeSubgroup, tag: str = "G") -> str:
-    """NotFinitelyGenerated / FinitelyGeneratedNotFinitelyPresented /
-    TypeFInfinity for the subgroup over A, by exact integer reduction.
-
-    For the tags other than G this classifies the subgroups containing
-    the commutator subgroup only.
-    """
-    if tag not in BASES:
-        raise ValueError(f"unknown group tag {tag!r}")
-    pi1 = any(g[0] for g in A.generators)
-    pi2 = any(g[1] for g in A.generators)
-    if not pi1 or not pi2:
-        return "NotFinitelyGenerated"
-    proj = _projection_12(A)
-    if len(proj) == 1:
-        u, v = proj[0][0], proj[0][1]
-        s1, s2 = EXCLUDED_SIGNS[tag]
-        # annihilated by a*e1 + b*e2 with a, b > 0 iff the generator's
-        # signs are mixed relative to the excluded directions
-        if s1 * s2 * u * v < 0:
-            return "FinitelyGeneratedNotFinitelyPresented"
-    return "TypeFInfinity"
-
-
-def _annihilator(A: LatticeSubgroup) -> List[Vector]:
-    """Basis of the rational annihilator of A's span in character
-    coordinates."""
-    rows = reduced(A)
-    r = len(rows)
-    if r == 0:
-        return [(Fraction(1), Fraction(0), Fraction(0)),
-                (Fraction(0), Fraction(1), Fraction(0)),
-                (Fraction(0), Fraction(0), Fraction(1))]
-    if r == 3:
-        return []
-    # solve <x, row> = 0 exactly over the rationals
-    mat = [[Fraction(v) for v in row] for row in rows]
-    # Gauss-Jordan
-    pivots: List[int] = []
-    ri = 0
-    for col in range(3):
-        piv = next((i for i in range(ri, r) if mat[i][col] != 0), None)
-        if piv is None:
-            continue
-        mat[ri], mat[piv] = mat[piv], mat[ri]
-        mat[ri] = [v / mat[ri][col] for v in mat[ri]]
-        for i in range(r):
-            if i != ri and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [v - f * w for v, w in zip(mat[i], mat[ri])]
-        pivots.append(col)
-        ri += 1
-    basis = []
-    free = [c for c in range(3) if c not in pivots]
-    for fc in free:
-        vec = [Fraction(0)] * 3
-        vec[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = -mat[i][fc]
-        basis.append(tuple(vec))
-    return basis
-
-
-def type_Fn(A: LatticeSubgroup, n, tag: str = "G") -> bool:
-    """True iff every nonzero character vanishing on A lies in the n-th
-    invariant, decided by finitely many cone cases on the annihilator
-    subspace (dimension <= 3 keeps the casework complete)."""
-    if n != inf and (not isinstance(n, int) or n < 1):
-        raise ValueError("the finiteness index is a positive integer or infinity")
-    if tag not in BASES:
-        raise ValueError(f"unknown group tag {tag!r}")
-    W = _annihilator(A)
-    d = len(W)
-    if d == 0:
-        return True
-    s1, s2 = EXCLUDED_SIGNS[tag]
-    e1 = (Fraction(s1), Fraction(0), Fraction(0))
-    e2 = (Fraction(0), Fraction(s2), Fraction(0))
-
-    def contains(vec: Vector) -> bool:
-        return _in_span(W, vec)
-
-    if n == 1:
-        return not (contains(e1) or contains(e2))
-    # n >= 2: W must avoid the closed cone {a e1 + b e2 : a, b >= 0}\{0}
-    if d == 3:
-        return False
-    if d == 1:
-        (x, y, z) = W[0]
-        if z != 0:
-            return True
-        return not (s1 * x >= 0 and s2 * y >= 0) and not (s1 * x <= 0 and s2 * y <= 0)
-    # d == 2: intersect W with the plane z = 0
-    # W = {u + t v}; find the line in that plane
-    u, v = W
-    if u[2] == 0 and v[2] == 0:
-        return False  # W is the whole excluded plane: contains e1
-    if v[2] != 0:
-        u, v = v, u  # now u has nonzero last coordinate
-    if v[2] != 0:
-        # make v's last coordinate vanish
-        v = tuple(vv - (v[2] / u[2]) * uu for vv, uu in zip(v, u))
-    x, y = v[0], v[1]
-    if x == 0 and y == 0:
-        return True  # the plane meets z = 0 only at the origin: impossible at d=2
-    return not (s1 * x >= 0 and s2 * y >= 0) and not (s1 * x <= 0 and s2 * y <= 0)
-
-
-def _in_span(basis: Sequence[Vector], vec: Vector) -> bool:
-    rows = [list(b) for b in basis]
-    mat = [[Fraction(v) for v in row] for row in rows]
-    target = [Fraction(v) for v in vec]
-    # reduce target against the basis
-    ri = 0
-    for col in range(3):
-        piv = next((i for i in range(ri, len(mat)) if mat[i][col] != 0), None)
-        if piv is None:
-            continue
-        mat[ri], mat[piv] = mat[piv], mat[ri]
-        scale = mat[ri][col]
-        mat[ri] = [v / scale for v in mat[ri]]
-        for i in range(len(mat)):
-            if i != ri and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [v - f * w for v, w in zip(mat[i], mat[ri])]
-        if target[col] != 0:
-            f = target[col]
-            target = [v - f * w for v, w in zip(target, mat[ri])]
-        ri += 1
-    return all(v == 0 for v in target)
-
-
-# --------------------------------------------------------------------------
-# The former flat restriction: a union-find of forced values and a
-# column-dropping loop
-
-
-def _forced_values(arr: Arrangement, flat: Sequence[Constraint]) -> Dict[int, Optional[int]]:
-    """Forced value (0/1/None) per original coordinate on the flat."""
-    parent = list(range(arr.n + 1))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    pin: Dict[int, int] = {}
-    for c in flat:
-        if c[0] == "diag":
-            i = c[1]
-            a, b = find(i), find(i + 1)
-            if a != b:
-                parent[max(a, b)] = min(a, b)
-    for c in flat:
-        if c[0] == "coord":
-            _, i, v = c
-            r = find(i)
-            if r in pin and pin[r] != v:
-                raise ValueError("empty flat: contradictory pins")
-            pin[r] = v
-    return {i: pin.get(find(i)) for i in range(1, arr.n + 1)}
-
-
-def classify_flat(arr: Arrangement, flat: Sequence[Constraint]) -> str:
-    """"Diagonal" iff some generating diagonal {x_i = x_{i+1}} has its
-    (merged) value unforced on the flat; otherwise "Facial"."""
-    for c in flat:
-        if c[0] == "diag" and c[1] not in arr.diagonals:
-            raise ValueError(f"diagonal {c[1]} is not a hyperplane of the arrangement")
-        if c[0] == "coord" and not (1 <= c[1] <= arr.n):
-            raise ValueError(f"coordinate {c[1]} out of range")
-        if c[0] == "coord" and c[2] not in (0, 1):
-            raise ValueError("coordinate walls sit at 0 or 1")
-    forced = _forced_values(arr, flat)
-    for c in flat:
-        if c[0] == "diag" and forced[c[1]] is None:
-            return "Diagonal"
-    return "Facial"
-
-
-def restrict_arrangement(
-    arr: Arrangement, flat: Sequence[Constraint]
-) -> Tuple[Arrangement, List[int]]:
-    """Inherited arrangement on the flat plus the list of surviving
-    original coordinates (a merged diagonal pair keeps its right member
-    as the surviving column)."""
-    n = arr.n
-    parent = list(range(n + 1))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    survivors = list(range(1, n + 1))
-    diagset = set(arr.diagonals)
-    pinned: Dict[int, int] = {}  # class representative -> value
-    column: Dict[int, int] = {i: i for i in range(1, n + 1)}  # rep -> surviving column
-
-    def drop(pos: int, *, merge_right: bool):
-        nonlocal diagset
-        newdiag = set()
-        for d in diagset:
-            if merge_right:
-                if d <= pos - 1:
-                    newdiag.add(d)
-                elif d >= pos + 1:
-                    newdiag.add(d - 1)
-            else:
-                if d <= pos - 2:
-                    newdiag.add(d)
-                elif d >= pos + 1:
-                    newdiag.add(d - 1)
-        diagset = newdiag
-        survivors.pop(pos - 1)
-
-    def pin_class(rep: int, v: int):
-        if rep in pinned:
-            if pinned[rep] != v:
-                raise ValueError("empty flat: contradictory pins")
-            return
-        pinned[rep] = v
-        drop(survivors.index(column[rep]) + 1, merge_right=False)
-
-    for c in flat:
-        if c[0] == "coord":
-            _, orig, v = c
-            pin_class(find(orig), v)
-        else:
-            _, i = c
-            if i not in arr.diagonals:
-                raise ValueError(f"diagonal {i} is not a hyperplane of the arrangement")
-            a, b = find(i), find(i + 1)
-            if a == b:
-                continue  # redundant merge
-            if a in pinned or b in pinned:
-                if a in pinned and b in pinned:
-                    if pinned[a] != pinned[b]:
-                        raise ValueError("empty flat: contradictory pins")
-                    parent[a] = b
-                    continue
-                known, other = (a, b) if a in pinned else (b, a)
-                # the merge pins the other class too: its column goes
-                drop(survivors.index(column[other]) + 1, merge_right=False)
-                parent[other] = known
-                continue
-            pa = survivors.index(column[a]) + 1
-            pb = survivors.index(column[b]) + 1
-            if abs(pa - pb) != 1:
-                raise ValueError("diagonal endpoints are no longer adjacent")
-            left, right = (a, b) if pa < pb else (b, a)
-            drop(min(pa, pb), merge_right=True)
-            parent[left] = right
-    if not survivors:
-        raise ValueError("the flat is a single vertex: no inherited coordinates")
-    return Arrangement(len(survivors), frozenset(diagset)), survivors
-
-
-def restrict_cell_key(
-    key: str,
-    arr: Arrangement,
-    flat: Sequence[Constraint],
-    restricted: Tuple[Arrangement, List[int]],
-) -> Optional[str]:
-    """Map a cell of the ambient cluster lying in the flat to inherited
-    coordinates, given the flat's `restrict_arrangement` result; None
-    when the cell is not contained in the flat."""
-    if not set(flat) <= cell_constraints(key, arr):
-        return None
-    positions, rels = split_key(key)
-    diags = arr.diag_list()
-    relmap = dict(zip(diags, rels))
-    sub_arr, survivors = restricted
-    newpos = "".join(positions[i - 1] for i in survivors)
-    newrels = []
-    for d in sub_arr.diag_list():
-        a, b = survivors[d - 1], survivors[d]
-        # relation between original coordinates a and b: they were adjacent
-        # through a chain of merged coordinates, all carrying '=' except
-        # exactly the surviving comparison
-        chain = [r for r in range(a, b) if r in diags]
-        vals = [relmap[r] for r in chain]
-        strict = [v for v in vals if v != "="]
-        if len(chain) != b - a:
-            raise AssertionError("gap in the restricted diagonal chain")
-        if len(strict) > 1:
-            raise AssertionError("more than one strict relation across a merge")
-        newrels.append(strict[0] if strict else "=")
-    return cell_key(newpos, "".join(newrels))
-
-
-# --------------------------------------------------------------------------
-# group: the restarting rewriter and the case-by-case tag inference
-
-
-def infer_tag(text_or_letters) -> str:
-    """Smallest tag admitting the letters (used by the CLI)."""
-    if isinstance(text_or_letters, str):
-        letters = word(text_or_letters, "Shat").letters
-    else:
-        letters = text_or_letters
-    has_p = any(k == "p" for k, _, _ in letters)
-    ysubs = [s for k, s, _ in letters if k == "y"]
-    if has_p:
-        return "Shat" if ysubs else "T"
-    if not ysubs:
-        return "F"
-    zero = any(is_zero_run(s) for s in ysubs)
-    one = any(is_one_run(s) for s in ysubs)
-    if zero and one:
-        return "yGy"
-    if zero:
-        return "yG"
-    if one:
-        return "Gy"
-    return "G"
+# The former rewriter: a four-phase scan restarted at index 0 after every
+# rule application
 
 
 def _expand_y(sub: str, sg: int) -> List[Letter]:
@@ -1178,178 +832,7 @@ def _word_of(units: List[Letter], tag: str) -> GroupWord:
 
 
 # --------------------------------------------------------------------------
-# group: the restarting tree-pair reduction, the pairwise composition and
-# the root-rebalancing conversion of order-preserving prefix maps to x-words
-
-
-def pm_reduce(m: PrefixMap) -> PrefixMap:
-    d = dict(m)
-    again = True
-    while again:
-        again = False
-        for a in list(d):
-            if a.endswith("0"):
-                a1 = a[:-1] + "1"
-                if a in d and a1 in d:
-                    b0, b1 = d[a], d[a1]
-                    if b0.endswith("0") and b1 == b0[:-1] + "1":
-                        del d[a], d[a1]
-                        d[a[:-1]] = b0[:-1]
-                        again = True
-                        break
-    return tuple(sorted(d.items()))
-
-
-def pm_compose(m1: PrefixMap, m2: PrefixMap) -> PrefixMap:
-    """Apply m1 then m2."""
-    out = []
-    for a, b in m1:
-        for c, d in m2:
-            if b.startswith(c):
-                out.append((a, d + b[len(c):]))
-            elif c.startswith(b) and c != b:
-                out.append((a + c[len(b):], d))
-    return pm_reduce(tuple(sorted(out)))
-
-
-def comb_leaves(k: int) -> List[str]:
-    """The k-leaf right comb: 0, 10, 110, ..., 1^(k-2)0, 1^(k-1)."""
-    if k < 1:
-        raise ValueError("a code has at least one leaf")
-    if k == 1:
-        return [""]
-    return ["1" * i + "0" for i in range(k - 1)] + ["1" * (k - 1)]
-
-
-def _embed_x_letters(letters: List[Letter], prefix: str) -> List[Letter]:
-    return [("x", prefix + s, e) for _, s, e in letters]
-
-
-def pm_to_word_F(pm: PrefixMap, _budget: int = 10_000) -> List[Letter]:
-    """Letters of an x-word realizing an order-preserving prefix map.
-
-    The root letter x shifts leaves across the top split, so emitting
-    x^{+-1} rebalances the split until both sides agree, after which the
-    two subtrees convert independently (x_u acts inside the cylinder at
-    u exactly as x acts globally)."""
-    pm = pm_reduce(pm)
-    if pm == IDENTITY_PM:
-        return []
-    if not pm_order_preserving(pm):
-        raise ValueError("not an order-preserving prefix map")
-    letters: List[Letter] = []
-    for _ in range(_budget):
-        if pm == IDENTITY_PM:
-            return letters
-        pairs = sorted(pm)
-        a = sum(1 for d, _ in pairs if d.startswith("0"))
-        c = sum(1 for _, r in pairs if r.startswith("0"))
-        if a == c:
-            break
-        if a > c:
-            letters.append(("x", "", 1))
-            pm = pm_compose(tuple(sorted(letter_code("x", "", -1))), pm)
-        else:
-            letters.append(("x", "", -1))
-            pm = pm_compose(tuple(sorted(letter_code("x", "", 1))), pm)
-    else:
-        raise AssertionError("root rebalancing did not converge")
-    pairs = sorted(pm)
-    a = sum(1 for d, _ in pairs if d.startswith("0"))
-    left = tuple(sorted((d[1:], r[1:]) for d, r in pairs[:a]))
-    right = tuple(sorted((d[1:], r[1:]) for d, r in pairs[a:]))
-    letters += _embed_x_letters(pm_to_word_F(left), "0")
-    letters += _embed_x_letters(pm_to_word_F(right), "1")
-    return letters
-
-
-def pm_to_word_T(pm: PrefixMap) -> GroupWord:
-    """A T-word realizing a cyclic-order-preserving prefix map: comb the
-    domain and range, rotate by the leaf shift with the comb rotation
-    p_{k-2}, and validate against the input map."""
-    pm = pm_reduce(pm)
-    if pm == IDENTITY_PM:
-        return identity("T")
-    pairs = sorted(pm)
-    doms = [d for d, _ in pairs]
-    rngs = sorted(r for _, r in pairs)
-    k = len(pairs)
-    img = dict(pairs)
-    r = rngs.index(img[doms[0]])
-    for j, d in enumerate(doms):
-        if img[d] != rngs[(j + r) % k]:
-            raise ValueError("prefix map does not preserve the cyclic order")
-    comb = comb_leaves(k)
-    letters: List[Letter] = []
-    letters += pm_to_word_F(tuple(sorted(zip(doms, comb))))
-    if r:
-        letters.append(("p", k - 2, r))
-    v_letters = pm_to_word_F(tuple(sorted(zip(rngs, comb))))
-    letters += [(kk, ss, -ee) for kk, ss, ee in reversed(v_letters)]
-    out = GroupWord(_merge_letters(letters), "T")
-    if pm_of_word(out) != pm:
-        raise AssertionError("tree-pair conversion produced a different map")
-    return out
-
-
-# --------------------------------------------------------------------------
-# group: the word problem and F-membership that rewrite before they look
-# at their certificates
-
-
-def word_problem(w: GroupWord, depth: int = DEFAULT_DEPTH) -> Verdict:
-    """Identity only when the standard form has an empty tail and a
-    trivial tree pair; NotIdentity only with an action witness."""
-    budget_note = ""
-    try:
-        sf = rewrite_standard_form(w, depth=depth)
-    except RewriteBudgetExceeded as exc:
-        sf = None
-        budget_note = str(exc)
-    if sf is not None and not sf.tail and decide_T_identity(sf.head):
-        return Verdict("identity")
-    witness = action.equal_at_depth(w, identity(w.tag), depth)
-    if witness is not None:
-        return Verdict("not-identity", witness)
-    if sf is None:
-        return Verdict("unknown", budget_note)
-    return Verdict("unknown", f"agrees with the identity to depth {depth}")
-
-
-def in_F(w: GroupWord) -> Verdict:
-    """Sound tri-state membership in F.
-
-    Yes: empty standard-form tail and an order-preserving tree pair.
-    No: a psi-type character separates w from F, or w moves an endpoint.
-    Unknown otherwise (a nonempty tail alone is not proof).
-    """
-    if w.tag == "F":
-        return Verdict("yes")
-    try:
-        sf = rewrite_standard_form(w)
-    except RewriteBudgetExceeded as exc:
-        return Verdict("unknown", str(exc))
-    if not sf.tail:
-        pm = pm_of_word(sf.head)
-        if pm_order_preserving(pm):
-            return Verdict("yes")
-        # outside F the element moves an endpoint; the move shows up at
-        # the depth of the tree pair's leaves
-        moved = action.moved_endpoint(w, max(DEFAULT_DEPTH, max(len(a) for a, _ in pm) + 1))
-        if moved is None:
-            raise AssertionError("tree pair outside F but endpoints undisturbed")
-        return Verdict("no", moved)
-    for name in sorted(AVAILABLE_CHARACTERS[w.tag] - {"chi0", "chi1"}, key=CHARACTERS.index):
-        if char_value(name, w) != 0:
-            return Verdict("no", ("character", name, char_value(name, w)))
-    moved = action.moved_endpoint(w, DEFAULT_DEPTH)
-    if moved is not None:
-        return Verdict("no", moved)
-    return Verdict("unknown", "nonempty standard-form tail only")
-
-
-# --------------------------------------------------------------------------
-# arrangements: the exact phase-one simplex behind the convexity check
+# Convexity of cells: the exact phase-one simplex
 
 
 def _in_convex_hull(point: Sequence[Fraction], hull: List[Sequence[Fraction]]) -> bool:

@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import oracles
 import pytest
@@ -239,20 +238,13 @@ def test_letter_machines_match_tuple_interpreter():
         assert oracles.equal_at_depth(w, w, 12) is None
 
 
-def _is_complete_prefix_code(leaves):
-    return (
-        sum(Fraction(1, 2 ** len(s)) for s in leaves) == 1
-        and all(not t.startswith(s) for s in leaves for t in leaves if s != t)
-    )
-
-
 def test_letter_codes_against_recursive_oracle():
     letters = [("x", sub) for sub in all_words(3)] + [("p", n) for n in range(4)]
     for kind, sub in letters:
         for sign in (1, -1):
             code = letter_code(kind, sub, sign)
-            assert _is_complete_prefix_code([pat for pat, _ in code])
-            assert _is_complete_prefix_code([out for _, out in code])
+            assert oracles.is_complete_prefix_code([pat for pat, _ in code])
+            assert oracles.is_complete_prefix_code([out for _, out in code])
             w = group.GroupWord(((kind, sub, sign),), "Shat")
             for pat, out in code:
                 assert oracle_forced(w, pat) == out

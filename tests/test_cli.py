@@ -94,6 +94,14 @@ def test_asclink(capsys):
     assert "collapsible" in out or "cells" in out
 
 
+def test_asclink_rejects_a_vertex_that_is_no_0_cell(capsys):
+    argv = ["asclink", "--piece", "e|y[010];y[0110]^-1;y[0111]", "--vertex", "garbage"]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: 'garbage' is not a vertex of the complex" in captured.err
+
+
 def test_asclink_collapses_once(capsys, monkeypatch):
     argv = ["asclink", "--piece", "e|y[010];y[0110]^-1;y[0111];y[0001]", "--vertex", "e"]
     collapse = topology._collapse

@@ -3,9 +3,9 @@ from fractions import Fraction
 from itertools import product
 from math import inf
 
-import oracles
 import pytest
 
+from lmgroups.group import AVAILABLE_CHARACTERS
 from lmgroups.sigma import (
     BASES,
     CharacterVector,
@@ -14,6 +14,8 @@ from lmgroups.sigma import (
     sigma_membership,
     type_Fn,
 )
+
+INDICES = (1, 2, 5, inf)
 
 
 def test_membership_examples():
@@ -203,13 +205,42 @@ def seeded_lattices(seed, count):
     return out
 
 
-def test_finiteness_matches_former_linear_algebra():
-    for gens in seeded_lattices(55, 2000):
-        A = lattice(*gens)
-        for tag in BASES:
-            assert classify_normal_subgroup(A, tag) == oracles.classify_normal_subgroup(A, tag)
-            for n in (1, 2, 5, inf):
-                assert type_Fn(A, n, tag) == oracles.type_Fn(A, n, tag)
+def _vanishing_in_box(gens, m):
+    """Every nonzero integer character in [-m, m]^3 vanishing on the
+    generators: for each (x, y), a generator (a, b, c) with c != 0 fixes
+    z = -(x a + y b) / c, and one with c = 0 holds for every z or for
+    none."""
+    box = range(-m, m + 1)
+    out = []
+    for x, y in product(box, repeat=2):
+        z = None
+        for a, b, c in gens:
+            r = x * a + y * b
+            if c == 0:
+                ok = r == 0
+            elif r % c:
+                ok = False
+            elif z is None:
+                z = -r // c
+                ok = -m <= z <= m
+            else:
+                ok = z == -r // c
+            if not ok:
+                break
+        else:
+            out += [(x, y, zz) for zz in (box if z is None else (z,)) if x or y or zz]
+    return out
+
+
+def test_vanishing_box_enumeration_is_the_full_scan():
+    for gens in seeded_lattices(89, 150):
+        m = max([1] + [abs(c) for g in gens for c in g])
+        box = range(-m, m + 1)
+        scan = [
+            (x, y, z) for x, y, z in product(box, repeat=3)
+            if (x or y or z) and not any(x * a + y * b + z * c for a, b, c in gens)
+        ]
+        assert _vanishing_in_box(gens, m) == scan
 
 
 def test_type_Fn_is_the_bieri_renz_criterion_on_a_box():
@@ -217,16 +248,32 @@ def test_type_Fn_is_the_bieri_renz_criterion_on_a_box():
     # vanishes on A and lies outside an invariant can be chosen in the
     # plane z = 0 with entries at most m: the primitive direction of the
     # vanishing line, or e1 when the whole plane vanishes.  The box
-    # [-m, m]^3 therefore decides type F_n exactly.
-    for gens in seeded_lattices(89, 150):
+    # [-m, m]^3 therefore decides type F_n exactly, and the classifier
+    # reads type F_1 and F_2.
+    outside = {}  # character -> the (tag, n) whose invariant misses it
+    for gens in seeded_lattices(89, 150) + seeded_lattices(55, 2000):
         A = lattice(*gens)
         m = max([1] + [abs(c) for g in gens for c in g])
-        box = range(-m, m + 1)
-        vanishing = [
-            (x, y, z) for x, y, z in product(box, repeat=3)
-            if (x or y or z) and not any(x * a + y * b + z * c for a, b, c in gens)
-        ]
+        missed = set()
+        for chi in _vanishing_in_box(gens, m):
+            if chi not in outside:
+                outside[chi] = {
+                    (tag, n) for tag in BASES for n in INDICES
+                    if not sigma_membership(tag, chi, n)
+                }
+            missed |= outside[chi]
         for tag in BASES:
-            for n in (1, 2, 5, inf):
-                expected = all(sigma_membership(tag, chi, n) for chi in vanishing)
-                assert type_Fn(A, n, tag) == expected
+            for n in INDICES:
+                assert type_Fn(A, n, tag) == ((tag, n) not in missed)
+            expected = (
+                "NotFinitelyGenerated" if (tag, 1) in missed
+                else "FinitelyGeneratedNotFinitelyPresented" if (tag, 2) in missed
+                else "TypeFInfinity"
+            )
+            assert classify_normal_subgroup(A, tag) == expected
+
+
+def test_bases_name_the_available_characters():
+    for tag, basis in BASES.items():
+        assert set(basis) == AVAILABLE_CHARACTERS[tag]
+    assert set(BASES) == {"G", "Gy", "yG", "yGy"}

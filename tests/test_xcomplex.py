@@ -176,6 +176,14 @@ def test_ascending_link_examples():
     assert any("e" in c for c in edge_cells)
 
 
+def test_ascending_link_needs_a_vertex():
+    cx = assemble([(F, FIG1_PARAMS)])
+    edge = cx.complex.cells_of_dim(1)[0]
+    for bad in ("garbage", edge):
+        with pytest.raises(ValueError, match="is not a vertex of the complex"):
+            ascending_link(cx, bad)
+
+
 def test_find_cone_vertex_fig1():
     m, verified = find_cone_vertex([(F, FIG1_PARAMS)])
     assert (m, verified) == (3, True)
