@@ -243,15 +243,16 @@ def test_vanishing_box_enumeration_is_the_full_scan():
         assert _vanishing_in_box(gens, m) == scan
 
 
-def test_type_Fn_is_the_bieri_renz_criterion_on_a_box():
-    # With m the largest generator entry (at least 1), a character that
-    # vanishes on A and lies outside an invariant can be chosen in the
-    # plane z = 0 with entries at most m: the primitive direction of the
-    # vanishing line, or e1 when the whole plane vanishes.  The box
-    # [-m, m]^3 therefore decides type F_n exactly, and the classifier
-    # reads type F_1 and F_2.
+def _check_against_the_box(lattices):
+    """Check type_Fn and the classifier on each lattice against the
+    Bieri-Renz criterion on the box [-m, m]^3: with m the largest generator
+    entry (at least 1), a character that vanishes on A and lies outside an
+    invariant can be chosen in the plane z = 0 with entries at most m (the
+    primitive direction of the vanishing line, or e1 when the whole plane
+    vanishes), so the box decides type F_n exactly, and the classifier
+    reads type F_1 and F_2."""
     outside = {}  # character -> the (tag, n) whose invariant misses it
-    for gens in seeded_lattices(89, 150) + seeded_lattices(55, 2000):
+    for gens in lattices:
         A = lattice(*gens)
         m = max([1] + [abs(c) for g in gens for c in g])
         missed = set()
@@ -271,6 +272,16 @@ def test_type_Fn_is_the_bieri_renz_criterion_on_a_box():
                 else "TypeFInfinity"
             )
             assert classify_normal_subgroup(A, tag) == expected
+
+
+def test_type_Fn_is_the_bieri_renz_criterion_on_a_box():
+    _check_against_the_box(seeded_lattices(89, 150))
+
+
+def test_finiteness_matches_former_linear_algebra():
+    # The 2000 seed-55 lattices once compared with the former Hermite-form
+    # and annihilator computation; the box is now their one reference.
+    _check_against_the_box(seeded_lattices(55, 2000))
 
 
 def test_bases_name_the_available_characters():
