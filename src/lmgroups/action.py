@@ -14,7 +14,9 @@ input prefix.  A letter whose state has reached None only passes bits
 through, so it is dropped from the chain.  Chain states are hashable:
 the depth-bounded equality search walks pairs of them breadth-first
 and expands each distinct node once, instead of enumerating 2^d
-inputs.
+inputs.  A chain state fixes every output that follows it, so a node
+whose two chains are equal and whose outputs are all matched has no
+witness below it; the search does not expand it, which is exact.
 """
 
 from __future__ import annotations
@@ -156,14 +158,20 @@ def equal_at_depth(w1, w2, depth: int) -> Optional[str]:
     chain states of w2, outputs emitted by one word and not yet matched
     by the other), in lexicographic order within a level, and expands
     each node once: a node reached again has already been tested, and so
-    has every continuation of it, by a shortlex-smaller input.  It stops
-    early when a level adds no new node.
+    has every continuation of it, by a shortlex-smaller input.  A node
+    whose two chains are equal and with no unmatched output is not
+    expanded: a chain state fixes every output that follows it, so both
+    words emit the same bits on every continuation and no witness lies
+    below it.  Neither the verdict nor the witness changes.  The search
+    stops early when a level adds no new node.
     """
     if depth < 0:
         raise ValueError(f"search depth must be >= 0, got {depth}")
     root = (initial_states(w1), initial_states(w2), "", "")
     if _incompatible(forced_tail(root[0]), forced_tail(root[1])):
         return ""
+    if root[0] == root[1]:
+        return None
     seen = {root}
     level = [(root, "")]
     for _ in range(depth):
@@ -177,6 +185,8 @@ def equal_at_depth(w1, w2, depth: int) -> Optional[str]:
                 if na[:m] != nb[:m]:  # only agreeing output may leave the key
                     return path + bit
                 na, nb = na[m:], nb[m:]
+                if s1 == s2 and not (na or nb):  # no witness below this node
+                    continue
                 node = (s1, s2, na, nb)
                 if node in seen:
                     continue

@@ -116,21 +116,29 @@ class GroupWord:
             self, "letters", tuple(_validate_letter(l, self.tag) for l in self.letters)
         )
 
+    @classmethod
+    def _trusted(cls, letters: Tuple[Letter, ...], tag: str) -> "GroupWord":
+        """A word from letters already validated under tag, not checked again."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "letters", letters)
+        object.__setattr__(w, "tag", tag)
+        return w
+
     def __mul__(self, other: "GroupWord") -> "GroupWord":
         if self.tag != other.tag:
             raise TagViolation(f"tag mismatch: {self.tag} vs {other.tag}")
-        return GroupWord(self.letters + other.letters, self.tag)
+        return GroupWord._trusted(self.letters + other.letters, self.tag)
 
     def inverse(self) -> "GroupWord":
-        return GroupWord(
+        return GroupWord._trusted(
             tuple((k, s, -e) for k, s, e in reversed(self.letters)), self.tag
         )
 
     def __pow__(self, n: int) -> "GroupWord":
         if n == 0:
-            return GroupWord((), self.tag)
+            return GroupWord._trusted((), self.tag)
         base = self if n > 0 else self.inverse()
-        return GroupWord(base.letters * abs(n), self.tag)
+        return GroupWord._trusted(base.letters * abs(n), self.tag)
 
     def retag(self, tag: str) -> "GroupWord":
         return GroupWord(self.letters, tag)
@@ -400,16 +408,18 @@ def _comb_letters(leaves: List[str]) -> List[Letter]:
     prefix code, in order, onto the right comb 0, 10, ..., 1^(k-2)0,
     1^(k-1) (the right-vine normal form of Cannon-Floyd-Parry): walking
     down the right spine, x_{1^k} rotates the subtree at 1^k right until
-    1^k 0 is a leaf."""
+    1^k 0 is a leaf.  Every other leaf branches off the spine above 1^k,
+    so the rotation fixes it."""
     letters: List[Letter] = []
     k = 0
     while len(leaves) > k + 1:
-        if "1" * k + "0" in leaves:
+        spine = "1" * k
+        if spine + "0" in leaves:
             k += 1
         else:
-            letter = ("x", "1" * k, 1)
+            letter = ("x", spine, 1)
             letters.append(letter)
-            leaves = [partial_action(s, letter) for s in leaves]
+            leaves = [partial_action(s, letter) if s.startswith(spine) else s for s in leaves]
     return letters
 
 
@@ -744,6 +754,11 @@ def _triple_contract(tail: List[Tuple[str, int]]) -> Optional[List[Tuple[str, in
     return None
 
 
+def _unit_entries(tail: Sequence[Tuple[str, int]]) -> List[Tuple[str, int]]:
+    """A tail of (subscript, exponent) entries as (subscript, sign) units."""
+    return [(s, 1 if e > 0 else -1) for s, e in tail for _ in range(abs(e))]
+
+
 @lru_cache(maxsize=65536)
 def canonical_coset(g: GroupWord) -> GroupWord:
     """Canonical representative word for the coset Fg: the standard-form
@@ -752,7 +767,7 @@ def canonical_coset(g: GroupWord) -> GroupWord:
     sf = rewrite_standard_form(g)
     if sf.head.letters and not pm_order_preserving(pm_of_word(sf.head)):
         raise TagViolation("coset representative has a head outside F")
-    units = [(s, sg) for s, e in sf.tail for sg in ([1] * e if e > 0 else [-1] * (-e))]
+    units = _unit_entries(sf.tail)
     for _ in range(10_000):
         new = _triple_contract(units)
         if new is None:
@@ -761,9 +776,7 @@ def canonical_coset(g: GroupWord) -> GroupWord:
         sf2 = rewrite_standard_form(yw)
         if sf2.head.letters and not pm_order_preserving(pm_of_word(sf2.head)):
             raise AssertionError("contracted tail produced a head outside F")
-        units = [
-            (s, sg) for s, e in sf2.tail for sg in ([1] * e if e > 0 else [-1] * (-e))
-        ]
+        units = _unit_entries(sf2.tail)
     key = GroupWord(_merge_letters([("y", s, e) for s, e in units]), g.tag)
     if psi_like_value(key) != psi_like_value(g):
         raise AssertionError("coset key changed the psi height")

@@ -7,12 +7,23 @@ their ordered product is again a special form, and the arrangement's
 1-skeleton is cross-checked against the special-form edge rule on every
 vertex pair.  Pieces glue along shared cosets into larger complexes,
 carrying the Morse data (psi height, negative lexicographic rank).
+
+Clusters are memoised: equal arguments, with the parameters in any
+order, return the same cluster, so a cluster is built and cross-checked
+once and then shared.  An XCluster is therefore immutable: its fields
+cannot be assigned and its label maps are read-only.  The cell complex
+of each arrangement is enumerated once and shared by all its clusters,
+and the edge rule is evaluated once per pair (P, N) of disjoint
+parameter sets, the parameters one vertex has and the other lacks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from functools import lru_cache
+from itertools import combinations
+from types import MappingProxyType
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
 
 from . import group
 from .arrangements import Arrangement, ClusterComplex, enumerate_cells, is_flat_restriction
@@ -60,14 +71,14 @@ class MorseValue:
         return (self.h, self.f)
 
 
-@dataclass
+@dataclass(frozen=True)
 class XCluster:
     base: GroupWord
     params: Tuple[SpecialForm, ...]
     diagonals: FrozenSet[int]
     cluster: ClusterComplex
-    labels: Dict[str, str]  # local vertex cell key -> coset key string
-    label_words: Dict[str, GroupWord]
+    labels: Mapping[str, str]  # local vertex cell key -> coset key string
+    label_words: Mapping[str, GroupWord]
 
     def label_of_coords(self, coords: Sequence[int]) -> str:
         return self.labels[self.cluster.vertex_of_coords(coords)]
@@ -91,15 +102,34 @@ def sort_params(params: Sequence[SpecialForm]) -> Tuple[SpecialForm, ...]:
 
 
 def _difference_entries(
-    forms: Sequence[SpecialForm], bset: frozenset, cset: frozenset
+    forms: Sequence[SpecialForm], plus: FrozenSet[int], minus: FrozenSet[int]
 ) -> List[Tuple[str, int]]:
+    """The entries of the forms in `plus` and the inverse entries of the
+    forms in `minus`, sorted by the tree order."""
     letters: List[Tuple[str, int]] = []
-    for i in sorted(bset - cset):
+    for i in sorted(plus):
         letters.extend(forms[i].entries)
-    for i in sorted(cset - bset):
+    for i in sorted(minus):
         letters.extend(forms[i].inverse_entries())
     letters.sort(key=lambda e: tree_key(e[0]))
     return letters
+
+
+@lru_cache(maxsize=64)
+def _arrangement_frame(k: int, diagonals: FrozenSet[int]):
+    """The cell complex of the k-cluster with these diagonals, its
+    vertices with their coordinates, and every vertex pair (a, b) with
+    the differences A - B and B - A of their parameter sets A, B and
+    whether an edge of the arrangement joins a and b."""
+    cluster = enumerate_cells(Arrangement(k, diagonals))
+    vertices = tuple((v, cluster.vertex_coords(v)) for v in cluster.complex.cells_of_dim(0))
+    edges = set(cluster.edge_vertex_pairs())
+    sets = [frozenset(i for i, c in enumerate(coords) if c) for _, coords in vertices]
+    pairs = tuple(
+        (va, vb, sets[a] - sets[b], sets[b] - sets[a], frozenset({va, vb}) in edges)
+        for (a, (va, _)), (b, (vb, _)) in combinations(enumerate(vertices), 2)
+    )
+    return cluster, vertices, pairs
 
 
 def build_x_cluster(
@@ -109,8 +139,14 @@ def build_x_cluster(
 ) -> XCluster:
     """The labeled k-cluster spanned by independent special-form
     parameters over a base coset; hard-errors when the special-form
-    edge rule disagrees with the arrangement's 1-skeleton."""
-    forms = sort_params(params)
+    edge rule disagrees with the arrangement's 1-skeleton.  Memoised on
+    (base, sorted parameters, tag): the result is shared and immutable,
+    and a failing build raises again on every call."""
+    return _build_x_cluster(base, sort_params(params), tag)
+
+
+@lru_cache(maxsize=4096)
+def _build_x_cluster(base: GroupWord, forms: Tuple[SpecialForm, ...], tag: str) -> XCluster:
     if not forms:
         raise ClusterError("a cluster needs at least one parameter")
     for f in forms:
@@ -123,35 +159,28 @@ def build_x_cluster(
         for i in range(k - 1)
         if group.is_special_entries(forms[i].entries + forms[i + 1].entries)
     )
-    cluster = enumerate_cells(Arrangement(k, diagonals))
+    cluster, vertices, pairs = _arrangement_frame(k, diagonals)
     labels: Dict[str, str] = {}
     label_words: Dict[str, GroupWord] = {}
-    for v in cluster.complex.cells_of_dim(0):
-        coords = cluster.vertex_coords(v)
+    for v, coords in vertices:
         ys = tuple(("y", s, e) for i, c in enumerate(coords) if c for s, e in forms[i].entries)
-        w = GroupWord(ys, tag) * base
-        key = canonical_coset(w)
+        key = canonical_coset(GroupWord(ys, tag) * base)
         labels[v] = key.to_string()
         label_words[v] = key
     if len(set(labels.values())) != len(labels):
         raise ClusterError("coset collision among cluster vertices")
 
-    # cross-check: arrangement edges must equal the special-form edge rule
-    arrangement_edges = {
-        frozenset(cluster.complex.vertices_of(e))
-        for e in cluster.complex.cells_of_dim(1)
-    }
-    vertex_keys = cluster.complex.cells_of_dim(0)
-    sets = {v: frozenset(i for i, c in enumerate(cluster.vertex_coords(v)) if c)
-            for v in vertex_keys}
+    # cross-check: arrangement edges must equal the special-form edge rule,
+    # which reads only the parameters that differ between two vertices
+    rules: Dict[Tuple[FrozenSet[int], FrozenSet[int]], bool] = {}
     mismatches = []
-    for a in range(len(vertex_keys)):
-        for b in range(a + 1, len(vertex_keys)):
-            va, vb = vertex_keys[a], vertex_keys[b]
-            rule = group.is_special_entries(_difference_entries(forms, sets[va], sets[vb]))
-            present = frozenset({va, vb}) in arrangement_edges
-            if rule != present:
-                mismatches.append((labels[va], labels[vb], rule, present))
+    for va, vb, plus, minus, present in pairs:
+        rule = rules.get((plus, minus))
+        if rule is None:
+            rule = group.is_special_entries(_difference_entries(forms, plus, minus))
+            rules[plus, minus] = rule
+        if rule != present:
+            mismatches.append((labels[va], labels[vb], rule, present))
     if mismatches:
         raise CrossCheckError(
             "edge rule and arrangement skeleton disagree on: "
@@ -159,7 +188,9 @@ def build_x_cluster(
                 f"({a}, {b}) rule={r} arrangement={p}" for a, b, r, p in mismatches
             )
         )
-    return XCluster(base, forms, diagonals, cluster, labels, label_words)
+    return XCluster(
+        base, forms, diagonals, cluster, MappingProxyType(labels), MappingProxyType(label_words)
+    )
 
 
 def _global_ids(piece: XCluster) -> Dict[str, str]:

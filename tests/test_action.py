@@ -214,12 +214,29 @@ def test_forced_prefix_is_the_common_refinement_per_letter():
 def test_equal_at_depth_matches_brute_force():
     rng = random.Random(29)
     depth = 7
+    pairs = []
     for _ in range(40):
         w1 = random_word(rng, 3)
         w2 = random_word(rng, 3) if rng.random() < 0.6 else group.GroupWord(
             w1.letters, "Shat"
         )
-        assert action.equal_at_depth(w1, w2, depth) == shortlex_witness(w1, w2, depth)
+        pairs.append((w1, w2))
+    # searches that reach nodes with equal chains and no unmatched output:
+    # g w against g' w once g and g' have emitted the same bits (g' = g h
+    # h^-1 always does), and a word against its unvalidated standard form
+    for _ in range(30):
+        w = random_word(rng, 4)
+        g, g2, h = random_word(rng, 2), random_word(rng, 2), random_word(rng, 2)
+        pairs += [(g * w, g2 * w), (g * w, g * h * h.inverse() * w)]
+        try:
+            sf = group.rewrite_standard_form(w, validate=False)
+        except group.RewriteBudgetExceeded:
+            continue
+        pairs.append((w, sf.word()))
+    for w1, w2 in pairs:
+        witness = action.equal_at_depth(w1, w2, depth)
+        assert witness == shortlex_witness(w1, w2, depth)
+        assert (witness is None) == (oracles.equal_at_depth(w1, w2, depth) is None)
 
 
 def test_letter_machines_match_tuple_interpreter():
@@ -259,8 +276,14 @@ def test_equal_at_depth_rejects_a_negative_depth():
 
 def _first_reached(w1, w2, depth):
     """How many distinct search nodes are first reached at each level
-    below depth: a plain level-set walk, no witness, no order."""
-    level = {(action.initial_states(w1), action.initial_states(w2), "", "")}
+    below depth: a plain level-set walk, no witness, no order.  A node
+    with equal chains and no unmatched output has no witness below it,
+    so it is neither counted nor expanded."""
+
+    def expanded(nodes):
+        return {(s1, s2, a, b) for s1, s2, a, b in nodes if s1 != s2 or a or b}
+
+    level = expanded({(action.initial_states(w1), action.initial_states(w2), "", "")})
     seen = set(level)
     counts = []
     for _ in range(depth):
@@ -273,7 +296,7 @@ def _first_reached(w1, w2, depth):
                 na, nb = a + o1, b + o2
                 m = min(len(na), len(nb))
                 nxt.add((s1, s2, na[m:], nb[m:]))
-        level = nxt - seen
+        level = expanded(nxt) - seen
         seen |= level
     return counts
 
@@ -325,10 +348,9 @@ def test_search_expands_each_node_once_at_bench_depth(monkeypatch):
         monkeypatch.undo()
         for (w1, w2), (witness, n_calls) in zip(pairs, counts):
             assert (witness is None) == (oracles.equal_at_depth(w1, w2, depth) is None)
-            nodes = _first_reached(w1, w2, depth)
             if witness is None:
                 # agreement to depth: each node below depth is expanded once
-                assert n_calls == 4 * sum(nodes)
+                assert n_calls == 4 * sum(_first_reached(w1, w2, depth))
             else:
                 assert witness == shortlex_witness(w1, w2, len(witness))
-                assert n_calls <= 4 * sum(nodes[:len(witness)])
+                assert n_calls <= 4 * sum(_first_reached(w1, w2, len(witness)))

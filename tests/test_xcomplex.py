@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import oracles
@@ -154,7 +155,7 @@ def test_edge_heights_match_special_form_character():
     }
     for pair in pc.cluster.edge_vertex_pairs():
         va, vb = sorted(pair)
-        diff = xcomplex._difference_entries(pc.params, sets[va], sets[vb])
+        diff = xcomplex._difference_entries(pc.params, sets[va] - sets[vb], sets[vb] - sets[va])
         form_sum = sum(e for _, e in diff)
         ha = group.psi_like_value(pc.label_words[va])
         hb = group.psi_like_value(pc.label_words[vb])
@@ -213,6 +214,54 @@ def test_cross_check_on_random_clusters():
         params = clean_params(rng)
         build_x_cluster(F, params)  # raises CrossCheckError on mismatch
         built += 1
+
+
+def test_clusters_are_memoised_and_shared():
+    c = fig1()
+    assert build_x_cluster(F, FIG1_PARAMS[::-1]) is c
+    assert build_x_cluster(F, [FIG1_PARAMS[1], FIG1_PARAMS[2], FIG1_PARAMS[0]], "G") is c
+    assert build_x_cluster(group.identity("Gy"), FIG1_PARAMS, "Gy") is not c
+
+
+def test_failing_builds_raise_on_every_call():
+    for _ in range(2):
+        with pytest.raises(CrossCheckError):
+            build_x_cluster(F, [special_form("y[01]"), special_form("y[10]")])
+        with pytest.raises(ClusterError, match="not independent"):
+            build_x_cluster(F, [special_form("y[01]"), special_form("y[011]")])
+
+
+def test_clusters_are_immutable():
+    c = fig1()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        c.labels = {}
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        c.diagonals = frozenset()
+    v = c.cluster.vertex_of_coords((0, 0, 0))
+    with pytest.raises(TypeError):
+        c.labels[v] = "y[1]"
+    with pytest.raises(TypeError):
+        c.label_words[v] = group.identity("G")
+    assert c.labels[v] == "e"
+
+
+def test_memoised_clusters_match_cold_builds():
+    from genutil import clean_params
+
+    rng = random.Random(41)
+    params = [clean_params(rng, rng.randint(1, 4)) for _ in range(30)]
+    params += [p[::-1] for p in params[:10]]
+    warm = [build_x_cluster(F, p) for p in params]
+    for p, pc in zip(params, warm):
+        xcomplex._build_x_cluster.cache_clear()
+        xcomplex._arrangement_frame.cache_clear()
+        group.canonical_coset.cache_clear()
+        cold = build_x_cluster(F, p)
+        assert cold is not pc
+        assert dict(cold.labels) == dict(pc.labels)
+        assert dict(cold.label_words) == dict(pc.label_words)
+        assert (cold.params, cold.diagonals) == (pc.params, pc.diagonals)
+        assert cold.cluster.complex.dims == pc.cluster.complex.dims
 
 
 def test_assemble_intersection_guard():
