@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import product
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
@@ -218,9 +219,11 @@ def enumerate_cells(arr: Arrangement) -> ClusterComplex:
 Constraint = Tuple  # ("coord", i, value) with i 1-based, or ("diag", i)
 
 
+@lru_cache(maxsize=4096)
 def cell_constraints(key: str, arr: Arrangement) -> FrozenSet[Constraint]:
     """Every flat constraint the cell satisfies: its wall coordinates
-    and its '=' diagonals."""
+    and its '=' diagonals.  Memoised: the intersection guard of an
+    assembly asks again for every cell of a shared cell complex."""
     positions, rels = split_key(key)
     walls = [("coord", i, int(p)) for i, p in enumerate(positions, 1) if p != "i"]
     diags = [("diag", d) for d, r in zip(arr.diag_list(), rels) if r == "="]

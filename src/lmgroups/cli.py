@@ -92,7 +92,7 @@ def cmd_cluster(args):
 
 def cmd_xcluster(args):
     base = group.word(args.base or "e", args.tag)
-    pc = xcomplex.build_x_cluster(base, _parse_forms(args.params), args.tag)
+    pc = xcomplex.build_x_cluster(base, _parse_forms(args.params))
     labels = {v: pc.labels[v] for v in pc.cluster.complex.cells_of_dim(0)}
     if args.dot:
         ranks = {v: group.psi_like_value(w) for v, w in pc.label_words.items()}
@@ -106,7 +106,7 @@ def cmd_xcluster(args):
 
 
 def cmd_asclink(args):
-    cx = xcomplex.assemble(_parse_pieces(args.piece, args.tag), args.tag)
+    cx = xcomplex.assemble(_parse_pieces(args.piece, args.tag))
     link = xcomplex.ascending_link(cx, args.vertex)
     hom, collapsible = topology.homology_and_collapsible(link)
     cells = {d: len(link.cells_of_dim(d)) for d in range(link.dimension() + 1)}
@@ -117,13 +117,13 @@ def cmd_asclink(args):
 
 
 def cmd_cone(args):
-    m, verified = xcomplex.find_cone_vertex(_parse_pieces(args.piece, args.tag), args.tag)
+    m, verified = xcomplex.find_cone_vertex(_parse_pieces(args.piece, args.tag))
     _emit(args, {"m": m, "verified": verified}, f"m={m} verified={verified}")
     return 0 if verified else 2
 
 
 def cmd_homology(args):
-    cx = xcomplex.assemble(_parse_pieces(args.piece, args.tag), args.tag)
+    cx = xcomplex.assemble(_parse_pieces(args.piece, args.tag))
     hom = topology.reduced_homology(cx.complex)
     _emit(args, {"reduced_homology": {str(k): v for k, v in hom.items()}}, str(hom))
     return 0

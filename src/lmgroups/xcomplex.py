@@ -1,12 +1,15 @@
 """Finite labeled pieces of the cluster complex on the F-cosets.
 
-A piece is a base word g and a list of independent special forms; its
-vertices are the cosets of the subset products over the base, its
-arrangement marks the diagonal between adjacent parameters exactly when
-their ordered product is again a special form, and the arrangement's
-1-skeleton is cross-checked against the special-form edge rule on every
-vertex pair.  Pieces glue along shared cosets into larger complexes,
-carrying the Morse data (psi height, negative lexicographic rank).
+A piece is a base word g and a list of independent special forms; the
+group is the base's tag, under which every form's word is built once.
+Its vertices are the cosets of the subset products of those words over
+the base, its arrangement marks the diagonal between adjacent
+parameters exactly when their ordered product is again a special form,
+and the arrangement's 1-skeleton is cross-checked against the
+special-form edge rule on every vertex pair.  Pieces over one group
+glue along shared cosets into larger complexes, carrying the Morse data
+(psi height, then the negative lexicographic rank as an injective
+tie-break, so every cell has a unique minimal vertex by construction).
 
 Clusters are memoised: equal arguments, with the parameters in any
 order, return the same cluster, so a cluster is built and cross-checked
@@ -20,14 +23,15 @@ parameter sets, the parameters one vertex has and the other lacks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations
+from operator import mul
 from types import MappingProxyType
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from . import group
 from .arrangements import Arrangement, ClusterComplex, enumerate_cells, is_flat_restriction
-from .group import GroupWord, SpecialForm, canonical_coset, psi_like_value
+from .group import GroupWord, SpecialForm, TagViolation, canonical_coset, psi_like_value
 from .topology import Complex, is_collapsible, reduced_homology
 from .words import independent, tree_key
 
@@ -94,7 +98,6 @@ class XCluster:
 class XComplex:
     complex: Complex
     vertex_words: Dict[str, GroupWord]
-    pieces: List[XCluster]
 
 
 def sort_params(params: Sequence[SpecialForm]) -> Tuple[SpecialForm, ...]:
@@ -132,25 +135,22 @@ def _arrangement_frame(k: int, diagonals: FrozenSet[int]):
     return cluster, vertices, pairs
 
 
-def build_x_cluster(
-    base: GroupWord,
-    params: Sequence[SpecialForm],
-    tag: str = "G",
-) -> XCluster:
+def build_x_cluster(base: GroupWord, params: Sequence[SpecialForm]) -> XCluster:
     """The labeled k-cluster spanned by independent special-form
-    parameters over a base coset; hard-errors when the special-form
+    parameters over a base coset, in the base's group: a parameter
+    outside it raises TagViolation.  Hard-errors when the special-form
     edge rule disagrees with the arrangement's 1-skeleton.  Memoised on
-    (base, sorted parameters, tag): the result is shared and immutable,
-    and a failing build raises again on every call."""
-    return _build_x_cluster(base, sort_params(params), tag)
+    (base, sorted parameters), the base's tag included: the result is
+    shared and immutable, and a failing build raises again on every
+    call."""
+    return _build_x_cluster(base, sort_params(params))
 
 
 @lru_cache(maxsize=4096)
-def _build_x_cluster(base: GroupWord, forms: Tuple[SpecialForm, ...], tag: str) -> XCluster:
+def _build_x_cluster(base: GroupWord, forms: Tuple[SpecialForm, ...]) -> XCluster:
     if not forms:
         raise ClusterError("a cluster needs at least one parameter")
-    for f in forms:
-        f.word(tag)  # tag validation of every subscript
+    form_words = [f.word(base.tag) for f in forms]  # validates every subscript once
     if not group.independent_forms(forms):
         raise ClusterError("parameters are not independent")
     k = len(forms)
@@ -163,8 +163,8 @@ def _build_x_cluster(base: GroupWord, forms: Tuple[SpecialForm, ...], tag: str) 
     labels: Dict[str, str] = {}
     label_words: Dict[str, GroupWord] = {}
     for v, coords in vertices:
-        ys = tuple(("y", s, e) for i, c in enumerate(coords) if c for s, e in forms[i].entries)
-        key = canonical_coset(GroupWord(ys, tag) * base)
+        chosen = [w for w, c in zip(form_words, coords) if c]
+        key = canonical_coset(reduce(mul, chosen + [base]))
         labels[v] = key.to_string()
         label_words[v] = key
     if len(set(labels.values())) != len(labels):
@@ -205,18 +205,15 @@ def _global_ids(piece: XCluster) -> Dict[str, str]:
     return ids
 
 
-def _restricts_to_flat(piece: XCluster, ids: Dict[str, str], shared: Set[str]) -> bool:
-    return is_flat_restriction(piece.cluster, [c for c, g in ids.items() if g in shared])
-
-
-def assemble(
-    pieces: Sequence[Tuple[GroupWord, Sequence[SpecialForm]]],
-    tag: str = "G",
-) -> XComplex:
+def assemble(pieces: Sequence[Tuple[GroupWord, Sequence[SpecialForm]]]) -> XComplex:
     """Union of labeled clusters with vertices identified by canonical
     coset keys and cells deduplicated by identified vertex sets; every
-    pairwise intersection must be a subcluster of both pieces."""
-    built = [build_x_cluster(b, p, tag) for b, p in pieces]
+    pairwise intersection must be a subcluster of both pieces.  The
+    bases must share one tag, the group of the complex."""
+    tags = sorted({base.tag for base, _ in pieces})
+    if len(tags) > 1:
+        raise TagViolation(f"pieces under different tags: {', '.join(tags)}")
+    built = [build_x_cluster(b, p) for b, p in pieces]
     idmaps = [_global_ids(pc) for pc in built]
 
     dims: Dict[str, int] = {}
@@ -246,15 +243,14 @@ def assemble(
             shared = cells_i & set(idmaps[j].values())
             if not shared:
                 continue
-            if not (
-                _restricts_to_flat(built[i], idmaps[i], shared)
-                and _restricts_to_flat(built[j], idmaps[j], shared)
-            ):
-                raise AssemblyError(
-                    f"intersection of pieces {i} and {j} is not a subcluster of both"
-                )
+            for k in (i, j):
+                keys = [c for c, g in idmaps[k].items() if g in shared]
+                if not is_flat_restriction(built[k].cluster, keys):
+                    raise AssemblyError(
+                        f"intersection of pieces {i} and {j} is not a subcluster of both"
+                    )
 
-    return XComplex(Complex(dims, facets), words, built)
+    return XComplex(Complex(dims, facets), words)
 
 
 # --------------------------------------------------------------------------
@@ -276,7 +272,9 @@ def morse_value(vertex: str, cx: XComplex) -> MorseValue:
 def verify_morse(cx: XComplex, values: Optional[Dict[str, MorseValue]] = None) -> bool:
     """Unique (h, f)-minimal vertex on every cell, integer h (so every
     nonzero h-gap across an edge is at least the gap constant 1),
-    injective f."""
+    injective f.  `morse_values` meets all three by construction (its f
+    is a rank), so the check only has content for values the caller
+    supplies."""
     vals = values if values is not None else morse_values(cx)
     fs = [v.f for v in vals.values()]
     if len(set(fs)) != len(fs):
@@ -294,12 +292,11 @@ def verify_morse(cx: XComplex, values: Optional[Dict[str, MorseValue]] = None) -
 
 def ascending_link(cx: XComplex, vertex: str) -> Complex:
     """Link of the vertex in its ascending star: one link cell per cell
-    whose (h, f)-minimum sits at the vertex."""
+    whose (h, f)-minimum sits at the vertex (unique, since f is
+    injective)."""
     if cx.complex.dims.get(vertex) != 0:
         raise ValueError(f"{vertex!r} is not a vertex of the complex")
     vals = morse_values(cx)
-    if not verify_morse(cx, vals):
-        raise ClusterError("not a Morse function")
     star = []
     for c in cx.complex.cells():
         if cx.complex.dims[c] == 0 or vertex not in cx.complex.vertices_of(c):
@@ -317,19 +314,19 @@ def ascending_link(cx: XComplex, vertex: str) -> Complex:
 
 def find_cone_vertex(
     pieces: Sequence[Tuple[GroupWord, Sequence[SpecialForm]]],
-    tag: str = "G",
 ) -> Tuple[int, bool]:
     """Least m for which the extra parameter on the subscript 0^m 1
     yields buildable enlarged clusters that cone off the whole original
-    link of the base coset; returns (m, True) once verified."""
+    link of the base coset; returns (m, True) once verified.  The bases
+    must share one tag, as in `assemble`."""
     if not pieces:
         return (0, True)
     # the search cones off the link of the root vertex, labelled e
     if any(canonical_coset(base).letters for base, _ in pieces):
         raise ClusterError("cone search expects all pieces based at the trivial coset")
     subs = sorted({s for _, params in pieces for f in params for s in f.subscripts()})
-    original = assemble(pieces, tag)
-    froot = group.identity(tag).to_string()
+    original = assemble(pieces)
+    froot = "e"
     orig_nbrs = original.complex.adjacent_vertices(froot)
     max_m = max((len(s) for s in subs), default=0) + 3
     for m in range(1, max_m + 1):
@@ -338,13 +335,10 @@ def find_cone_vertex(
             continue
         apex_form = SpecialForm(((a, 1),))
         try:
-            big = assemble(
-                [(base, list(params) + [apex_form]) for base, params in pieces],
-                tag,
-            )
+            big = assemble([(base, list(params) + [apex_form]) for base, params in pieces])
         except ClusterError:
             continue
-        apex = group.y_letter(a, 1, tag).to_string()
+        apex = apex_form.to_string()
         edge_ids = {
             frozenset(big.complex.vertices_of(e)): e
             for e in big.complex.cells_of_dim(1)
@@ -360,9 +354,7 @@ def find_cone_vertex(
                 ok = False
                 break
             if not any(
-                froot in big.complex.vertices_of(c)
-                and e_w in big.complex.faces(c)
-                and e_apex in big.complex.faces(c)
+                e_w in big.complex.faces(c) and e_apex in big.complex.faces(c)
                 for c in two_cells
             ):
                 ok = False

@@ -1,3 +1,5 @@
+import inspect
+
 import lmgroups
 
 # The package's public names, spelled out: removing a name from
@@ -70,3 +72,14 @@ PUBLIC_NAMES = [
 
 def test_public_names_are_stable():
     assert lmgroups.__all__ == PUBLIC_NAMES
+
+
+def test_cluster_signatures_read_the_group_off_the_base():
+    # no tag argument: a cluster's group is its base word's tag
+    def params(f):
+        return tuple(inspect.signature(f).parameters)
+
+    assert params(lmgroups.build_x_cluster) == ("base", "params")
+    assert params(lmgroups.assemble) == ("pieces",)
+    assert params(lmgroups.find_cone_vertex) == ("pieces",)
+    assert params(lmgroups.XComplex) == ("complex", "vertex_words")

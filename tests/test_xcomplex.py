@@ -4,8 +4,8 @@ import random
 import oracles
 import pytest
 
-from lmgroups import group, topology, xcomplex
-from lmgroups.group import special_form
+from lmgroups import arrangements, group, topology, xcomplex
+from lmgroups.group import GroupWord, TagViolation, canonical_coset, special_form
 from lmgroups.words import independent
 from lmgroups.xcomplex import (
     ClusterError,
@@ -127,7 +127,7 @@ def test_verify_morse_single_vertex():
     from lmgroups.topology import Complex
 
     cx = xcomplex.XComplex(
-        Complex({"e": 0}, {"e": frozenset()}), {"e": group.identity("G")}, []
+        Complex({"e": 0}, {"e": frozenset()}), {"e": group.identity("G")}
     )
     assert verify_morse(cx)
 
@@ -219,8 +219,8 @@ def test_cross_check_on_random_clusters():
 def test_clusters_are_memoised_and_shared():
     c = fig1()
     assert build_x_cluster(F, FIG1_PARAMS[::-1]) is c
-    assert build_x_cluster(F, [FIG1_PARAMS[1], FIG1_PARAMS[2], FIG1_PARAMS[0]], "G") is c
-    assert build_x_cluster(group.identity("Gy"), FIG1_PARAMS, "Gy") is not c
+    assert build_x_cluster(F, [FIG1_PARAMS[1], FIG1_PARAMS[2], FIG1_PARAMS[0]]) is c
+    assert build_x_cluster(group.identity("Gy"), FIG1_PARAMS) is not c
 
 
 def test_failing_builds_raise_on_every_call():
@@ -255,6 +255,7 @@ def test_memoised_clusters_match_cold_builds():
     for p, pc in zip(params, warm):
         xcomplex._build_x_cluster.cache_clear()
         xcomplex._arrangement_frame.cache_clear()
+        arrangements.cell_constraints.cache_clear()
         group.canonical_coset.cache_clear()
         cold = build_x_cluster(F, p)
         assert cold is not pc
@@ -262,6 +263,57 @@ def test_memoised_clusters_match_cold_builds():
         assert dict(cold.label_words) == dict(pc.label_words)
         assert (cold.params, cold.diagonals) == (pc.params, pc.diagonals)
         assert cold.cluster.complex.dims == pc.cluster.complex.dims
+
+
+def test_labels_are_cosets_of_the_form_products_over_the_base():
+    # each vertex label is the canonical coset of its forms' product over
+    # the base, warm and cold, whatever group the base carries
+    from genutil import clean_params
+
+    rng = random.Random(23)
+    params = [clean_params(rng, rng.randint(1, 4)) for _ in range(10)]
+    bases = [F, group.word("y[01]", "G"), group.word("x[1] y[001]^-1", "G"),
+             group.word("y[0] y[1]^-1", "yGy")]
+    for cold in (False, True):
+        for base in bases:
+            for p in params:
+                if cold:
+                    xcomplex._build_x_cluster.cache_clear()
+                    xcomplex._arrangement_frame.cache_clear()
+                    arrangements.cell_constraints.cache_clear()
+                    group.canonical_coset.cache_clear()
+                pc = build_x_cluster(base, p)
+                for v in pc.cluster.complex.cells_of_dim(0):
+                    coords = pc.cluster.vertex_coords(v)
+                    ys = tuple(("y", s, e) for f, c in zip(pc.params, coords) if c
+                               for s, e in f.entries)
+                    key = canonical_coset.__wrapped__(GroupWord(ys, base.tag) * base)
+                    assert pc.label_words[v] == key
+                    assert pc.labels[v] == key.to_string()
+
+
+def test_the_base_word_carries_the_group():
+    # y[0] and y[1] lie together in yGy alone of the Lodha-Moore groups
+    e = group.identity("yGy")
+    pc = build_x_cluster(e, [special_form("y[0]"), special_form("y[1]^-1")])
+    assert {pc.cluster.vertex_coords(v): g for v, g in pc.labels.items()} == {
+        (0, 0): "e", (0, 1): "y[1]^-1", (1, 0): "y[0]", (1, 1): "y[0] y[1]^-1"}
+    assert {w.tag for w in pc.label_words.values()} == {"yGy"}
+    pieces = [(e, [special_form("y[1]"), special_form("y[0000]")])]
+    cx = assemble(pieces + [(group.word("y[1]", "yGy"), [special_form("y[0]")])])
+    assert sorted(cx.vertex_words) == ["e", "y[0000]", "y[0000] y[1]", "y[0] y[1]", "y[1]"]
+    assert [len(cx.complex.cells_of_dim(d)) for d in range(3)] == [5, 5, 1]
+    assert find_cone_vertex(pieces) == (2, True)
+    # a parameter outside the base's group is refused
+    with pytest.raises(TagViolation):
+        build_x_cluster(F, [special_form("y[0]")])
+
+
+def test_pieces_under_two_tags_are_refused():
+    pieces = [(F, [special_form("y[01]")]), (group.identity("Gy"), [special_form("y[10]")])]
+    for search in (assemble, find_cone_vertex):
+        with pytest.raises(TagViolation, match="pieces under different tags: G, Gy"):
+            search(pieces)
 
 
 def test_assemble_intersection_guard():
@@ -284,6 +336,11 @@ def test_morse_on_mixed_base_assembly():
     assert vals[group.canonical_coset(group.word("y[01]", "G")).to_string()].h == 1
 
 
+def _restricts_to_flat(pc, ids, shared):
+    """The intersection guard of assemble on one piece."""
+    return arrangements.is_flat_restriction(pc.cluster, [c for c, g in ids.items() if g in shared])
+
+
 def _flat_verdicts(pieces):
     """(new check, mask oracle) for each piece on each nonempty pairwise
     intersection, mirroring the guard in assemble."""
@@ -297,7 +354,7 @@ def _flat_verdicts(pieces):
                 continue
             for k in (i, j):
                 out.append((
-                    xcomplex._restricts_to_flat(built[k], idmaps[k], shared),
+                    _restricts_to_flat(built[k], idmaps[k], shared),
                     frozenset(shared) in oracles._flat_cell_sets(built[k], idmaps[k]),
                 ))
     return out
@@ -341,9 +398,9 @@ def test_assemble_intersection_guard_rejects_opposite_corners():
     assert not pc.diagonals
     ids = xcomplex._global_ids(pc)
     corners = {ids[pc.cluster.vertex_of_coords(c)] for c in ((0, 0), (1, 1))}
-    assert not xcomplex._restricts_to_flat(pc, ids, corners)
+    assert not _restricts_to_flat(pc, ids, corners)
     assert frozenset(corners) not in oracles._flat_cell_sets(pc, ids)
     edge = {ids[pc.cluster.vertex_of_coords(c)] for c in ((0, 0), (0, 1))}
     edge.add(next(g for c, g in ids.items() if c.startswith("0i")))
-    assert xcomplex._restricts_to_flat(pc, ids, edge)
+    assert _restricts_to_flat(pc, ids, edge)
     assert frozenset(edge) in oracles._flat_cell_sets(pc, ids)
