@@ -37,6 +37,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import action
 from .words import (
+    X_ROWS,
     check_word,
     consecutive,
     independent,
@@ -409,17 +410,21 @@ def _comb_letters(leaves: List[str]) -> List[Letter]:
     1^(k-1) (the right-vine normal form of Cannon-Floyd-Parry): walking
     down the right spine, x_{1^k} rotates the subtree at 1^k right until
     1^k 0 is a leaf.  Every other leaf branches off the spine above 1^k,
-    so the rotation fixes it."""
+    so the rotation fixes it, and only the suffixes after 1^k are kept.
+    The rotation rewrites the head of each by the row of x that it
+    starts with and copies the rest: every suffix is long enough to
+    choose a row, because neither 1^k nor 1^k 0 is a leaf yet."""
     letters: List[Letter] = []
     k = 0
-    while len(leaves) > k + 1:
-        spine = "1" * k
-        if spine + "0" in leaves:
+    rest = leaves  # the leaves under 1^k, less that prefix
+    while len(rest) > 1:
+        if "0" in rest:
+            rest = [s[1:] for s in rest if s != "0"]
             k += 1
         else:
-            letter = ("x", spine, 1)
-            letters.append(letter)
-            leaves = [partial_action(s, letter) if s.startswith(spine) else s for s in leaves]
+            letters.append(("x", "1" * k, 1))
+            rest = [next(out + s[len(pat):] for pat, out in X_ROWS[1] if s.startswith(pat))
+                    for s in rest]
     return letters
 
 

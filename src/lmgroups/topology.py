@@ -2,17 +2,17 @@
 
 A complex stores cells by key with a dimension and the set of
 codimension-one faces.  Homology first collapses free pairs on the cell
-complex (a homotopy equivalence), then takes the order complex of the
-face poset of what remains (its barycentric subdivision), which turns
-arbitrary polytopal cells into simplices and avoids tracking incidence
-signs for the original cells.  Ranks and torsion come from an integer
-Smith normal form of the simplicial boundary matrices.  These have a
-few +-1 entries per column, so the Smith form first eliminates unit
-pivots on sparse rows (the fast path of Dumas-Saunders-Villard, 2001);
-only a remainder without a unit entry goes to a dense loop that takes
-a least entry as its pivot.  A complex with no free face has a
-subdivision with no free face, so the simplices need no second
-collapse.
+complex (a homotopy equivalence), then takes the cellular chain complex
+of what remains.  Every complex here is regular (its cells are convex
+polytopes and vertex figures of them), so each incidence number is +-1
+and follows by induction on dimension from the face poset alone
+(Lundell-Weingram, "The Topology of CW Complexes", 1969); a poset where
+that induction fails is not regular and raises ValueError.  Ranks and
+torsion come from an integer Smith normal form of the boundary
+matrices.  These have a few +-1 entries per column, so the Smith form
+first eliminates unit pivots on sparse rows (the fast path of
+Dumas-Saunders-Villard, 2001); only a remainder without a unit entry
+goes to a dense loop that takes a least entry as its pivot.
 """
 
 from __future__ import annotations
@@ -97,7 +97,8 @@ class Complex:
 def order_complex(cx: Complex) -> List[Tuple[str, ...]]:
     """Simplices of the order complex of the face poset: one k-simplex
     per strictly increasing chain of k+1 cells.  Its geometric
-    realization is the barycentric subdivision of the complex."""
+    realization is the barycentric subdivision of the complex, from
+    which the tests' reference homology is read."""
     cells = cx.cells()
     simplices: List[Tuple[str, ...]] = []
 
@@ -218,50 +219,6 @@ def _smith_dense(m: List[List[int]]) -> List[int]:
     return diag
 
 
-def homology_of_simplices(simplices: List[Tuple[str, ...]]) -> Dict[int, Tuple[int, List[int]]]:
-    """Reduced integral homology of a simplicial complex given as a list
-    of simplices (vertex tuples, closed under taking subtuples).
-
-    Returns {degree: (betti rank, torsion coefficients)}.  The empty
-    complex reports {-1: (1, [])}.
-    """
-    if not simplices:
-        return {-1: (1, [])}
-    by_dim: Dict[int, List[Tuple[str, ...]]] = {}
-    for s in simplices:
-        by_dim.setdefault(len(s) - 1, []).append(tuple(sorted(s)))
-    for d in by_dim:
-        by_dim[d] = sorted(set(by_dim[d]))
-    top = max(by_dim)
-    index = {d: {s: i for i, s in enumerate(by_dim[d])} for d in by_dim}
-
-    def boundary_matrix(d: int) -> List[List[int]]:
-        # rows: (d-1)-simplices (the empty simplex when d == 0), cols: d-simplices
-        if d == 0:
-            return [[1] * len(by_dim[0])]
-        rows = [[0] * len(by_dim[d]) for _ in by_dim.get(d - 1, [])]
-        for j, s in enumerate(by_dim[d]):
-            for k in range(len(s)):
-                face = s[:k] + s[k + 1:]
-                rows[index[d - 1][face]][j] += (-1) ** k
-        return rows
-
-    ranks: Dict[int, int] = {}
-    torsions: Dict[int, List[int]] = {}
-    for d in range(0, top + 1):
-        diag = smith_diagonal(boundary_matrix(d))
-        ranks[d] = len(diag)
-        torsions[d] = [v for v in diag if v > 1]
-    out: Dict[int, Tuple[int, List[int]]] = {}
-    for d in range(0, top + 1):
-        n_d = len(by_dim.get(d, []))
-        rank_d = ranks.get(d, 0)
-        rank_up = ranks.get(d + 1, 0)
-        betti = n_d - rank_d - rank_up
-        out[d] = (betti, torsions.get(d + 1, []))
-    return out
-
-
 def _collapse(cx: Complex) -> Set[str]:
     """Greedy free-pair collapse: while some cell f has exactly one
     cofacet c and c is maximal, remove the least such f (by dimension,
@@ -298,19 +255,101 @@ def _is_vertex(cx: Complex, rest: Set[str]) -> bool:
     return len(rest) == 1 and cx.dims[next(iter(rest))] == 0
 
 
+def _incidences(cx: Complex, cells: Iterable[str]) -> Dict[str, Dict[str, int]]:
+    """The incidence numbers [c : f] = +-1 of each cell c of positive
+    dimension in a face-closed cell set, by facet f, found by induction
+    on dimension.  An edge gets -1 and +1 on its two vertices in sorted
+    order.  A k-cell gets +1 on its least facet; every ridge r of the
+    cell lies in exactly two of its facets f and g, and walking across
+    it sets [c : g] = -[c : f][f : r][g : r], so that r cancels in the
+    boundary of the boundary.  Raises ValueError where the face poset is
+    not that of a regular CW complex: an edge without two vertices, a
+    ridge in one or in three or more facets, a boundary that is not
+    connected, or signs that disagree."""
+    inc: Dict[str, Dict[str, int]] = {}
+    for c in sorted(cells, key=lambda k: (cx.dims[k], k)):
+        d = cx.dims[c]
+        facets = sorted(cx.facets[c])
+        if d == 1:
+            if len(facets) != 2:
+                raise ValueError(f"edge {c} does not have two vertices")
+            inc[c] = {facets[0]: -1, facets[1]: 1}
+        elif d > 1:
+            if not facets:
+                raise ValueError(f"cell {c} has an empty boundary")
+            at: Dict[str, List[str]] = {}
+            for f in facets:
+                for r in cx.facets[f]:
+                    at.setdefault(r, []).append(f)
+            unpaired = [r for r, fs in at.items() if len(fs) != 2]
+            if unpaired:
+                r = min(unpaired)
+                raise ValueError(f"ridge {r} lies in {len(at[r])} facets of {c}, not 2")
+            sign = {facets[0]: 1}
+            todo = [facets[0]]
+            while todo:
+                f = todo.pop()
+                for r, s in inc[f].items():
+                    a, b = at[r]
+                    g = b if a == f else a
+                    t = -sign[f] * s * inc[g][r]
+                    if g not in sign:
+                        sign[g] = t
+                        todo.append(g)
+                    elif sign[g] != t:
+                        raise ValueError(f"the boundary of {c} has no consistent orientation")
+            if len(sign) != len(facets):
+                raise ValueError(f"the boundary of {c} is not connected")
+            inc[c] = sign
+    return inc
+
+
+def _cellular_homology(cx: Complex, cells: Set[str]) -> Dict[int, Tuple[int, List[int]]]:
+    """Reduced integral homology of the face-closed cell set, from its
+    cellular chain complex augmented by one row under the vertices.
+    Returns {degree: (betti rank, torsion coefficients)} up to the top
+    dimension of the set; the empty set reports {-1: (1, [])}."""
+    if not cells:
+        return {-1: (1, [])}
+    inc = _incidences(cx, cells)
+    by_dim: Dict[int, List[str]] = {}
+    for c in sorted(cells):
+        by_dim.setdefault(cx.dims[c], []).append(c)
+    top = max(by_dim)  # a regular complex has cells of every lower dimension
+    ranks: List[int] = []
+    torsions: List[List[int]] = []
+    for d in range(top + 1):
+        cols = by_dim[d]
+        if d == 0:
+            rows = [[1] * len(cols)]
+        else:
+            below = {f: i for i, f in enumerate(by_dim[d - 1])}
+            rows = [[0] * len(cols) for _ in below]
+            for j, c in enumerate(cols):
+                for f, s in inc[c].items():
+                    rows[below[f]][j] = s
+        diag = smith_diagonal(rows)
+        ranks.append(len(diag))
+        torsions.append([v for v in diag if v > 1])
+    ranks.append(0)
+    torsions.append([])
+    return {d: (len(by_dim[d]) - ranks[d] - ranks[d + 1], torsions[d + 1]) for d in range(top + 1)}
+
+
 def homology_and_collapsible(cx: Complex) -> Tuple[Dict[int, Tuple[int, List[int]]], bool]:
     """reduced_homology(cx) and is_collapsible(cx), read from one collapse."""
     rest = _collapse(cx)
-    h = homology_of_simplices(order_complex(cx.subcomplex(rest)))
+    h = _cellular_homology(cx, rest)
     for d in range(cx.dimension() + 1):
         h.setdefault(d, (0, []))
     return h, _is_vertex(cx, rest)
 
 
 def reduced_homology(cx: Complex) -> Dict[int, Tuple[int, List[int]]]:
-    """Reduced integral homology of a cell complex: collapse free pairs,
-    then take the barycentric subdivision of what remains.  Every degree
-    up to the dimension of the complex gets an entry."""
+    """Reduced integral homology of a regular cell complex: collapse free
+    pairs, then take the cellular homology of what remains.  Every degree
+    up to the dimension of the complex gets an entry.  Raises ValueError
+    when what remains is not a regular CW complex."""
     return homology_and_collapsible(cx)[0]
 
 

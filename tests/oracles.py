@@ -4,7 +4,8 @@ to the definition, with a second only at sizes the first cannot reach.
 - Cells and facets, n <= 5: the sign-vector sweep `enumerate_cells`.
 - Facets, n = 6 and 7 (the sweep takes 22 s at n = 6): the former `_facets`.
 - Flats: the flat-mask enumeration `_flat_cell_sets`.
-- Homology: the barycentric subdivision pipeline `reduced_homology`.
+- Homology: the barycentric subdivision pipeline `reduced_homology`, the
+  simplicial chain complex `homology_of_simplices` of `order_complex`.
 - Collapsibility: the greedy collapse `is_collapsible`, rescanning each step.
 - Smith form above 8 x 8 (minors in test_topology below): `smith_diagonal`.
 - Action: the tuple interpreter `act_prefix`, searched by `equal_at_depth`.
@@ -24,7 +25,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from lmgroups import action, words
+from lmgroups import action, topology, words
 from lmgroups.action import PrefixResult
 from lmgroups.arrangements import (
     POS,
@@ -47,7 +48,7 @@ from lmgroups.group import (
     _merge_letters,
     _ordered_commuting,
 )
-from lmgroups.topology import Complex, homology_of_simplices, order_complex
+from lmgroups.topology import Complex, order_complex
 from lmgroups.words import X_ROWS, independent, p_rows, tree_order_less
 
 
@@ -235,6 +236,51 @@ def _collapse_simplices(simplices: List[Tuple[str, ...]]) -> List[Tuple[str, ...
         cells.discard(f)
         cells.discard(c)
     return sorted(cells)
+
+
+def homology_of_simplices(simplices: List[Tuple[str, ...]]) -> Dict[int, Tuple[int, List[int]]]:
+    """Reduced integral homology of a simplicial complex given as a list
+    of simplices (vertex tuples, closed under taking subtuples), through
+    the library's Smith form.
+
+    Returns {degree: (betti rank, torsion coefficients)}.  The empty
+    complex reports {-1: (1, [])}.
+    """
+    if not simplices:
+        return {-1: (1, [])}
+    by_dim: Dict[int, List[Tuple[str, ...]]] = {}
+    for s in simplices:
+        by_dim.setdefault(len(s) - 1, []).append(tuple(sorted(s)))
+    for d in by_dim:
+        by_dim[d] = sorted(set(by_dim[d]))
+    top = max(by_dim)
+    index = {d: {s: i for i, s in enumerate(by_dim[d])} for d in by_dim}
+
+    def boundary_matrix(d: int) -> List[List[int]]:
+        # rows: (d-1)-simplices (the empty simplex when d == 0), cols: d-simplices
+        if d == 0:
+            return [[1] * len(by_dim[0])]
+        rows = [[0] * len(by_dim[d]) for _ in by_dim.get(d - 1, [])]
+        for j, s in enumerate(by_dim[d]):
+            for k in range(len(s)):
+                face = s[:k] + s[k + 1:]
+                rows[index[d - 1][face]][j] += (-1) ** k
+        return rows
+
+    ranks: Dict[int, int] = {}
+    torsions: Dict[int, List[int]] = {}
+    for d in range(0, top + 1):
+        diag = topology.smith_diagonal(boundary_matrix(d))
+        ranks[d] = len(diag)
+        torsions[d] = [v for v in diag if v > 1]
+    out: Dict[int, Tuple[int, List[int]]] = {}
+    for d in range(0, top + 1):
+        n_d = len(by_dim.get(d, []))
+        rank_d = ranks.get(d, 0)
+        rank_up = ranks.get(d + 1, 0)
+        betti = n_d - rank_d - rank_up
+        out[d] = (betti, torsions.get(d + 1, []))
+    return out
 
 
 def reduced_homology(cx: Complex) -> Dict[int, Tuple[int, List[int]]]:

@@ -11,8 +11,9 @@ from lmgroups.arrangements import Arrangement, enumerate_cells
 from lmgroups.group import identity, special_form
 from lmgroups.topology import (
     Complex,
+    _collapse,
+    _incidences,
     _smith_dense,
-    homology_of_simplices,
     is_collapsible,
     is_trivial_homology,
     order_complex,
@@ -52,7 +53,9 @@ def test_complex_rejects_facets_that_are_not_cells():
 
 def test_face_cache_takes_no_part_in_equality():
     a = enumerate_cells(Arrangement(2, frozenset({1}))).complex
+    enumerate_cells.cache_clear()
     b = enumerate_cells(Arrangement(2, frozenset({1}))).complex
+    assert a is not b
     a.vertices_of(a.cells_of_dim(2)[0])
     assert a == b
 
@@ -150,38 +153,35 @@ def test_homology_sphere_and_disk():
     assert is_collapsible(disk)
 
 
+RP2 = (
+    (1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
+    (2, 3, 5), (2, 4, 5), (2, 4, 6), (3, 4, 6), (3, 5, 6),
+)
+
+
 def test_homology_torsion_projective_plane():
-    # minimal 6-vertex triangulation of the real projective plane
-    tris = [
-        (1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 2, 5),
-        (2, 3, 6), (3, 4, 6), (4, 5, 6), (2, 5, 6),
-        (2, 4, 5) if False else (1, 2, 6),
-    ]
-    # use the standard RP^2 triangulation instead
-    tris = [
-        (1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
-        (2, 3, 5), (2, 4, 5) , (2, 4, 6), (3, 4, 6), (3, 5, 6),
-    ]
+    # the minimal 6-vertex triangulation of the real projective plane,
+    # through the cell complex and through the simplicial oracle
+    tris = [tuple(str(v) for v in t) for t in RP2]
     simplices = []
     for t in tris:
-        t = tuple(str(v) for v in t)
         for mask in range(1, 1 << 3):
             simplices.append(tuple(sorted(v for i, v in enumerate(t) if mask >> i & 1)))
-    h = homology_of_simplices(simplices)
-    assert h[0] == (0, [])
-    assert h[1] == (0, [2])
-    assert h[2] == (0, [])
+    expected = {0: (0, []), 1: (0, [2]), 2: (0, [])}
+    assert reduced_homology(simplicial_complex(tris)) == expected
+    assert oracles.homology_of_simplices(simplices) == expected
 
 
 def test_order_complex_is_subdivision():
     square = simplicial_complex([("a", "b", "c")])
     sd = order_complex(square)
-    h = homology_of_simplices(sd)
+    h = oracles.homology_of_simplices(sd)
     assert is_trivial_homology(h)
 
 
 def test_empty_complex():
-    assert homology_of_simplices([]) == {-1: (1, [])}
+    assert reduced_homology(Complex({}, {})) == {-1: (1, [])}
+    assert oracles.homology_of_simplices([]) == {-1: (1, [])}
 
 
 def test_collapsible_needs_free_faces():
@@ -250,8 +250,10 @@ def test_collapse_first_matches_subdivision_oracles():
 
 
 def _boundary_matrices(monkeypatch):
-    """Every boundary matrix the homology of the arrangement complexes
-    with n <= 4 hands to the Smith form, their skeleta included, but for
+    """Every boundary matrix that the cellular homology of the
+    arrangement complexes with n <= 4 hands to the Smith form, and every
+    one that the simplicial chain complex of the subdivision of what
+    their collapse leaves hands to it, their skeleta included, but for
     the 3-skeleta at n = 4 other than the cube's: on those the former
     dense loop takes 0.5 to 12 s a matrix (up to 2012 x 1072)."""
     seen = []
@@ -267,7 +269,9 @@ def _boundary_matrices(monkeypatch):
             cx = enumerate_cells(Arrangement(n, frozenset(D))).complex
             for k in range(n + 1):
                 if (n, k) != (4, 3) or not D:
-                    reduced_homology(_skeleton(cx, k))
+                    sk = _skeleton(cx, k)
+                    reduced_homology(sk)
+                    oracles.homology_of_simplices(order_complex(sk.subcomplex(_collapse(sk))))
     monkeypatch.undo()
     return seen
 
@@ -290,3 +294,60 @@ def test_sparse_smith_matches_former_dense_loop(monkeypatch):
             assert smith_diagonal(m) == _determinantal_quotients(m), m
         else:
             assert smith_diagonal(m) == oracles.smith_diagonal(m), m
+
+
+def test_induced_incidences_square_to_zero():
+    # every cell of every arrangement with n <= 5, before any collapse:
+    # the boundary of each boundary cancels, the augmentation included
+    for n in range(1, 6):
+        for D in chain.from_iterable(combinations(range(1, n), r) for r in range(n)):
+            cx = enumerate_cells(Arrangement(n, frozenset(D))).complex
+            inc = _incidences(cx, cx.dims)
+            assert inc.keys() == {c for c, d in cx.dims.items() if d > 0}
+            for c, row in inc.items():
+                assert row.keys() == cx.facets[c] and set(row.values()) <= {1, -1}
+                total = {}
+                for f, s in row.items():
+                    for r, t in inc.get(f, {"": 1}).items():
+                        total[r] = total.get(r, 0) + s * t
+                assert not any(total.values()), c
+
+
+def test_non_regular_posets_that_survive_the_collapse_raise():
+    def cx(dims, facets):
+        return Complex(dims, {k: frozenset(facets.get(k, ())) for k in dims})
+
+    def doubled(dims, facets, top, boundary):
+        # two cells on one boundary, so that no face is free
+        d = dims[min(boundary)] + 1
+        return cx(dict(dims, **{top + "1": d, top + "2": d}),
+                  dict(facets, **{top + "1": boundary, top + "2": boundary}))
+
+    rp2 = simplicial_complex([tuple(str(v) for v in t) for t in RP2])
+    cases = [
+        # two edges on one vertex each
+        (cx({"v": 0, "e0": 1, "e1": 1}, {"e0": {"v"}, "e1": {"v"}}),
+         "edge e0 does not have two vertices"),
+        # a 2-cell with no boundary
+        (cx({"f": 2}, {}), "cell f has an empty boundary"),
+        # a 2-cell whose boundary is a path: its end vertices lie in one edge
+        (doubled({"a": 0, "b": 0, "c": 0, "e0": 1, "e1": 1},
+                 {"e0": {"a", "b"}, "e1": {"b", "c"}}, "f", {"e0", "e1"}),
+         "ridge a lies in 1 facets of f1, not 2"),
+        # a 2-cell whose boundary is a theta graph
+        (doubled({"a": 0, "b": 0, "e0": 1, "e1": 1, "e2": 1},
+                 {"e0": {"a", "b"}, "e1": {"a", "b"}, "e2": {"a", "b"}}, "f", {"e0", "e1", "e2"}),
+         "ridge a lies in 3 facets of f1, not 2"),
+        # a 2-cell whose boundary is two circles
+        (doubled({"a": 0, "b": 0, "c": 0, "d": 0, "e0": 1, "e1": 1, "e2": 1, "e3": 1},
+                 {"e0": {"a", "b"}, "e1": {"a", "b"}, "e2": {"c", "d"}, "e3": {"c", "d"}},
+                 "f", {"e0", "e1", "e2", "e3"}),
+         "the boundary of f1 is not connected"),
+        # a 3-cell whose boundary is the projective plane
+        (doubled(rp2.dims, rp2.facets, "c", set(rp2.cells_of_dim(2))),
+         "the boundary of c1 has no consistent orientation"),
+    ]
+    for complex_, message in cases:
+        assert _collapse(complex_) == set(complex_.dims)
+        with pytest.raises(ValueError, match=message):
+            reduced_homology(complex_)
