@@ -201,12 +201,9 @@ def cell_counts(arr: Arrangement) -> List[int]:
     return [sum(col) for col in zip(*partial.values())]
 
 
-@lru_cache(maxsize=64)
 def enumerate_cells(arr: Arrangement) -> ClusterComplex:
     """All satisfiable sign vectors of the arrangement, graded by the
-    number of interior coordinate classes, with the facet relation.
-    Memoised on the arrangement: the result is shared and must not be
-    mutated."""
+    number of interior coordinate classes, with the facet relation."""
     cells = _cells(arr)
     slot: List[Optional[int]] = [None] * (arr.n + 1)
     for k, d in enumerate(arr.diag_list()):

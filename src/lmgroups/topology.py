@@ -6,8 +6,11 @@ complex (a homotopy equivalence), then takes the cellular chain complex
 of what remains.  Every complex here is regular (its cells are convex
 polytopes and vertex figures of them), so each incidence number is +-1
 and follows by induction on dimension from the face poset alone
-(Lundell-Weingram, "The Topology of CW Complexes", 1969); a poset where
-that induction fails is not regular and raises ValueError.  Ranks and
+(Lundell-Weingram, "The Topology of CW Complexes", 1969).  Where that
+induction fails, or a cell boundary does not have the Euler
+characteristic of a sphere, the poset is not regular and homology
+raises ValueError; these checks are necessary, not sufficient, so a
+non-regular poset that passes them is not detected.  Ranks and
 torsion come from an integer Smith normal form of the boundary
 matrices.  These have a few +-1 entries per column, so the Smith form
 first eliminates unit pivots on sparse rows (the fast path of
@@ -262,10 +265,13 @@ def _incidences(cx: Complex, cells: Iterable[str]) -> Dict[str, Dict[str, int]]:
     order.  A k-cell gets +1 on its least facet; every ridge r of the
     cell lies in exactly two of its facets f and g, and walking across
     it sets [c : g] = -[c : f][f : r][g : r], so that r cancels in the
-    boundary of the boundary.  Raises ValueError where the face poset is
-    not that of a regular CW complex: an edge without two vertices, a
-    ridge in one or in three or more facets, a boundary that is not
-    connected, or signs that disagree."""
+    boundary of the boundary.  Raises ValueError on an edge without two
+    vertices, a cell with no facets, a ridge in one or in three or more
+    facets of a cell, a cell boundary that is not connected, signs that
+    disagree, or a cell boundary whose Euler characteristic is not that
+    of a sphere.  These checks are necessary for a regular CW complex,
+    not sufficient: from dimension 4 up, a cell boundary can pass them
+    all without being a sphere, and then the answer is not checked."""
     inc: Dict[str, Dict[str, int]] = {}
     for c in sorted(cells, key=lambda k: (cx.dims[k], k)):
         d = cx.dims[c]
@@ -300,6 +306,11 @@ def _incidences(cx: Complex, cells: Iterable[str]) -> Dict[str, Dict[str, int]]:
                         raise ValueError(f"the boundary of {c} has no consistent orientation")
             if len(sign) != len(facets):
                 raise ValueError(f"the boundary of {c} is not connected")
+            chi = sum(1 if cx.dims[g] % 2 == 0 else -1 for g in cx.faces(c))
+            if chi != 1 + (-1) ** (d - 1):
+                raise ValueError(
+                    f"the boundary of {c} has Euler characteristic {chi}, not that of a sphere"
+                )
             inc[c] = sign
     return inc
 
@@ -349,7 +360,9 @@ def reduced_homology(cx: Complex) -> Dict[int, Tuple[int, List[int]]]:
     """Reduced integral homology of a regular cell complex: collapse free
     pairs, then take the cellular homology of what remains.  Every degree
     up to the dimension of the complex gets an entry.  Raises ValueError
-    when what remains is not a regular CW complex."""
+    when a cell of what remains fails one of the checks listed in
+    `_incidences`; a complex that passes them without being regular is
+    not detected."""
     return homology_and_collapsible(cx)[0]
 
 

@@ -146,17 +146,6 @@ def test_cells_and_facets_match_sweep_oracle():
         assert complex_to_json(enumerate_cells(arr)) == complex_to_json(oracles.enumerate_cells(arr))
 
 
-def test_enumeration_is_shared_and_equals_a_cold_build():
-    for n in range(1, 5):
-        for D in all_diag_subsets(n):
-            warm = enumerate_cells(Arrangement(n, frozenset(D)))
-            assert enumerate_cells(Arrangement(n, frozenset(D))) is warm
-            enumerate_cells.cache_clear()
-            cold = enumerate_cells(Arrangement(n, frozenset(D)))
-            assert cold is not warm
-            assert cold == warm and cold.complex.facets == warm.complex.facets
-
-
 def test_local_facets_match_former_table_lookup():
     # the sweep oracle checks facets up to n = 5 and takes 22 s at n = 6;
     # the table lookup takes over at n = 6 and 7

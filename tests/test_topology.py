@@ -53,7 +53,6 @@ def test_complex_rejects_facets_that_are_not_cells():
 
 def test_face_cache_takes_no_part_in_equality():
     a = enumerate_cells(Arrangement(2, frozenset({1}))).complex
-    enumerate_cells.cache_clear()
     b = enumerate_cells(Arrangement(2, frozenset({1}))).complex
     assert a is not b
     a.vertices_of(a.cells_of_dim(2)[0])
@@ -324,6 +323,9 @@ def test_non_regular_posets_that_survive_the_collapse_raise():
                   dict(facets, **{top + "1": boundary, top + "2": boundary}))
 
     rp2 = simplicial_complex([tuple(str(v) for v in t) for t in RP2])
+    torus = simplicial_complex(
+        [tuple(str((i + j) % 7) for j in t) for i in range(7) for t in ((0, 1, 3), (0, 2, 3))]
+    )
     cases = [
         # two edges on one vertex each
         (cx({"v": 0, "e0": 1, "e1": 1}, {"e0": {"v"}, "e1": {"v"}}),
@@ -346,6 +348,10 @@ def test_non_regular_posets_that_survive_the_collapse_raise():
         # a 3-cell whose boundary is the projective plane
         (doubled(rp2.dims, rp2.facets, "c", set(rp2.cells_of_dim(2))),
          "the boundary of c1 has no consistent orientation"),
+        # two 3-cells whose boundary is the 7-vertex torus: orientable and
+        # connected, but with Euler characteristic 0
+        (doubled(torus.dims, torus.facets, "c", set(torus.cells_of_dim(2))),
+         "the boundary of c1 has Euler characteristic 0, not that of a sphere"),
     ]
     for complex_, message in cases:
         assert _collapse(complex_) == set(complex_.dims)

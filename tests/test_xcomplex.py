@@ -255,7 +255,6 @@ def test_memoised_clusters_match_cold_builds():
     for p, pc in zip(params, warm):
         xcomplex._build_x_cluster.cache_clear()
         xcomplex._arrangement_frame.cache_clear()
-        arrangements.enumerate_cells.cache_clear()
         arrangements.cell_constraints.cache_clear()
         group.canonical_coset.cache_clear()
         cold = build_x_cluster(F, p)
@@ -281,7 +280,6 @@ def test_labels_are_cosets_of_the_form_products_over_the_base():
                 if cold:
                     xcomplex._build_x_cluster.cache_clear()
                     xcomplex._arrangement_frame.cache_clear()
-                    arrangements.enumerate_cells.cache_clear()
                     arrangements.cell_constraints.cache_clear()
                     group.canonical_coset.cache_clear()
                 pc = build_x_cluster(base, p)
