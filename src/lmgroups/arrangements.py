@@ -8,15 +8,19 @@ diagonal.  Because the diagonals lie along a path, a sign vector is
 satisfiable exactly when every chosen diagonal sees an allowed pair of
 adjacent positions.  Cells are grown coordinate by coordinate from that
 pair table, and a transfer matrix over the same table counts them by
-dimension without listing them, for any n.  Facets come from local
-moves: merge two interior classes across a strict diagonal, or pin one
-interior class to a wall, which only its two boundary diagonals can
-forbid.  A cell set is a flat restriction exactly when it equals the
-cells satisfying every constraint the set shares.  The diagonals of a
-flat join runs of adjacent coordinates, so a flat is read as its
-coordinate classes, left to right, each pinned to a wall or free; its
-kind, its inherited arrangement and its cell map follow from those
-classes.  All arithmetic is exact.
+dimension without listing them, for any n.  A diagonal only joins
+coordinates inside one run, a maximal block of coordinates joined by
+chosen diagonals, so the cell complex is the product of its runs'
+complexes.  Only a run, the full path on its coordinates, is listed
+cell by cell; its facets come from local moves: merge two interior
+classes across a strict diagonal, or pin one interior class to a wall,
+which only its two boundary diagonals can forbid.  A cell set is a flat
+restriction exactly when it equals the cells satisfying every
+constraint the set shares.  The diagonals of a flat join runs of
+adjacent coordinates, so a flat is read as its coordinate classes, left
+to right, each pinned to a wall or free; its kind, its inherited
+arrangement and its cell map follow from those classes.  All arithmetic
+is exact.
 """
 
 from __future__ import annotations
@@ -132,10 +136,9 @@ class ClusterComplex:
 def _cells(arr: Arrangement) -> Dict[str, int]:
     """Every cell with its dimension, grown one coordinate at a time
     through the pair table.  The dimension counts the interior classes:
-    interior positions minus the '=' joining two of them."""
-    if arr.n > 12:
-        raise ValueError("dimension bound exceeded (n <= 12)")
-    partial = [(p, "", int(p == "i")) for p in POS]
+    interior positions minus the '=' joining two of them.  Only
+    `_run_table` calls it, under the bound `enumerate_cells` checks."""
+    partial =[(p, "", int(p == "i")) for p in POS]
     for j in range(1, arr.n):
         steps = STEPS[j in arr.diagonals]
         partial = [
@@ -151,35 +154,34 @@ def _cells(arr: Arrangement) -> Dict[str, int]:
 PINS = (("0", ">", "<"), ("1", "<", ">"))
 
 
-def _facets(positions: str, rels: str, slot: List[Optional[int]]) -> FrozenSet[str]:
-    """The cells one dimension down in the closure, by a local rule;
-    slot[j] is the index in `rels` of diagonal j, None when j (0..n) is
-    not a diagonal.  Merging two interior classes across a strict
-    diagonal sets it to '='.  Pinning an interior class to v touches only
-    the class's two boundary diagonals: next to an interior neighbour the
-    pin stands only if the relation points the right way (v = 1 iff '<'
-    on the left, '>' on the right), and a wall neighbour equal to v
-    turns the relation into '='."""
+def _facets(positions: str, rels: str) -> FrozenSet[str]:
+    """The cells one dimension down in the closure of a cell of one run,
+    the full path, by a local rule: every interior boundary j is a
+    diagonal with relation rels[j - 1].  Merging two interior classes
+    across a strict diagonal sets it to '='.  Pinning an interior class
+    to v touches only the class's two boundary diagonals: next to an
+    interior neighbour the pin stands only if the relation points the
+    right way (v = 1 iff '<' on the left, '>' on the right), and a wall
+    neighbour equal to v turns the relation into '='."""
+    n = len(positions)
     out = set()
     lo = 0
-    for hi in range(1, len(positions) + 1):
-        right = slot[hi]
-        if right is not None and rels[right] == "=":
+    for hi in range(1, n + 1):
+        if hi < n and rels[hi - 1] == "=":
             continue
         if positions[lo] == "i":
-            left = slot[lo]
-            a = positions[lo - 1] if left is not None else None
-            b = positions[hi] if right is not None else None
+            a = positions[lo - 1] if lo else None
+            b = positions[hi] if hi < n else None
             if b == "i":
-                out.add(f"{positions}|{rels[:right]}={rels[right + 1:]}")
+                out.add(f"{positions}|{rels[:hi - 1]}={rels[hi:]}")
             for v, up, down in PINS:
-                if a == "i" and rels[left] != up or b == "i" and rels[right] != down:
+                if a == "i" and rels[lo - 1] != up or b == "i" and rels[hi - 1] != down:
                     continue
                 pinned = rels
                 if a == v:
-                    pinned = f"{pinned[:left]}={pinned[left + 1:]}"
+                    pinned = f"{pinned[:lo - 1]}={pinned[lo:]}"
                 if b == v:
-                    pinned = f"{pinned[:right]}={pinned[right + 1:]}"
+                    pinned = f"{pinned[:hi - 1]}={pinned[hi:]}"
                 out.add(f"{positions[:lo]}{v * (hi - lo)}{positions[hi:]}|{pinned}")
         lo = hi
     return frozenset(out)
@@ -201,15 +203,51 @@ def cell_counts(arr: Arrangement) -> List[int]:
     return [sum(col) for col in zip(*partial.values())]
 
 
+def _run_table(m: int) -> Tuple[Sequence[str], Sequence[str], Sequence[int], List[Tuple[int, ...]]]:
+    """The cells of one run of m coordinates, the full path, in key
+    order: positions, relations, dimensions, and each cell's facets as
+    offsets from its own index."""
+    cells = _cells(Arrangement(m, frozenset(range(1, m))))
+    index = {k: i for i, k in enumerate(cells)}
+    P, R = zip(*map(split_key, cells))
+    O = [tuple(index[f] - i for f in _facets(p, r)) for i, (p, r) in enumerate(zip(P, R))]
+    return P, R, tuple(cells.values()), O
+
+
 def enumerate_cells(arr: Arrangement) -> ClusterComplex:
     """All satisfiable sign vectors of the arrangement, graded by the
-    number of interior coordinate classes, with the facet relation."""
-    cells = _cells(arr)
-    slot: List[Optional[int]] = [None] * (arr.n + 1)
-    for k, d in enumerate(arr.diag_list()):
-        slot[d] = k
-    facets = {k: _facets(*split_key(k), slot) for k in cells}
-    return ClusterComplex(arr, Complex(cells, facets))
+    number of interior coordinate classes, with the facet relation.  A
+    diagonal only joins coordinates inside one run, the maximal block
+    of coordinates joined by chosen diagonals, so the complex is the
+    product of its runs' complexes, and the faces of a product are the
+    products of faces (Ziegler, Lectures on Polytopes, 1995, section 0).
+    Each run length gets one table from `_cells` and `_facets`, and the
+    tables are folded left to right: a facet of a product cell replaces
+    one factor by a facet of it, so the fold only scales and adds index
+    offsets and builds no facet keys.  Each facet set holds the cell
+    table's own key objects."""
+    if arr.n > 12:
+        raise ValueError("dimension bound exceeded (n <= 12)")
+    runs = []
+    lo = 0
+    for hi in range(1, arr.n + 1):
+        if hi not in arr.diagonals:
+            runs.append(hi - lo)
+            lo = hi
+    tables = {m: _run_table(m) for m in set(runs)}
+    P, R, D, O = tables[runs[0]]
+    for m in runs[1:]:
+        P2, R2, D2, O2 = tables[m]
+        k2 = len(P2)
+        P = [p + q for p in P for q in P2]
+        R = [r + s for r in R for s in R2]
+        D = [d + e for d in D for e in D2]
+        O = [a + b for a in [tuple(o * k2 for o in oa) for oa in O] for b in O2]
+    keys = [f"{p}|{r}" for p, r in zip(P, R)]
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    dims = {keys[i]: D[i] for i in order}
+    facets = {keys[i]: frozenset(keys[i + o] for o in O[i]) for i in order}
+    return ClusterComplex(arr, Complex(dims, facets))
 
 
 # --------------------------------------------------------------------------

@@ -87,10 +87,14 @@ class Complex:
         return out
 
     def subcomplex(self, keys: Iterable[str]) -> "Complex":
+        """The complex on a cell set closed under faces.  A set holding
+        every facet of each of its cells holds every face, by induction
+        on dimension, so only facets are checked; the least cell missing
+        a facet is named."""
         keep = set(keys)
-        for k in keep:
-            if not self.faces(k) <= keep:
-                raise ValueError(f"cell set not closed under faces at {k}")
+        open_cells = [k for k in keep if not self.facets[k] <= keep]
+        if open_cells:
+            raise ValueError(f"cell set not closed under faces at {min(open_cells)}")
         return Complex(
             {k: self.dims[k] for k in keep},
             {k: self.facets[k] for k in keep},

@@ -4,6 +4,7 @@ from itertools import chain, combinations, product
 import oracles
 import pytest
 
+from lmgroups import arrangements
 from lmgroups.arrangements import (
     Arrangement,
     ClusterComplex,
@@ -148,14 +149,76 @@ def test_cells_and_facets_match_sweep_oracle():
 
 def test_local_facets_match_former_table_lookup():
     # the sweep oracle checks facets up to n = 5 and takes 22 s at n = 6;
-    # the table lookup takes over at n = 6 and 7
+    # the table lookup takes over at n = 6 and 7 on the single runs, and
+    # the product test below carries them to every arrangement
     for n in (6, 7):
+        arr = Arrangement(n, frozenset(range(1, n)))
+        cx = enumerate_cells(arr).complex
+        for key, facets in cx.facets.items():
+            positions, rels = key.split("|")
+            assert facets == oracles._facets(positions, rels, arr, cx.dims), key
+
+
+def _product(left, right):
+    """The product of two cell complexes, by substituting keys: a product
+    cell joins its factors' positions and relations, its dimension is
+    their sum, and a facet replaces one factor by a facet of it."""
+    parts = {k: k.split("|") for k in (*left.dims, *right.dims)}
+    dims, facets = {}, {}
+    for c, d in left.dims.items():
+        p, r = parts[c]
+        for e, d2 in right.dims.items():
+            q, s = parts[e]
+            key = f"{p}{q}|{r}{s}"
+            dims[key] = d + d2
+            facets[key] = {f"{parts[g][0]}{q}|{parts[g][1]}{s}" for g in left.facets[c]} | {
+                f"{p}{parts[h][0]}|{r}{parts[h][1]}" for h in right.facets[e]
+            }
+    return dims, facets
+
+
+def test_cells_are_the_product_of_their_runs():
+    # the last run splits off each arrangement: the rest is a smaller
+    # arrangement, checked the same way, so by induction every complex
+    # with n <= 7 is the product of its runs; with the sweep (n <= 5) and
+    # the table lookup (single runs, n = 6 and 7) every one is checked
+    smaller = {}
+    for n in range(1, 8):
         for D in all_diag_subsets(n):
             arr = Arrangement(n, frozenset(D))
             cx = enumerate_cells(arr).complex
-            for key, facets in cx.facets.items():
-                positions, rels = key.split("|")
-                assert facets == oracles._facets(positions, rels, arr, cx.dims), key
+            if n < 7:
+                smaller[arr] = cx
+            lo = max((j for j in range(1, n) if j not in D), default=0)
+            if not lo:
+                continue
+            rest = smaller[Arrangement(lo, frozenset(d for d in D if d < lo))]
+            run = smaller[Arrangement(n - lo, frozenset(range(1, n - lo)))]
+            dims, facets = _product(rest, run)
+            assert cx.dims == dims, (n, D)
+            assert cx.facets == facets, (n, D)
+
+
+def test_cell_table_is_sorted_and_facets_share_its_keys():
+    for n in range(1, 7):
+        for D in all_diag_subsets(n):
+            cx = enumerate_cells(Arrangement(n, frozenset(D))).complex
+            assert list(cx.dims) == sorted(cx.dims), (n, D)
+            key_of = {k: k for k in cx.dims}
+            for fs in cx.facets.values():
+                assert all(f is key_of[f] for f in fs), (n, D)
+
+
+def test_dimension_bound_comes_before_the_run_tables(monkeypatch):
+    # with no diagonals every run has length 1, so no run table would
+    # ever reach the bound: 3^13 cells would be listed
+    def no_table(m):
+        raise AssertionError("run table built past the bound")
+
+    monkeypatch.setattr(arrangements, "_run_table", no_table)
+    for D in (frozenset(), frozenset(range(1, 13)), frozenset({1, 5, 9})):
+        with pytest.raises(ValueError, match=r"dimension bound exceeded \(n <= 12\)"):
+            enumerate_cells(Arrangement(13, D))
 
 
 def test_transfer_matrix_counts_match_listed_cells():

@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import chain, combinations
 from math import gcd
 
@@ -57,6 +58,47 @@ def test_face_cache_takes_no_part_in_equality():
     assert a is not b
     a.vertices_of(a.cells_of_dim(2)[0])
     assert a == b
+
+
+def test_subcomplex_names_the_least_cell_missing_a_facet():
+    cx = enumerate_cells(Arrangement(2, frozenset({1}))).complex
+    keep = [c for c in cx.dims if c != "00|="]
+    # the two triangles miss the vertex only as a face of a face
+    assert sorted(c for c in keep if "00|=" in cx.faces(c)) == ["0i|<", "i0|>", "ii|<", "ii|=", "ii|>"]
+    for order in (keep, keep[::-1]):
+        with pytest.raises(ValueError, match=r"not closed under faces at 0i\|<$"):
+            cx.subcomplex(order)
+
+
+def test_subcomplex_accepts_exactly_the_sets_closed_under_faces():
+    # every arrangement with n <= 3 minus one cell: closed under faces iff
+    # the cell is a face of nothing, and otherwise the least cell holding
+    # it as a facet is named
+    for n in range(1, 4):
+        for D in chain.from_iterable(combinations(range(1, n), r) for r in range(n)):
+            cx = enumerate_cells(Arrangement(n, frozenset(D))).complex
+            for gone in cx.dims:
+                keep = [c for c in cx.dims if c != gone]
+                if not any(gone in cx.faces(c) for c in keep):
+                    assert cx.subcomplex(keep).dims == {c: cx.dims[c] for c in keep}
+                    continue
+                least = min(c for c in keep if gone in cx.facets[c])
+                with pytest.raises(ValueError, match=f"at {re.escape(least)}$"):
+                    cx.subcomplex(keep)
+
+
+def test_skeleta_match_face_closed_restriction():
+    # the skeleta the cells benchmark takes, against the restriction of
+    # dims and facets after a check of every face of every kept cell
+    for n in range(1, 6):
+        for D in chain.from_iterable(combinations(range(1, n), r) for r in range(n)):
+            cx = enumerate_cells(Arrangement(n, frozenset(D))).complex
+            for k in range(n + 1):
+                keep = [c for c, d in cx.dims.items() if d <= k]
+                assert all(cx.faces(c) <= set(keep) for c in keep)
+                sub = cx.subcomplex(keep)
+                assert sub.dims == {c: cx.dims[c] for c in keep}
+                assert sub.facets == {c: cx.facets[c] for c in keep}
 
 
 def test_smith_diagonal_known():
