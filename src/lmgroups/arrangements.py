@@ -214,6 +214,12 @@ def _run_table(m: int) -> Tuple[Sequence[str], Sequence[str], Sequence[int], Lis
     return P, R, tuple(cells.values()), O
 
 
+# The most cells enumerate_cells lists: a run of m coordinates alone has
+# (2 * 4^m + 1) / 3 cells, 43 691 at m = 8 and 174 763 at m = 9, so every
+# arrangement with n <= 8 fits.
+MAX_CELLS = 100_000
+
+
 def enumerate_cells(arr: Arrangement) -> ClusterComplex:
     """All satisfiable sign vectors of the arrangement, graded by the
     number of interior coordinate classes, with the facet relation.  A
@@ -225,9 +231,13 @@ def enumerate_cells(arr: Arrangement) -> ClusterComplex:
     tables are folded left to right: a facet of a product cell replaces
     one factor by a facet of it, so the fold only scales and adds index
     offsets and builds no facet keys.  Each facet set holds the cell
-    table's own key objects."""
+    table's own key objects.  Past n = 12 or MAX_CELLS cells it raises
+    ValueError before any table is built."""
     if arr.n > 12:
         raise ValueError("dimension bound exceeded (n <= 12)")
+    cells = sum(cell_counts(arr))
+    if cells > MAX_CELLS:
+        raise ValueError(f"cell bound exceeded ({cells} cells > {MAX_CELLS})")
     runs = []
     lo = 0
     for hi in range(1, arr.n + 1):

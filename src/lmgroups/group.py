@@ -25,6 +25,13 @@ head, transporting each y unit it passes or expanding it when the
 partial action is undefined; one scan then sorts the tail, stepping
 back one position after a cancellation or a swap and starting over only
 after a rule that transports the tail's prefix.
+
+Coset keys (`canonical_coset`, the vertices of the cluster complex)
+skip the rewriter on a product of unit y letters with pairwise
+independent subscripts: independent y letters commute by a defining
+relation, so the standard form of such a word is the word sorted by
+the tree order, and contracting a triple keeps the subscripts
+independent.  The sorted word is still checked against the action.
 """
 
 from __future__ import annotations
@@ -46,6 +53,7 @@ from .words import (
     letter_code,
     partial_action,
     text_to_word,
+    tree_key,
     tree_order_less,
     word_to_text,
 )
@@ -84,7 +92,18 @@ def y_subscript_allowed(tag: str, s: str) -> bool:
 
 
 def _validate_letter(letter, tag: str) -> Letter:
+    """The letter as a (kind, subscript, exponent) tuple if it is valid
+    under tag, else TagViolation or ValueError.  Checked once per letter
+    and tag: the memo is typed, so 1, True and 1.0 are distinct keys, and
+    an unhashable letter, or a rejected one, is checked afresh."""
     kind, sub, exp = letter
+    try:
+        return _checked_letter(kind, sub, exp, tag)
+    except TypeError:
+        return _check_letter(kind, sub, exp, tag)
+
+
+def _check_letter(kind, sub, exp, tag: str) -> Letter:
     if not isinstance(exp, int) or exp == 0:
         raise TagViolation(f"exponent must be a nonzero integer, got {exp!r}")
     if kind == "p":
@@ -103,6 +122,9 @@ def _validate_letter(letter, tag: str) -> Letter:
     else:
         raise TagViolation(f"unknown letter kind {kind!r}")
     return (kind, sub, exp)
+
+
+_checked_letter = lru_cache(maxsize=65536, typed=True)(_check_letter)
 
 
 @dataclass(frozen=True)
@@ -764,24 +786,58 @@ def _unit_entries(tail: Sequence[Tuple[str, int]]) -> List[Tuple[str, int]]:
     return [(s, 1 if e > 0 else -1) for s, e in tail for _ in range(abs(e))]
 
 
+# A round of canonical_coset's contraction loop on a sorted tail removes
+# two units, but a rewritten tail need not shrink, so the loop is capped.
+MAX_COSET_CONTRACTIONS = 10_000
+
+
+def _coset_units(w: GroupWord) -> Tuple[GroupWord, List[Tuple[str, int]]]:
+    """The head and the unit tail of w's standard form.  A word of unit
+    y letters whose subscripts are pairwise independent is its own tail,
+    sorted by the tree order: y_s y_t = y_t y_s for independent s, t is a
+    defining relation, and the rewriter on such a word only swaps.  The
+    order is post-order, so a prefix-related pair of units (an equal
+    pair included) always shows up as an adjacent pair once sorted.
+    Every other word goes to rewrite_standard_form.  Both branches check
+    their result against w with the action oracle."""
+    if all(k == "y" and e in (1, -1) for k, _, e in w.letters):
+        tail = tuple(sorted(w.letters, key=lambda l: tree_key(l[1])))
+        if all(independent(s, t) for (_, s, _), (_, t, _) in zip(tail, tail[1:])):
+            witness = action.equal_at_depth(w, GroupWord._trusted(tail, w.tag), DEFAULT_DEPTH)
+            if witness is not None:
+                raise AssertionError(
+                    f"sorting produced an unequal word (witness input {witness!r})"
+                )
+            return GroupWord._trusted((), w.tag), [(s, e) for _, s, e in tail]
+    sf = rewrite_standard_form(w)
+    return sf.head, _unit_entries(sf.tail)
+
+
 @lru_cache(maxsize=65536)
 def canonical_coset(g: GroupWord) -> GroupWord:
     """Canonical representative word for the coset Fg: the standard-form
     tail with the F head dropped and every left-absorbable triple
-    y_{u0} y_{u10}^-1 y_{u11} contracted to y_u."""
-    sf = rewrite_standard_form(g)
-    if sf.head.letters and not pm_order_preserving(pm_of_word(sf.head)):
+    y_{u0} y_{u10}^-1 y_{u11} contracted to y_u.
+
+    The tail comes from `_coset_units`, which sorts a product of unit y
+    letters with pairwise independent subscripts (the vertex words of a
+    cluster over the identity, for one) instead of rewriting it.  That
+    branch is closed under the contraction: each unit other than the
+    triple is independent of u0, u10 and u11, hence of u, so x_u^-1
+    fixes it and the contracted tail is again pairwise independent.
+    More than MAX_COSET_CONTRACTIONS rounds raise RewriteBudgetExceeded."""
+    head, units = _coset_units(g)
+    if head.letters and not pm_order_preserving(pm_of_word(head)):
         raise TagViolation("coset representative has a head outside F")
-    units = _unit_entries(sf.tail)
-    for _ in range(10_000):
-        new = _triple_contract(units)
-        if new is None:
-            break
-        yw = GroupWord(tuple(("y", s, e) for s, e in new), g.tag)
-        sf2 = rewrite_standard_form(yw)
-        if sf2.head.letters and not pm_order_preserving(pm_of_word(sf2.head)):
+    rounds = 0
+    while (new := _triple_contract(units)) is not None:
+        if rounds == MAX_COSET_CONTRACTIONS:
+            partial = GroupWord(tuple(("y", s, e) for s, e in units), g.tag)
+            raise RewriteBudgetExceeded(partial, "coset-contraction budget exceeded")
+        rounds += 1
+        head, units = _coset_units(GroupWord(tuple(("y", s, e) for s, e in new), g.tag))
+        if head.letters and not pm_order_preserving(pm_of_word(head)):
             raise AssertionError("contracted tail produced a head outside F")
-        units = _unit_entries(sf2.tail)
     key = GroupWord(_merge_letters([("y", s, e) for s, e in units]), g.tag)
     if psi_like_value(key) != psi_like_value(g):
         raise AssertionError("coset key changed the psi height")

@@ -221,6 +221,24 @@ def test_dimension_bound_comes_before_the_run_tables(monkeypatch):
             enumerate_cells(Arrangement(13, D))
 
 
+def test_cell_bound_comes_before_the_run_tables(monkeypatch):
+    # one run of m coordinates has (2 * 4^m + 1) / 3 cells: n = 9 and 12
+    # pass the dimension bound but not the cell bound
+    def no_table(m):
+        raise AssertionError("run table built past the bound")
+
+    monkeypatch.setattr(arrangements, "_run_table", no_table)
+    for n, cells in ((9, 174_763), (12, 11_184_811)):
+        with pytest.raises(ValueError, match=rf"cell bound exceeded \({cells} cells > 100000\)"):
+            enumerate_cells(Arrangement(n, frozenset(range(1, n))))
+
+
+def test_cell_bound_admits_every_arrangement_up_to_eight():
+    worst = max(sum(cell_counts(Arrangement(n, frozenset(D))))
+                for n in range(1, 9) for D in all_diag_subsets(n))
+    assert worst == (2 * 4 ** 8 + 1) // 3 <= arrangements.MAX_CELLS
+
+
 def test_transfer_matrix_counts_match_listed_cells():
     for n in range(1, 9):
         for D in all_diag_subsets(n):

@@ -1,4 +1,6 @@
+import functools
 import itertools
+import operator
 import os
 import random
 import subprocess
@@ -31,7 +33,7 @@ from lmgroups.group import (
     _find_quad,
     _triple_contract,
 )
-from lmgroups.words import all_words, consecutive, letter_code
+from lmgroups.words import all_words, consecutive, independent, letter_code
 from lmgroups.xcomplex import ClusterError, find_cone_vertex
 
 
@@ -438,6 +440,136 @@ def test_coset_keys_for_commuting_products():
         k2 = canonical_coset(b * a)
         assert k1 == k2
         assert same_coset(a * b, k1).result == "yes"
+
+
+def _independent_units(rng, tag, k, max_len=5):
+    """Up to k unit y letters under tag with pairwise independent
+    subscripts, some of them split into a contractible triple
+    y_{u0} y_{u10}^-1 y_{u11}, in random order."""
+    units = []
+    for _ in range(100):
+        if len(units) == k:
+            break
+        s = "".join(rng.choice("01") for _ in range(rng.randint(0, max_len)))
+        if group.y_subscript_allowed(tag, s) and all(
+            independent(s, t) for t, _ in units
+        ):
+            units.append((s, rng.choice((1, -1))))
+    split = []
+    for s, e in units:
+        if e == 1 and rng.random() < 0.4:
+            split += [(s + "0", 1), (s + "10", -1), (s + "11", 1)]
+        else:
+            split.append((s, e))
+    rng.shuffle(split)
+    return GroupWord(tuple(("y", s, e) for s, e in split), tag)
+
+
+def _rewriter_coset_units(w):
+    sf = rewrite_standard_form(w)
+    return sf.head, group._unit_entries(sf.tail)
+
+
+def _record_rewrites(monkeypatch):
+    """The words that go through group.rewrite_standard_form from now on."""
+    rewritten = []
+
+    def spy(w, **kwargs):
+        rewritten.append(w)
+        return rewrite_standard_form(w, **kwargs)
+
+    monkeypatch.setattr(group, "rewrite_standard_form", spy)
+    return rewritten
+
+
+def test_sorted_coset_units_match_the_rewriter(monkeypatch):
+    # products of independent unit y letters: the seeded cluster vertex
+    # words over F and random products under each Lodha-Moore tag
+    from genutil import clean_params
+
+    rng = random.Random(16)
+    inputs = []
+    for _ in range(40):
+        forms = clean_params(rng, rng.randint(1, 3))
+        for coords in itertools.product((0, 1), repeat=len(forms)):
+            chosen = [f.word("G") for f, c in zip(forms, coords) if c]
+            inputs.append(functools.reduce(operator.mul, chosen, group.identity("G")))
+    for tag in ("G", "Gy", "yG", "yGy"):
+        inputs += [_independent_units(rng, tag, rng.randint(0, 5)) for _ in range(60)]
+
+    rewritten, checked = _record_rewrites(monkeypatch), []
+    real_equal = action.equal_at_depth
+
+    def equal_spy(w1, w2, depth):
+        checked.append(w1)
+        return real_equal(w1, w2, depth)
+
+    monkeypatch.setattr(action, "equal_at_depth", equal_spy)
+    for w in inputs:
+        checked.clear()
+        head, units = group._coset_units(w)
+        # sorted, not rewritten, and still checked against the action
+        assert not rewritten and checked == [w], w
+        sf = rewrite_standard_form(w)
+        assert head.letters == sf.head.letters == ()
+        assert units == group._unit_entries(sf.tail)
+
+    sorted_keys = [canonical_coset.__wrapped__(w) for w in inputs]
+    assert not rewritten
+    monkeypatch.setattr(group, "_coset_units", _rewriter_coset_units)
+    assert sorted_keys == [canonical_coset.__wrapped__(w) for w in inputs]
+    contracted = sum(len(k.letters) < len(w.letters) for k, w in zip(sorted_keys, inputs))
+    assert contracted > 50
+
+
+def test_coset_units_rewrite_what_they_cannot_sort(monkeypatch):
+    # a nested pair, a square, an x letter, an equal pair
+    rewritten = _record_rewrites(monkeypatch)
+    for w in (word("y[0] y[01]", "yG"), word("y[01]^2", "G"), word("x[1] y[01]", "G"),
+              word("y[01] y[01]^-1", "G")):
+        rewritten.clear()
+        assert group._coset_units(w) == _rewriter_coset_units(w)
+        assert rewritten == [w]
+
+
+def test_coset_contraction_budget(monkeypatch):
+    # the x letter sends the word to the rewriter; its tail needs one
+    # contraction, y[0010] y[00110]^-1 y[00111] to y[001]
+    w = word("x[1] y[0010] y[00110]^-1 y[00111]", "G")
+    monkeypatch.setattr(group, "MAX_COSET_CONTRACTIONS", 0)
+    with pytest.raises(group.RewriteBudgetExceeded, match="coset-contraction budget") as info:
+        canonical_coset.__wrapped__(w)
+    assert info.value.partial == word("y[0010] y[00110]^-1 y[00111]", "G")
+    monkeypatch.setattr(group, "MAX_COSET_CONTRACTIONS", 1)
+    assert canonical_coset.__wrapped__(w) == word("y[001]", "G")
+
+
+def test_letter_memo_keeps_every_rejection():
+    rejections = [
+        ((("y", "01", 0),), "G"),  # zero exponent
+        ((("p", 1, 1),), "G"),  # p under G
+        ((("y", ["0", "1"], 1),), "G"),  # a list subscript
+        ((("y", "0", 1),), "Gy"),  # a zero run under Gy
+        ((("y", "01", 1.0),), "G"),  # a float exponent equal to 1
+        ((("p", 1.0, 1),), "T"),  # a float index equal to 1
+    ]
+
+    def outcome(letters, tag):
+        with pytest.raises(ValueError) as info:
+            GroupWord(letters, tag)
+        return type(info.value), str(info.value)
+
+    group._checked_letter.cache_clear()
+    cold = [outcome(*r) for r in rejections]
+    assert cold[0] == (TagViolation, "exponent must be a nonzero integer, got 0")
+    assert cold[2] == (ValueError, "not a binary word: ['0', '1']")
+    # the equal letters with integer entries are valid and memoised
+    assert GroupWord((("y", "01", 1),), "G").letters == (("y", "01", 1),)
+    assert GroupWord((("p", 1, 1),), "T").letters == (("p", 1, 1),)
+    assert GroupWord((("y", "0", 1),), "yG").letters == (("y", "0", 1),)
+    for _ in range(2):
+        assert [outcome(*r) for r in rejections] == cold
+    assert GroupWord((("y", "0", 1),), "yG").letters == (("y", "0", 1),)
 
 
 def test_relator_suite_small_with_characters():
