@@ -33,7 +33,6 @@ from .arrangements import (
     ClusterComplex,
     enumerate_cells,
     face_of,
-    subcluster,
     verify_convex_cells,
 )
 from .topology import Complex, is_collapsible, reduced_homology

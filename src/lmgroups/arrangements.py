@@ -14,20 +14,17 @@ chosen diagonals, so the cell complex is the product of its runs'
 complexes.  Only a run, the full path on its coordinates, is listed
 cell by cell; its facets come from local moves: merge two interior
 classes across a strict diagonal, or pin one interior class to a wall,
-which only its two boundary diagonals can forbid.  A cell set is a flat
-restriction exactly when it equals the cells satisfying every
-constraint the set shares.  The diagonals of a flat join runs of
-adjacent coordinates, so a flat is read as its coordinate classes, left
-to right, each pinned to a wall or free; its kind, its inherited
-arrangement and its cell map follow from those classes.  All arithmetic
-is exact.
+which only its two boundary diagonals can forbid.  A flat is cut out by
+wall positions and '=' relations, which are characters of the cell
+keys, so a cell set is a flat restriction exactly when no cell outside
+it shows all the wall and '=' characters its keys have in common.  All
+arithmetic is exact.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import product
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
@@ -122,6 +119,9 @@ class ClusterComplex:
         return tuple(int(c) for c in positions)
 
     def vertex_of_coords(self, coords: Sequence[int]) -> str:
+        n = self.arrangement.n
+        if len(coords) != n or any(c not in (0, 1) for c in coords):
+            raise ValueError(f"{tuple(coords)} is not a corner of the {n}-cube")
         positions = "".join(str(int(c)) for c in coords)
         rels = []
         for d in self.arrangement.diag_list():
@@ -261,121 +261,26 @@ def enumerate_cells(arr: Arrangement) -> ClusterComplex:
 
 
 # --------------------------------------------------------------------------
-# Flats and subclusters
-
-
-Constraint = Tuple  # ("coord", i, value) with i 1-based, or ("diag", i)
-
-
-@lru_cache(maxsize=4096)
-def cell_constraints(key: str, arr: Arrangement) -> FrozenSet[Constraint]:
-    """Every flat constraint the cell satisfies: its wall coordinates
-    and its '=' diagonals.  Memoised: the intersection guard of an
-    assembly asks again for every cell of a shared cell complex."""
-    positions, rels = split_key(key)
-    walls = [("coord", i, int(p)) for i, p in enumerate(positions, 1) if p != "i"]
-    diags = [("diag", d) for d, r in zip(arr.diag_list(), rels) if r == "="]
-    return frozenset(walls + diags)
+# Flats
 
 
 def is_flat_restriction(cx: ClusterComplex, keys: Iterable[str]) -> bool:
     """True iff the cells are exactly the cells of cx lying in some flat.
-    The smallest candidate flat is cut out by every constraint the cells
-    share, so the set is a flat restriction iff it equals that flat's
-    cells."""
+    A flat constraint is a wall position or an '=' relation, so the
+    constraints a cell satisfies are the characters of its key other
+    than 'i', '<', '>' and the '|', each at a fixed index.  The smallest
+    candidate flat is cut out by the (index, character) pairs every
+    given key shows, so the set is a flat restriction iff no other cell
+    shows them all.  A key that is not a cell of cx gives False."""
     keys = set(keys)
-    if not keys:
+    dims = cx.complex.dims
+    if not keys or not keys.issubset(dims):
         return False
-    arr = cx.arrangement
-    common = frozenset.intersection(*(cell_constraints(k, arr) for k in keys))
-    return keys == {k for k in cx.complex.dims if common <= cell_constraints(k, arr)}
-
-
-def _flat_classes(
-    arr: Arrangement, flat: Sequence[Constraint]
-) -> List[Tuple[int, int, Optional[int]]]:
-    """The maximal runs lo..hi of coordinates joined by the flat's
-    diagonals, left to right, each with its pin (0, 1 or None)."""
-    joined = set()
-    pins: List[set] = [set() for _ in range(arr.n + 1)]
-    for c in flat:
-        if c[0] == "diag":
-            if c[1] not in arr.diagonals:
-                raise ValueError(f"diagonal {c[1]} is not a hyperplane of the arrangement")
-            joined.add(c[1])
-        else:
-            _, i, v = c
-            if not 1 <= i <= arr.n:
-                raise ValueError(f"coordinate {i} out of range")
-            if v not in (0, 1):
-                raise ValueError("coordinate walls sit at 0 or 1")
-            pins[i].add(v)
-    classes = []
-    lo = 1
-    for hi in range(1, arr.n + 1):
-        if hi in joined:
-            continue
-        values = set().union(*pins[lo:hi + 1])
-        if len(values) > 1:
-            raise ValueError("empty flat: contradictory pins")
-        classes.append((lo, hi, values.pop() if values else None))
-        lo = hi + 1
-    return classes
-
-
-def classify_flat(arr: Arrangement, flat: Sequence[Constraint]) -> str:
-    """"Diagonal" iff some unpinned class of the flat joins two or more
-    coordinates; otherwise "Facial"."""
-    diagonal = any(pin is None and hi > lo for lo, hi, pin in _flat_classes(arr, flat))
-    return "Diagonal" if diagonal else "Facial"
-
-
-def restrict_arrangement(
-    arr: Arrangement, flat: Sequence[Constraint]
-) -> Tuple[Arrangement, List[int]]:
-    """Inherited arrangement on the flat plus the list of surviving
-    original coordinates, the last one of each unpinned class.  Two
-    consecutive survivors keep a diagonal iff their classes are adjacent
-    and the diagonal at the left class's end is in the arrangement."""
-    free = [(k, hi) for k, (_, hi, pin) in enumerate(_flat_classes(arr, flat)) if pin is None]
-    if not free:
-        raise ValueError("the flat is a single vertex: no inherited coordinates")
-    diagonals = frozenset(
-        d for d, ((k, hi), (k2, _)) in enumerate(zip(free, free[1:]), 1)
-        if k2 == k + 1 and hi in arr.diagonals
-    )
-    return Arrangement(len(free), diagonals), [hi for _, hi in free]
-
-
-def restrict_cell_key(
-    key: str,
-    arr: Arrangement,
-    flat: Sequence[Constraint],
-    restricted: Tuple[Arrangement, List[int]],
-) -> Optional[str]:
-    """Map a cell of the ambient cluster lying in the flat to inherited
-    coordinates, given the flat's `restrict_arrangement` result; None
-    when the cell is not contained in the flat.  The relation across a
-    restricted diagonal d is the cell's relation at the original
-    diagonal survivors[d-1]: the coordinates up to the next survivor are
-    joined by '='."""
-    if not set(flat) <= cell_constraints(key, arr):
-        return None
-    positions, rels = split_key(key)
-    relmap = dict(zip(arr.diag_list(), rels))
-    sub_arr, survivors = restricted
-    newpos = "".join(positions[i - 1] for i in survivors)
-    newrels = "".join(relmap[survivors[d - 1]] for d in sub_arr.diag_list())
-    return cell_key(newpos, newrels)
-
-
-def subcluster(
-    arr: Arrangement, flat: Sequence[Constraint]
-) -> Tuple[ClusterComplex, str]:
-    """The induced cluster on a flat, with its Facial/Diagonal kind."""
-    kind = classify_flat(arr, flat)
-    sub_arr, _ = restrict_arrangement(arr, flat)
-    return enumerate_cells(sub_arr), kind
+    first = next(iter(keys))
+    shared = [
+        (j, c) for j, c in enumerate(first) if c not in "i<>|" and all(k[j] == c for k in keys)
+    ]
+    return not any(k not in keys and all(k[j] == c for j, c in shared) for k in dims)
 
 
 # --------------------------------------------------------------------------
@@ -391,13 +296,13 @@ def verify_convex_cells(cx: ClusterComplex) -> bool:
     arr = cx.arrangement
     if arr.n > 6:
         raise ValueError("convexity check bounded at n <= 6")
-    corners = list(product((0, 1), repeat=arr.n))
+    corners = {c: cx.vertex_of_coords(c) for c in product((0, 1), repeat=arr.n)}
     for key in cx.complex.cells():
         d = cx.complex.dims[key]
         combinatorial = {
             cx.vertex_coords(v) for v in cx.complex.vertices_of(key)
         }
-        geometric = {c for c in corners if face_of(cx.vertex_of_coords(c), key, arr)}
+        geometric = {c for c, v in corners.items() if face_of(v, key, arr)}
         if combinatorial != geometric:
             return False
         if len(combinatorial) < d + 1:

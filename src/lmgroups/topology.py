@@ -90,8 +90,11 @@ class Complex:
         """The complex on a cell set closed under faces.  A set holding
         every facet of each of its cells holds every face, by induction
         on dimension, so only facets are checked; the least cell missing
-        a facet is named."""
+        a facet is named.  The least key that is no cell is named first."""
         keep = set(keys)
+        unknown = keep.difference(self.dims)
+        if unknown:
+            raise ValueError(f"not a cell of the complex: {min(unknown)}")
         open_cells = [k for k in keep if not self.facets[k] <= keep]
         if open_cells:
             raise ValueError(f"cell set not closed under faces at {min(open_cells)}")

@@ -169,34 +169,30 @@ def _facets(
 
 def _flat_cell_sets(piece, ids: Dict[str, str]) -> List[FrozenSet[str]]:
     """Cell-id sets of every flat restriction of the piece (subcluster
-    candidates for the intersection test)."""
+    candidates for the intersection test): for every mask of wall and
+    diagonal constraints, the cells satisfying each constraint in it."""
     arr = piece.cluster.arrangement
     constraints = [("coord", i, v) for i in range(1, arr.n + 1) for v in (0, 1)]
     constraints += [("diag", i) for i in sorted(arr.diagonals)]
-    out = set()
+    cells = piece.cluster.complex.cells()
+
+    def satisfies(ckey, c):
+        positions, rels = split_key(ckey)
+        if c[0] == "coord":
+            _, i, v = c
+            return positions[i - 1] == str(v)
+        return dict(zip(arr.diag_list(), rels))[c[1]] == "="
+
+    solutions = [frozenset(k for k in cells if satisfies(k, c)) for c in constraints]
+    everything = frozenset(cells)
+    flats = set()
     for mask in range(1 << len(constraints)):
-        flat = [constraints[i] for i in range(len(constraints)) if mask >> i & 1]
-        cells = []
-        for ckey in piece.cluster.complex.cells():
-            positions, rels = split_key(ckey)
-            diags = arr.diag_list()
-            relmap = dict(zip(diags, rels))
-            ok = True
-            for c in flat:
-                if c[0] == "coord":
-                    _, i, v = c
-                    if positions[i - 1] != str(v):
-                        ok = False
-                        break
-                else:
-                    if relmap[c[1]] != "=":
-                        ok = False
-                        break
-            if ok:
-                cells.append(ids[ckey])
-        if cells:
-            out.add(frozenset(cells))
-    return sorted(out, key=sorted)
+        inside = everything.intersection(
+            *(solutions[i] for i in range(len(constraints)) if mask >> i & 1)
+        )
+        if inside:
+            flats.add(inside)
+    return sorted((frozenset(ids[k] for k in flat) for flat in flats), key=sorted)
 
 
 # --------------------------------------------------------------------------

@@ -1,5 +1,7 @@
+import random
 from collections import Counter
 from itertools import chain, combinations, product
+from types import SimpleNamespace
 
 import oracles
 import pytest
@@ -9,17 +11,12 @@ from lmgroups.arrangements import (
     Arrangement,
     ClusterComplex,
     _cells,
-    cell_constraints,
     cell_counts,
-    classify_flat,
     complex_to_json,
     enumerate_cells,
     face_of,
     is_flat_restriction,
-    restrict_arrangement,
-    restrict_cell_key,
     skeleton_to_dot,
-    subcluster,
     verify_convex_cells,
 )
 from lmgroups.topology import Complex
@@ -262,6 +259,7 @@ def test_flat_restriction_examples():
     tri = enumerate_cells(Arrangement(2, frozenset({1})))
     assert is_flat_restriction(tri, ["00|=", "ii|=", "11|="])  # the diagonal
     assert not is_flat_restriction(tri, ["00|=", "11|="])
+    assert not is_flat_restriction(tri, ["00|=", "zz"])  # no cell: refused, not indexed
 
 
 def test_euler_characteristic_all_small():
@@ -292,8 +290,6 @@ def test_face_of_partial_order_and_vertex_counts():
         d = cx.complex.dims[c]
         assert len(cx.complex.vertices_of(c)) >= d + 1
     # antisymmetry and transitivity on a sample
-    import random
-
     rng = random.Random(0)
     sample = rng.sample(cells, 20)
     for a in sample:
@@ -305,90 +301,26 @@ def test_face_of_partial_order_and_vertex_counts():
                     assert face_of(a, c, arr)
 
 
-def test_subcluster_examples():
-    sc, kind = subcluster(Arrangement(2, frozenset({1})), [("coord", 1, 0)])
-    assert kind == "Facial" and sc.counts() == [2, 1]
-    sc, kind = subcluster(Arrangement(2, frozenset({1})), [("diag", 1)])
-    assert kind == "Diagonal" and sc.counts() == [2, 1]
-    sc, kind = subcluster(Arrangement(3, frozenset({1, 2})), [("diag", 1), ("diag", 2)])
-    assert kind == "Diagonal" and sc.counts() == [2, 1]
-    with pytest.raises(ValueError):
-        subcluster(Arrangement(3, frozenset({1})), [("diag", 2)])
-
-
-def test_subcluster_pinned_diagonal_is_facial():
-    # a diagonal forced onto a wall is a type-1 flat in disguise
-    arr = Arrangement(3, frozenset({1}))
-    sc, kind = subcluster(arr, [("diag", 1), ("coord", 1, 0)])
-    assert kind == "Facial" and sc.counts() == [2, 1]
-    # constraint order must not matter
-    sc2, kind2 = subcluster(arr, [("coord", 1, 0), ("diag", 1)])
-    assert kind2 == "Facial" and sc2.counts() == sc.counts()
-    sc3, kind3 = subcluster(arr, [("coord", 2, 0), ("diag", 1)])
-    assert kind3 == "Facial" and sc3.counts() == [2, 1]
-    with pytest.raises(ValueError):
-        subcluster(Arrangement(2, frozenset({1})), [("diag", 1), ("coord", 1, 0)])
-
-
-def test_facial_subcluster_inheritance_cell_for_cell():
-    for n in (2, 3, 4):
-        for D in all_diag_subsets(n):
-            arr = Arrangement(n, frozenset(D))
-            cx = enumerate_cells(arr)
-            for i in range(1, n + 1):
-                flat = [("coord", i, 0)]
-                restricted = restrict_arrangement(arr, flat)
-                inherited = enumerate_cells(restricted[0])
-                mapped = {
-                    restrict_cell_key(k, arr, flat, restricted) for k in cx.complex.cells()
-                } - {None}
-                assert mapped == set(inherited.complex.cells())
-
-
-def _outcome(fn, *args):
-    try:
-        return fn(*args)
-    except ValueError:
-        return ValueError
-
-
-def test_flats_restrict_cell_for_cell():
-    # every arrangement with n <= 4, every set of diagonal constraints
-    # (those outside the arrangement included), every pin pattern, in the
-    # given and in reversed order: the flat's cells map one to one, with
-    # their dimensions and facets, onto the cells of the inherited
-    # arrangement, and the flat is Diagonal iff one of its diagonals
-    # leaves its coordinate free on some cell
-    inherited = {}
+def test_flat_check_matches_mask_oracle_on_small_arrangements():
+    # every arrangement with n <= 4: each mask flat is accepted, and on
+    # the closures of cells and of pairs of cells and on a seeded sample
+    # of arbitrary cell sets the verdict is the mask oracle's; a set
+    # holding a key that is no cell is refused
+    rng = random.Random(7)
     for n in range(1, 5):
         for D in all_diag_subsets(n):
-            arr = Arrangement(n, frozenset(D))
-            cx = enumerate_cells(arr).complex
-            cells = {k: cell_constraints(k, arr) for k in cx.dims}
-            for joined in all_diag_subsets(n):
-                for pins in product((None, 0, 1), repeat=n):
-                    flat = [("diag", i) for i in joined]
-                    flat += [("coord", i, v) for i, v in enumerate(pins, 1) if v is not None]
-                    inside = [k for k, c in cells.items() if c.issuperset(flat)]
-                    for order in (flat, flat[::-1]):
-                        if not set(joined) <= arr.diagonals or not inside:
-                            assert _outcome(classify_flat, arr, order) is ValueError
-                            assert _outcome(restrict_arrangement, arr, order) is ValueError
-                            continue
-                        diagonal = any(k[i - 1] == "i" for k in inside for i in joined)
-                        assert classify_flat(arr, order) == ("Diagonal" if diagonal else "Facial")
-                        if len(inside) == 1:
-                            assert _outcome(restrict_arrangement, arr, order) is ValueError
-                            continue
-                        restricted = restrict_arrangement(arr, order)
-                        if restricted[0] not in inherited:
-                            inherited[restricted[0]] = enumerate_cells(restricted[0]).complex
-                        sub = inherited[restricted[0]]
-                        image = {k: restrict_cell_key(k, arr, order, restricted) for k in inside}
-                        assert sorted(image.values()) == sorted(sub.dims)
-                        for k, v in image.items():
-                            assert sub.dims[v] == cx.dims[k]
-                            assert sub.facets[v] == {image[f] for f in cx.facets[k]}
+            cx = enumerate_cells(Arrangement(n, frozenset(D)))
+            cells = cx.complex.cells()
+            piece = SimpleNamespace(cluster=cx)
+            flats = set(oracles._flat_cell_sets(piece, {k: k for k in cells}))
+            closures = {cx.complex.faces(c) | {c} for c in cells}
+            candidates = closures | {a | b for a, b in combinations(closures, 2)}
+            candidates |= {frozenset(rng.sample(cells, rng.randint(1, len(cells)))) for _ in range(30)}
+            for keys in candidates | flats:
+                assert is_flat_restriction(cx, keys) == (keys in flats), (n, D, sorted(keys))
+            for flat in flats:
+                for stranger in ("zz", cells[-1] + "="):
+                    assert not is_flat_restriction(cx, flat | {stranger})
 
 
 def test_verify_convex_cells():

@@ -56,7 +56,6 @@ PUBLIC_NAMES = [
     "sigma",
     "sigma_membership",
     "special_form",
-    "subcluster",
     "t_transporter",
     "topology",
     "tree_order_less",

@@ -70,6 +70,19 @@ def test_subcomplex_names_the_least_cell_missing_a_facet():
             cx.subcomplex(order)
 
 
+def test_subcomplex_names_the_least_key_that_is_no_cell():
+    # unknown keys are named before any closure check, even beside a cell
+    # whose facets are missing
+    cx = enumerate_cells(Arrangement(2, frozenset({1}))).complex
+    for keys, least in (
+        (["zz"], "zz"),
+        (list(cx.dims) + ["zz"], "zz"),
+        (["ii|<", "zz", "00|<", "yy"], "00|<"),  # 00 never shows '<'
+    ):
+        with pytest.raises(ValueError, match=f"not a cell of the complex: {re.escape(least)}$"):
+            cx.subcomplex(keys)
+
+
 def test_subcomplex_accepts_exactly_the_sets_closed_under_faces():
     # every arrangement with n <= 3 minus one cell: closed under faces iff
     # the cell is a face of nothing, and otherwise the least cell holding

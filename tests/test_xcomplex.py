@@ -231,6 +231,20 @@ def test_failing_builds_raise_on_every_call():
             build_x_cluster(F, [special_form("y[01]"), special_form("y[011]")])
 
 
+def test_coordinates_must_be_a_corner_of_the_cube():
+    # n = 2: a third coordinate, a 2 and a lone coordinate name no vertex
+    pc = build_x_cluster(F, [special_form("y[01]"), special_form("y[10]^-1")])
+    assert pc.label_of_coords((0, 0)) == "e"
+    assert pc.has_edge_between_coords((0, 0), (1, 0))
+    for call, args in (
+        (pc.has_edge_between_coords, ((0, 0, 0), (1, 0, 0))),
+        (pc.label_of_coords, ((2, 0),)),
+        (pc.label_of_coords, ((0,),)),
+    ):
+        with pytest.raises(ValueError, match="is not a corner of the 2-cube"):
+            call(*args)
+
+
 def test_clusters_are_immutable():
     c = fig1()
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -255,7 +269,6 @@ def test_memoised_clusters_match_cold_builds():
     for p, pc in zip(params, warm):
         xcomplex._build_x_cluster.cache_clear()
         xcomplex._arrangement_frame.cache_clear()
-        arrangements.cell_constraints.cache_clear()
         group.canonical_coset.cache_clear()
         cold = build_x_cluster(F, p)
         assert cold is not pc
@@ -280,7 +293,6 @@ def test_labels_are_cosets_of_the_form_products_over_the_base():
                 if cold:
                     xcomplex._build_x_cluster.cache_clear()
                     xcomplex._arrangement_frame.cache_clear()
-                    arrangements.cell_constraints.cache_clear()
                     group.canonical_coset.cache_clear()
                 pc = build_x_cluster(base, p)
                 for v in pc.cluster.complex.cells_of_dim(0):
