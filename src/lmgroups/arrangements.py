@@ -6,19 +6,19 @@ An arrangement in dimension n consists of all coordinate walls
 {0, 1, interior} per coordinate and a relation in {<, =, >} per chosen
 diagonal.  Because the diagonals lie along a path, a sign vector is
 satisfiable exactly when every chosen diagonal sees an allowed pair of
-adjacent positions.  Cells are grown coordinate by coordinate from that
-pair table, and a transfer matrix over the same table counts them by
-dimension without listing them, for any n.  A diagonal only joins
-coordinates inside one run, a maximal block of coordinates joined by
-chosen diagonals, so the cell complex is the product of its runs'
+adjacent positions.  A transfer matrix over that pair table counts the
+cells by dimension without listing them, for any n.  A diagonal only
+joins coordinates inside one run, a maximal block of coordinates joined
+by chosen diagonals, so the cell complex is the product of its runs'
 complexes.  Only a run, the full path on its coordinates, is listed
-cell by cell; its facets come from local moves: merge two interior
-classes across a strict diagonal, or pin one interior class to a wall,
-which only its two boundary diagonals can forbid.  A flat is cut out by
-wall positions and '=' relations, which are characters of the cell
-keys, so a cell set is a flat restriction exactly when no cell outside
-it shows all the wall and '=' characters its keys have in common.  All
-arithmetic is exact.
+cell by cell, grown one coordinate at a time through the pair table;
+its facets come from local moves: merge two interior classes across a
+strict diagonal, or pin one interior class to a wall, which only its
+two boundary diagonals can forbid.  An edge's vertices are its two
+facets.  A flat is cut out by wall positions and '=' relations, which
+are characters of the cell keys, so a cell set is a flat restriction
+exactly when no cell outside it shows all the wall and '=' characters
+its keys have in common.  All arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -41,9 +41,13 @@ class Arrangement:
     _sorted: Tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if isinstance(self.n, bool) or not isinstance(self.n, int):
+            raise ValueError(f"dimension must be an int, not {self.n!r}")
         if self.n < 1:
             raise ValueError("dimension must be >= 1")
         object.__setattr__(self, "diagonals", frozenset(self.diagonals))
+        if any(isinstance(i, bool) or not isinstance(i, int) for i in self.diagonals):
+            raise ValueError("diagonal indices must be ints")
         if any(i < 1 or i >= self.n for i in self.diagonals):
             raise ValueError("diagonal indices must lie in 1..n-1")
         object.__setattr__(self, "_sorted", tuple(sorted(self.diagonals)))
@@ -84,7 +88,7 @@ STEPS = {
 }
 
 
-def face_of(ckey: str, dkey: str, arr: Arrangement) -> bool:
+def face_of(ckey: str, dkey: str) -> bool:
     """True iff the cell with key ckey lies in the closure of dkey."""
     cp, cr = split_key(ckey)
     dp, dr = split_key(dkey)
@@ -130,23 +134,7 @@ class ClusterComplex:
         return cell_key(positions, "".join(rels))
 
     def edge_vertex_pairs(self) -> List[FrozenSet[str]]:
-        return [self.complex.vertices_of(e) for e in self.complex.cells_of_dim(1)]
-
-
-def _cells(arr: Arrangement) -> Dict[str, int]:
-    """Every cell with its dimension, grown one coordinate at a time
-    through the pair table.  The dimension counts the interior classes:
-    interior positions minus the '=' joining two of them.  Only
-    `_run_table` calls it, under the bound `enumerate_cells` checks."""
-    partial =[(p, "", int(p == "i")) for p in POS]
-    for j in range(1, arr.n):
-        steps = STEPS[j in arr.diagonals]
-        partial = [
-            (positions + q, rels + r, dim + up)
-            for positions, rels, dim in partial
-            for q, r, up in steps[positions[-1]]
-        ]
-    return dict(sorted((cell_key(p, r), d) for p, r, d in partial))
+        return [vv for _, vv in self.complex.edges()]
 
 
 # Pinning an interior class to a wall v: (v, the relation an interior
@@ -206,12 +194,17 @@ def cell_counts(arr: Arrangement) -> List[int]:
 def _run_table(m: int) -> Tuple[Sequence[str], Sequence[str], Sequence[int], List[Tuple[int, ...]]]:
     """The cells of one run of m coordinates, the full path, in key
     order: positions, relations, dimensions, and each cell's facets as
-    offsets from its own index."""
-    cells = _cells(Arrangement(m, frozenset(range(1, m))))
-    index = {k: i for i, k in enumerate(cells)}
-    P, R = zip(*map(split_key, cells))
+    offsets from its own index.  The cells are grown one coordinate at
+    a time through the pair table, and a dimension counts the interior
+    classes: interior positions less the '=' joining two of them."""
+    cells = [(p, "", int(p == "i")) for p in POS]
+    for _ in range(1, m):
+        cells = [(p + q, r + s, d + up) for p, r, d in cells for q, s, up in STEPS[True][p[-1]]]
+    cells.sort()  # every positions string has length m, so this is key order
+    P, R, D = zip(*cells)
+    index = {f"{p}|{r}": i for i, (p, r) in enumerate(zip(P, R))}
     O = [tuple(index[f] - i for f in _facets(p, r)) for i, (p, r) in enumerate(zip(P, R))]
-    return P, R, tuple(cells.values()), O
+    return P, R, D, O
 
 
 # The most cells enumerate_cells lists: a run of m coordinates alone has
@@ -227,9 +220,9 @@ def enumerate_cells(arr: Arrangement) -> ClusterComplex:
     of coordinates joined by chosen diagonals, so the complex is the
     product of its runs' complexes, and the faces of a product are the
     products of faces (Ziegler, Lectures on Polytopes, 1995, section 0).
-    Each run length gets one table from `_cells` and `_facets`, and the
-    tables are folded left to right: a facet of a product cell replaces
-    one factor by a facet of it, so the fold only scales and adds index
+    Each run length gets one table from `_run_table`, and the tables
+    are folded left to right: a facet of a product cell replaces one
+    factor by a facet of it, so the fold only scales and adds index
     offsets and builds no facet keys.  Each facet set holds the cell
     table's own key objects.  Past n = 12 or MAX_CELLS cells it raises
     ValueError before any table is built."""
@@ -302,7 +295,7 @@ def verify_convex_cells(cx: ClusterComplex) -> bool:
         combinatorial = {
             cx.vertex_coords(v) for v in cx.complex.vertices_of(key)
         }
-        geometric = {c for c, v in corners.items() if face_of(v, key, arr)}
+        geometric = {c for c, v in corners.items() if face_of(v, key)}
         if combinatorial != geometric:
             return False
         if len(combinatorial) < d + 1:
@@ -347,8 +340,8 @@ def skeleton_to_dot(
         if ranks is not None and v in ranks:
             attrs += f', rank="{ranks[v]}"'
         lines.append(f'  "{v}" [{attrs}];')
-    for e in cx.complex.cells_of_dim(1):
-        a, b = sorted(cx.complex.vertices_of(e))
+    for _, vv in cx.complex.edges():
+        a, b = sorted(vv)
         lines.append(f'  "{a}" -- "{b}";')
     lines.append("}")
     return "\n".join(lines)

@@ -43,6 +43,7 @@ from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import action
+from .sigma import BASES
 from .words import (
     X_ROWS,
     check_word,
@@ -244,10 +245,7 @@ CHARACTERS = ("chi0", "chi1", "psi0", "psi1", "psi", "psihat")
 AVAILABLE_CHARACTERS: Dict[str, frozenset] = {
     "F": frozenset({"chi0", "chi1"}),
     "T": frozenset(),
-    "G": frozenset({"chi0", "chi1", "psi"}),
-    "Gy": frozenset({"chi0", "psi1", "psi"}),
-    "yG": frozenset({"psi0", "chi1", "psi"}),
-    "yGy": frozenset({"psi0", "psi1", "psi"}),
+    **{tag: frozenset(basis) for tag, basis in BASES.items()},
     "Shat": frozenset({"psihat"}),
 }
 
@@ -423,7 +421,7 @@ def decide_T_identity(w: GroupWord) -> bool:
     """Exact word problem for T via reduced tree pairs."""
     if any(k == "y" for k, _, _ in w.letters):
         raise TagViolation("decide_T_identity expects an x/p word")
-    return pm_reduce(pm_of_word(w)) == IDENTITY_PM
+    return pm_of_word(w) == IDENTITY_PM
 
 
 def _comb_letters(leaves: List[str]) -> List[Letter]:

@@ -77,7 +77,8 @@ class Complex:
         return frozenset(f for f in self.faces(key) if self.dims[f] == 0)
 
     def edges(self) -> List[Tuple[str, FrozenSet[str]]]:
-        return [(e, self.vertices_of(e)) for e in self.cells_of_dim(1)]
+        """Each 1-cell with its vertices, which are its facets."""
+        return [(e, self.facets[e]) for e in self.cells_of_dim(1)]
 
     def adjacent_vertices(self, vertex: str) -> Set[str]:
         out: Set[str] = set()

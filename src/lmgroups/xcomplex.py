@@ -18,6 +18,8 @@ cannot be assigned and its label maps are read-only.  The cell complex
 of each arrangement is enumerated once and shared by all its clusters,
 and the edge rule is evaluated once per pair (P, N) of disjoint
 parameter sets, the parameters one vertex has and the other lacks.
+Adjacency is read from the facet table: an edge's vertices are its
+facets, and the squares on an edge are the cells holding it as a facet.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 from . import group
 from .arrangements import Arrangement, ClusterComplex, enumerate_cells, is_flat_restriction
 from .group import GroupWord, SpecialForm, TagViolation, canonical_coset, psi_like_value
-from .topology import Complex, is_collapsible, reduced_homology
+from .topology import Complex
 from .words import independent, tree_key
 
 __all__ = [
@@ -49,8 +51,6 @@ __all__ = [
     "verify_morse",
     "ascending_link",
     "find_cone_vertex",
-    "is_collapsible",
-    "reduced_homology",
 ]
 
 
@@ -193,15 +193,24 @@ def _build_x_cluster(base: GroupWord, forms: Tuple[SpecialForm, ...]) -> XCluste
     )
 
 
+def _vertex_sets(cx: Complex) -> Dict[str, FrozenSet[str]]:
+    """Each cell of positive dimension with its vertices, in the order
+    of `cells()`, read up the facet table: an edge's vertices are its
+    facets, and a higher cell's are the union of its facets' vertices."""
+    out: Dict[str, FrozenSet[str]] = {}
+    for c in cx.cells():
+        if cx.dims[c] == 1:
+            out[c] = cx.facets[c]
+        elif cx.dims[c] > 1:
+            out[c] = frozenset().union(*(out[f] for f in cx.facets[c]))
+    return out
+
+
 def _global_ids(piece: XCluster) -> Dict[str, str]:
-    ids = {}
-    for c in piece.cluster.complex.cells():
-        d = piece.cluster.complex.dims[c]
-        if d == 0:
-            ids[c] = piece.labels[c]
-        else:
-            vv = sorted(piece.labels[v] for v in piece.cluster.complex.vertices_of(c))
-            ids[c] = f"{d}|" + " && ".join(vv)
+    cx = piece.cluster.complex
+    ids = {v: piece.labels[v] for v in cx.cells_of_dim(0)}
+    for c, vv in _vertex_sets(cx).items():
+        ids[c] = f"{cx.dims[c]}|" + " && ".join(sorted(piece.labels[v] for v in vv))
     return ids
 
 
@@ -266,7 +275,10 @@ def morse_values(cx: XComplex) -> Dict[str, MorseValue]:
 
 
 def morse_value(vertex: str, cx: XComplex) -> MorseValue:
-    return morse_values(cx)[vertex]
+    vals = morse_values(cx)
+    if vertex not in vals:
+        raise ValueError(f"{vertex!r} is not a vertex of the complex")
+    return vals[vertex]
 
 
 def verify_morse(cx: XComplex, values: Optional[Dict[str, MorseValue]] = None) -> bool:
@@ -274,17 +286,19 @@ def verify_morse(cx: XComplex, values: Optional[Dict[str, MorseValue]] = None) -
     nonzero h-gap across an edge is at least the gap constant 1),
     injective f.  `morse_values` meets all three by construction (its f
     is a rank), so the check only has content for values the caller
-    supplies."""
+    supplies.  Raises ValueError, naming the least one, when a vertex
+    has no value."""
     vals = values if values is not None else morse_values(cx)
+    missing = [k for k, d in cx.complex.dims.items() if d == 0 and k not in vals]
+    if missing:
+        raise ValueError(f"vertex {min(missing)!r} of the complex has no Morse value")
     fs = [v.f for v in vals.values()]
     if len(set(fs)) != len(fs):
         return False
     if any(not isinstance(v.h, int) for v in vals.values()):
         return False
-    for c in cx.complex.cells():
-        if cx.complex.dims[c] == 0:
-            continue
-        keys = [vals[v].key() for v in cx.complex.vertices_of(c)]
+    for vv in _vertex_sets(cx.complex).values():
+        keys = [vals[v].key() for v in vv]
         if keys.count(min(keys)) != 1:
             return False
     return True
@@ -293,17 +307,15 @@ def verify_morse(cx: XComplex, values: Optional[Dict[str, MorseValue]] = None) -
 def ascending_link(cx: XComplex, vertex: str) -> Complex:
     """Link of the vertex in its ascending star: one link cell per cell
     whose (h, f)-minimum sits at the vertex (unique, since f is
-    injective)."""
+    injective, so a cell whose minimum has the vertex's value holds the
+    vertex)."""
     if cx.complex.dims.get(vertex) != 0:
         raise ValueError(f"{vertex!r} is not a vertex of the complex")
     vals = morse_values(cx)
-    star = []
-    for c in cx.complex.cells():
-        if cx.complex.dims[c] == 0 or vertex not in cx.complex.vertices_of(c):
-            continue
-        vv = cx.complex.vertices_of(c)
-        if min((vals[v].key() for v in vv)) == vals[vertex].key():
-            star.append(c)
+    low = vals[vertex].key()
+    star = [
+        c for c, vv in _vertex_sets(cx.complex).items() if min(vals[v].key() for v in vv) == low
+    ]
     star_set = set(star)
     dims = {c: cx.complex.dims[c] - 1 for c in star}
     facets = {
@@ -338,27 +350,12 @@ def find_cone_vertex(
             big = assemble([(base, list(params) + [apex_form]) for base, params in pieces])
         except ClusterError:
             continue
-        apex = apex_form.to_string()
-        edge_ids = {
-            frozenset(big.complex.vertices_of(e)): e
-            for e in big.complex.cells_of_dim(1)
-        }
-        e_apex = edge_ids.get(frozenset({froot, apex}))
+        # the edges at the root by their other vertex, and the squares on the apex edge
+        at_root = {w: e for e, vv in big.complex.edges() if froot in vv for w in vv - {froot}}
+        e_apex = at_root.get(apex_form.to_string())
         if e_apex is None:
             continue
-        two_cells = big.complex.cells_of_dim(2)
-        ok = True
-        for w in orig_nbrs:
-            e_w = edge_ids.get(frozenset({froot, w}))
-            if e_w is None:
-                ok = False
-                break
-            if not any(
-                e_w in big.complex.faces(c) and e_apex in big.complex.faces(c)
-                for c in two_cells
-            ):
-                ok = False
-                break
-        if ok:
+        squares = [fs for fs in big.complex.facets.values() if e_apex in fs]
+        if all(w in at_root and any(at_root[w] in fs for fs in squares) for w in orig_nbrs):
             return (m, True)
     raise ClusterError("no verified cone parameter found within the subscript bound")

@@ -128,7 +128,7 @@ def enumerate_cells(arr: Arrangement) -> ClusterComplex:
             facets[k] = frozenset()
         else:
             facets[k] = frozenset(
-                f for f in by_dim.get(d - 1, []) if face_of(f, k, arr)
+                f for f in by_dim.get(d - 1, []) if face_of(f, k)
             )
     cx = Complex(cells, facets)
     return ClusterComplex(arr, cx)
@@ -938,7 +938,7 @@ def verify_convex_cells(cx: ClusterComplex) -> bool:
         combinatorial = {
             cx.vertex_coords(v) for v in cx.complex.vertices_of(key)
         }
-        geometric = {c for c in corners if face_of(cx.vertex_of_coords(c), key, arr)}
+        geometric = {c for c in corners if face_of(cx.vertex_of_coords(c), key)}
         if combinatorial != geometric:
             return False
         if len(combinatorial) < d + 1:

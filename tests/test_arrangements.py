@@ -10,7 +10,6 @@ from lmgroups import arrangements
 from lmgroups.arrangements import (
     Arrangement,
     ClusterComplex,
-    _cells,
     cell_counts,
     complex_to_json,
     enumerate_cells,
@@ -40,6 +39,15 @@ def test_three_dim_double_diagonal_counts():
     cx = enumerate_cells(Arrangement(3, frozenset({1, 2})))
     assert cx.counts() == [8, 17, 14, 4]
     assert cx.complex.euler_characteristic() == 1
+
+
+def test_arrangement_indices_must_be_ints():
+    # a bool is an int to Python and 1.0 == 1, but neither is an index
+    for n, D in ((3, {1.5}), (3, {1.0}), (3, {"1"}), (3, {True}),
+                 (2.0, {1}), ("3", {1}), (True, set()), (3.0, set())):
+        with pytest.raises(ValueError, match=r"must be (an int|ints)"):
+            Arrangement(n, frozenset(D))
+    assert Arrangement(3, frozenset({1, 2})).diag_list() == (1, 2)
 
 
 def brute_count_oracle(n, diagonals):
@@ -133,7 +141,7 @@ def test_cells_and_facets_match_sweep_oracle():
             assert cx.complex.dims == ref.complex.dims
             assert cx.complex.facets == ref.complex.facets
             if n <= 4:
-                cells = _cells(arr)
+                cells = cx.complex.dims
                 for pos in product("01i", repeat=n):
                     for rel in product("<=>", repeat=len(D)):
                         positions, rels = "".join(pos), "".join(rel)
@@ -236,12 +244,30 @@ def test_cell_bound_admits_every_arrangement_up_to_eight():
     assert worst == (2 * 4 ** 8 + 1) // 3 <= arrangements.MAX_CELLS
 
 
+def _convolve(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
 def test_transfer_matrix_counts_match_listed_cells():
+    # each run is listed once; a complex is the product of its runs'
+    # complexes (checked cell for cell up to n = 7 above), so its counts
+    # by dimension are the convolution of its runs' counts
+    runs = {}
+    for m in range(1, 9):
+        dims = Counter(arrangements._run_table(m)[2])
+        runs[m] = [dims[d] for d in range(len(dims))]
+        assert sum(runs[m]) == (2 * 4 ** m + 1) // 3, m
     for n in range(1, 9):
         for D in all_diag_subsets(n):
-            arr = Arrangement(n, frozenset(D))
-            dims = Counter(_cells(arr).values())
-            assert cell_counts(arr) == [dims[d] for d in range(len(dims))], (n, D)
+            counts, lo = [1], 0
+            for hi in range(1, n + 1):
+                if hi not in D:
+                    counts, lo = _convolve(counts, runs[hi - lo]), hi
+            assert cell_counts(Arrangement(n, frozenset(D))) == counts, (n, D)
     # no dimension bound: the cube [0,1]^200 is contractible
     for D in (frozenset(), frozenset(range(1, 200)), frozenset(range(1, 200, 3))):
         counts = cell_counts(Arrangement(200, D))
@@ -276,10 +302,10 @@ def test_face_of_examples():
     v00 = cx.vertex_of_coords((0, 0))
     v10 = cx.vertex_of_coords((1, 0))
     diag = "ii|="
-    assert face_of(v00, diag, arr)
-    assert not face_of(v10, diag, arr)
+    assert face_of(v00, diag)
+    assert not face_of(v10, diag)
     for c in cx.complex.cells():
-        assert face_of(c, c, arr)
+        assert face_of(c, c)
 
 
 def test_face_of_partial_order_and_vertex_counts():
@@ -294,11 +320,11 @@ def test_face_of_partial_order_and_vertex_counts():
     sample = rng.sample(cells, 20)
     for a in sample:
         for b in sample:
-            if face_of(a, b, arr) and face_of(b, a, arr):
+            if face_of(a, b) and face_of(b, a):
                 assert a == b
             for c in sample:
-                if face_of(a, b, arr) and face_of(b, c, arr):
-                    assert face_of(a, c, arr)
+                if face_of(a, b) and face_of(b, c):
+                    assert face_of(a, c)
 
 
 def test_flat_check_matches_mask_oracle_on_small_arrangements():

@@ -60,6 +60,15 @@ def test_face_cache_takes_no_part_in_equality():
     assert a == b
 
 
+def test_edges_are_their_facets_on_arrangements():
+    # an edge's only faces are its facets, so no closure is needed
+    for n in range(1, 6):
+        for r in range(n):
+            for D in combinations(range(1, n), r):
+                cx = enumerate_cells(Arrangement(n, frozenset(D))).complex
+                assert cx.edges() == [(e, cx.vertices_of(e)) for e in cx.cells_of_dim(1)]
+
+
 def test_subcomplex_names_the_least_cell_missing_a_facet():
     cx = enumerate_cells(Arrangement(2, frozenset({1}))).complex
     keep = [c for c in cx.dims if c != "00|="]

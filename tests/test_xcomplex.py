@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import re
 
 import oracles
 import pytest
@@ -132,6 +133,20 @@ def test_verify_morse_single_vertex():
     assert verify_morse(cx)
 
 
+def test_morse_data_of_a_non_vertex_is_a_value_error():
+    cx = assemble([(F, FIG1_PARAMS)])
+    for bad in ("zz", cx.complex.cells_of_dim(1)[0]):
+        with pytest.raises(ValueError, match="is not a vertex of the complex"):
+            morse_value(bad, cx)
+    with pytest.raises(ValueError, match="vertex 'e' of the complex has no Morse value"):
+        verify_morse(cx, {})
+    vals = morse_values(cx)
+    least = min(vals)
+    del vals[least], vals[max(vals)]
+    with pytest.raises(ValueError, match=re.escape(f"vertex {least!r} of the complex")):
+        verify_morse(cx, vals)
+
+
 def test_assemble_with_long_diagonal_piece():
     # the 1-cluster on y_s is already the long diagonal of the reference
     # cluster, so nothing new appears
@@ -194,6 +209,64 @@ def test_find_cone_vertex_fig1():
     # a deeper piece pushes the cone subscript deeper only when it must
     m3, v3 = find_cone_vertex([(F, [special_form("y[0001]")])])
     assert v3 and not independent("0" * m3 + "1", "0001") is False
+
+
+def _seeded_pieces(seed, count):
+    from genutil import clean_params
+
+    rng = random.Random(seed)
+    return [
+        [(F, clean_params(rng, max_forms=rng.randint(1, 2), max_sub=4))
+         for _ in range(rng.randint(1, 3))]
+        for _ in range(count)
+    ]
+
+
+def test_edges_are_their_facets_on_assemblies():
+    for pieces in _seeded_pieces(5, 30):
+        cx = assemble(pieces).complex
+        assert cx.edges() == [(e, cx.vertices_of(e)) for e in cx.cells_of_dim(1)]
+
+
+def _former_cone_vertex(pieces):
+    """The cone search as it read its complexes before it took edges and
+    squares from the facet table: every edge by the vertices of its
+    closure, and a square on two edges by the closure of every 2-cell."""
+    subs = sorted({s for _, params in pieces for f in params for s in f.subscripts()})
+
+    def edge_ids(cx):
+        return {cx.vertices_of(e): e for e in cx.cells_of_dim(1)}
+
+    nbrs = {w for pair in edge_ids(assemble(pieces).complex) if "e" in pair for w in pair} - {"e"}
+    for m in range(1, max(len(s) for s in subs) + 4):
+        a = "0" * m + "1"
+        if not all(independent(a, s) for s in subs):
+            continue
+        apex = special_form(f"y[{a}]")
+        try:
+            cx = assemble([(base, list(params) + [apex]) for base, params in pieces]).complex
+        except ClusterError:
+            continue
+        ids = edge_ids(cx)
+        e_apex = ids.get(frozenset({"e", apex.to_string()}))
+        if e_apex is None:
+            continue
+        if all(
+            frozenset({"e", w}) in ids
+            and any(
+                ids[frozenset({"e", w})] in cx.faces(c) and e_apex in cx.faces(c)
+                for c in cx.cells_of_dim(2)
+            )
+            for w in nbrs
+        ):
+            return m
+    return None
+
+
+def test_cone_search_matches_former_closure_criterion():
+    # every one of these assemblies glues and has a cone parameter
+    for pieces in _seeded_pieces(17, 60):
+        assert find_cone_vertex(pieces) == (_former_cone_vertex(pieces), True)
 
 
 def test_coned_ascending_link_contractible():
