@@ -133,9 +133,6 @@ class ClusterComplex:
             rels.append("<" if a < b else ("=" if a == b else ">"))
         return cell_key(positions, "".join(rels))
 
-    def edge_vertex_pairs(self) -> List[FrozenSet[str]]:
-        return [vv for _, vv in self.complex.edges()]
-
 
 # Pinning an interior class to a wall v: (v, the relation an interior
 # left neighbour must show, the one an interior right neighbour must show)
@@ -209,7 +206,9 @@ def _run_table(m: int) -> Tuple[Sequence[str], Sequence[str], Sequence[int], Lis
 
 # The most cells enumerate_cells lists: a run of m coordinates alone has
 # (2 * 4^m + 1) / 3 cells, 43 691 at m = 8 and 174 763 at m = 9, so every
-# arrangement with n <= 8 fits.
+# arrangement with n <= 8 fits.  A diagonal only adds cells, so an
+# arrangement has at least the 3^n cells of the plain cube, and none with
+# n >= 11 (177 147 cells and more) fits.
 MAX_CELLS = 100_000
 
 
@@ -224,8 +223,10 @@ def enumerate_cells(arr: Arrangement) -> ClusterComplex:
     are folded left to right: a facet of a product cell replaces one
     factor by a facet of it, so the fold only scales and adds index
     offsets and builds no facet keys.  Each facet set holds the cell
-    table's own key objects.  Past n = 12 or MAX_CELLS cells it raises
-    ValueError before any table is built."""
+    table's own key objects.  Past MAX_CELLS cells it raises ValueError
+    before any table is built: every arrangement with n <= 8 is listed,
+    and none with n >= 11.  The n > 12 check comes first, so that the
+    cell count is never taken for a huge n."""
     if arr.n > 12:
         raise ValueError("dimension bound exceeded (n <= 12)")
     cells = sum(cell_counts(arr))

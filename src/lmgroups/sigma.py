@@ -60,7 +60,7 @@ def _triple(coords) -> Vector:
 def _check(tag: str, n) -> None:
     if tag not in BASES:
         raise ValueError(f"unknown group tag {tag!r}")
-    if n != inf and (not isinstance(n, int) or n < 1):
+    if n != inf and (isinstance(n, bool) or not isinstance(n, int) or n < 1):
         raise ValueError("the invariant index is a positive integer or infinity")
 
 
@@ -105,9 +105,12 @@ class LatticeSubgroup:
     generators: Tuple[Tuple[int, int, int], ...]
 
     def __post_init__(self):
-        gens = tuple(tuple(int(v) for v in g) for g in self.generators)
+        gens = tuple(tuple(g) for g in self.generators)
         if any(len(g) != 3 for g in gens):
             raise ValueError("generators are integer triples")
+        bad = [v for g in gens for v in g if isinstance(v, bool) or not isinstance(v, int)]
+        if bad:
+            raise ValueError(f"generator entries are ints, not {bad[0]!r}")
         object.__setattr__(self, "generators", gens)
 
 

@@ -38,6 +38,16 @@ class Complex:
         dims = self.dims
         if self.facets.keys() != dims.keys():
             raise ValueError("facets and dims must name the same cells")
+        # a dim is a non-negative int (a bool is not), and the facets of a
+        # cell a frozenset, which `faces` unions; the types are read in one
+        # sweep each, and only a failure looks for the least bad cell
+        if not set(map(type, dims.values())) <= {int} or min(dims.values(), default=0) < 0:
+            c = min(c for c, d in dims.items() if type(d) is not int or d < 0)
+            raise ValueError(f"dim of {c} must be a non-negative int, not {dims[c]!r}")
+        if not set(map(type, self.facets.values())) <= {frozenset}:
+            c = min(c for c, fs in self.facets.items() if type(fs) is not frozenset)
+            kind = type(self.facets[c]).__name__
+            raise ValueError(f"facets of {c} must be a frozenset, not a {kind}")
         for c, fs in self.facets.items():
             below = dims[c] - 1
             for f in fs:
@@ -59,22 +69,19 @@ class Complex:
         return sum((-1) ** d for d in self.dims.values())
 
     def faces(self, key: str) -> FrozenSet[str]:
-        """All proper faces (transitive closure of the facet relation)."""
-        if key not in self._faces:
-            acc: Set[str] = set()
-            stack = list(self.facets[key])
-            while stack:
-                f = stack.pop()
-                if f not in acc:
-                    acc.add(f)
-                    stack.extend(self.facets[f])
-            self._faces[key] = frozenset(acc)
-        return self._faces[key]
+        """All proper faces: the facets together with their faces, each
+        cell's set built once from its facets' sets and memoised."""
+        got = self._faces.get(key)
+        if got is None:
+            fs = self.facets[key]
+            got = self._faces[key] = fs.union(*map(self.faces, fs))
+        return got
 
     def vertices_of(self, key: str) -> FrozenSet[str]:
         if self.dims[key] == 0:
             return frozenset({key})
-        return frozenset(f for f in self.faces(key) if self.dims[f] == 0)
+        dims = self.dims
+        return frozenset([f for f in self.faces(key) if not dims[f]])
 
     def edges(self) -> List[Tuple[str, FrozenSet[str]]]:
         """Each 1-cell with its vertices, which are its facets."""

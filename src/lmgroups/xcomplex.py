@@ -91,7 +91,7 @@ class XCluster:
         pair = frozenset(
             {self.cluster.vertex_of_coords(a), self.cluster.vertex_of_coords(b)}
         )
-        return pair in set(self.cluster.edge_vertex_pairs())
+        return any(vv == pair for _, vv in self.cluster.complex.edges())
 
 
 @dataclass
@@ -126,7 +126,7 @@ def _arrangement_frame(k: int, diagonals: FrozenSet[int]):
     whether an edge of the arrangement joins a and b."""
     cluster = enumerate_cells(Arrangement(k, diagonals))
     vertices = tuple((v, cluster.vertex_coords(v)) for v in cluster.complex.cells_of_dim(0))
-    edges = set(cluster.edge_vertex_pairs())
+    edges = {vv for _, vv in cluster.complex.edges()}
     sets = [frozenset(i for i, c in enumerate(coords) if c) for _, coords in vertices]
     pairs = tuple(
         (va, vb, sets[a] - sets[b], sets[b] - sets[a], frozenset({va, vb}) in edges)
@@ -193,24 +193,13 @@ def _build_x_cluster(base: GroupWord, forms: Tuple[SpecialForm, ...]) -> XCluste
     )
 
 
-def _vertex_sets(cx: Complex) -> Dict[str, FrozenSet[str]]:
-    """Each cell of positive dimension with its vertices, in the order
-    of `cells()`, read up the facet table: an edge's vertices are its
-    facets, and a higher cell's are the union of its facets' vertices."""
-    out: Dict[str, FrozenSet[str]] = {}
-    for c in cx.cells():
-        if cx.dims[c] == 1:
-            out[c] = cx.facets[c]
-        elif cx.dims[c] > 1:
-            out[c] = frozenset().union(*(out[f] for f in cx.facets[c]))
-    return out
-
-
 def _global_ids(piece: XCluster) -> Dict[str, str]:
     cx = piece.cluster.complex
     ids = {v: piece.labels[v] for v in cx.cells_of_dim(0)}
-    for c, vv in _vertex_sets(cx).items():
-        ids[c] = f"{cx.dims[c]}|" + " && ".join(sorted(piece.labels[v] for v in vv))
+    for c in cx.cells():
+        if cx.dims[c]:
+            labels = sorted(piece.labels[v] for v in cx.vertices_of(c))
+            ids[c] = f"{cx.dims[c]}|" + " && ".join(labels)
     return ids
 
 
@@ -282,12 +271,13 @@ def morse_value(vertex: str, cx: XComplex) -> MorseValue:
 
 
 def verify_morse(cx: XComplex, values: Optional[Dict[str, MorseValue]] = None) -> bool:
-    """Unique (h, f)-minimal vertex on every cell, integer h (so every
-    nonzero h-gap across an edge is at least the gap constant 1),
-    injective f.  `morse_values` meets all three by construction (its f
-    is a rank), so the check only has content for values the caller
-    supplies.  Raises ValueError, naming the least one, when a vertex
-    has no value."""
+    """Injective f and integer h (so every nonzero h-gap across an edge
+    is at least the gap constant 1).  An injective f makes the (h, f)
+    keys of a cell's vertices distinct, so every cell has a unique
+    minimal vertex with no further check.  `morse_values` meets both by
+    construction (its f is a rank), so the check only has content for
+    values the caller supplies.  Raises ValueError, naming the least
+    one, when a vertex has no value."""
     vals = values if values is not None else morse_values(cx)
     missing = [k for k, d in cx.complex.dims.items() if d == 0 and k not in vals]
     if missing:
@@ -295,13 +285,7 @@ def verify_morse(cx: XComplex, values: Optional[Dict[str, MorseValue]] = None) -
     fs = [v.f for v in vals.values()]
     if len(set(fs)) != len(fs):
         return False
-    if any(not isinstance(v.h, int) for v in vals.values()):
-        return False
-    for vv in _vertex_sets(cx.complex).values():
-        keys = [vals[v].key() for v in vv]
-        if keys.count(min(keys)) != 1:
-            return False
-    return True
+    return all(isinstance(v.h, int) for v in vals.values())
 
 
 def ascending_link(cx: XComplex, vertex: str) -> Complex:
@@ -314,7 +298,8 @@ def ascending_link(cx: XComplex, vertex: str) -> Complex:
     vals = morse_values(cx)
     low = vals[vertex].key()
     star = [
-        c for c, vv in _vertex_sets(cx.complex).items() if min(vals[v].key() for v in vv) == low
+        c for c in cx.complex.cells()
+        if cx.complex.dims[c] and min(vals[v].key() for v in cx.complex.vertices_of(c)) == low
     ]
     star_set = set(star)
     dims = {c: cx.complex.dims[c] - 1 for c in star}

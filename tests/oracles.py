@@ -3,6 +3,7 @@ to the definition, with a second only at sizes the first cannot reach.
 
 - Cells and facets, n <= 5: the sign-vector sweep `enumerate_cells`.
 - Facets, n = 6 and 7 (the sweep takes 22 s at n = 6): the former `_facets`.
+- Faces and vertices of a cell: the stack walk `closure` down the facets.
 - Flats: the flat-mask enumeration `_flat_cell_sets`.
 - Homology: the barycentric subdivision pipeline `reduced_homology`, the
   simplicial chain complex `homology_of_simplices` of `order_complex`.
@@ -161,6 +162,25 @@ def _facets(
             if key in cells:
                 out.add(key)
     return frozenset(out)
+
+
+# --------------------------------------------------------------------------
+# Closures: a stack walk down the facet table
+
+
+def closure(cx: Complex, key: str) -> Tuple[Set[str], Set[str]]:
+    """The proper faces of a cell, found by walking down the facets with
+    a stack, and its vertices: the cell itself if it is one, else the
+    vertices among its faces."""
+    acc: Set[str] = set()
+    stack = list(cx.facets[key])
+    while stack:
+        f = stack.pop()
+        if f not in acc:
+            acc.add(f)
+            stack.extend(cx.facets[f])
+    verts = {key} if cx.dims[key] == 0 else {f for f in acc if cx.dims[f] == 0}
+    return acc, verts
 
 
 # --------------------------------------------------------------------------

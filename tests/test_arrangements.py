@@ -227,15 +227,19 @@ def test_dimension_bound_comes_before_the_run_tables(monkeypatch):
 
 
 def test_cell_bound_comes_before_the_run_tables(monkeypatch):
-    # one run of m coordinates has (2 * 4^m + 1) / 3 cells: n = 9 and 12
-    # pass the dimension bound but not the cell bound
+    # one run of m coordinates has (2 * 4^m + 1) / 3 cells and the plain
+    # n-cube 3^n: these pass the dimension bound but not the cell bound
     def no_table(m):
         raise AssertionError("run table built past the bound")
 
     monkeypatch.setattr(arrangements, "_run_table", no_table)
-    for n, cells in ((9, 174_763), (12, 11_184_811)):
+    for n, D, cells in (
+        (9, frozenset(range(1, 9)), 174_763),
+        (12, frozenset(range(1, 12)), 11_184_811),
+        (11, frozenset(), 177_147),
+    ):
         with pytest.raises(ValueError, match=rf"cell bound exceeded \({cells} cells > 100000\)"):
-            enumerate_cells(Arrangement(n, frozenset(range(1, n))))
+            enumerate_cells(Arrangement(n, D))
 
 
 def test_cell_bound_admits_every_arrangement_up_to_eight():

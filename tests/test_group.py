@@ -544,6 +544,24 @@ def test_coset_contraction_budget(monkeypatch):
     assert canonical_coset.__wrapped__(w) == word("y[001]", "G")
 
 
+def test_y_words_standardise_to_heads_of_x_letters():
+    # canonical_coset's contraction loop re-standardises words of unit y
+    # letters and drops their heads unchecked: expansions and quads only
+    # make x units, and a word of x letters lies in F
+    rng = random.Random(19)
+    nonempty = 0
+    for tag in ("G", "Gy", "yG", "yGy", "Shat"):
+        subs = [s for s in all_words(3) if group.y_subscript_allowed(tag, s)]
+        for _ in range(300):
+            letters = tuple(
+                ("y", rng.choice(subs), rng.choice((1, -1))) for _ in range(rng.randint(1, 6))
+            )
+            head, _ = group._coset_units(GroupWord(letters, tag))
+            assert all(k == "x" for k, _, _ in head.letters), (tag, letters)
+            nonempty += bool(head.letters)
+    assert nonempty > 300
+
+
 def test_letter_memo_keeps_every_rejection():
     rejections = [
         ((("y", "01", 0),), "G"),  # zero exponent

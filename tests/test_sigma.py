@@ -5,7 +5,7 @@ from math import inf
 
 import pytest
 
-from lmgroups.group import AVAILABLE_CHARACTERS
+from lmgroups.group import char_value, word
 from lmgroups.sigma import (
     BASES,
     CharacterVector,
@@ -182,10 +182,20 @@ def test_membership_rejects_a_mistagged_character():
 
 
 def test_type_Fn_rejects_a_bad_index():
-    for A in (lattice((1, 0, 0), (0, 1, 0), (0, 0, 1)), lattice((1, 0, 0)), lattice()):
-        for n in (0, -1, 1.5, "2"):
+    # a bool is no index, though True == 1
+    for n in (0, -1, 1.5, "2", True, False):
+        for A in (lattice((1, 0, 0), (0, 1, 0), (0, 0, 1)), lattice((1, 0, 0)), lattice()):
             with pytest.raises(ValueError, match="invariant index"):
                 type_Fn(A, n)
+        with pytest.raises(ValueError, match="invariant index"):
+            sigma_membership("G", (1, 0, 0), n)
+
+
+def test_lattice_generator_entries_must_be_ints():
+    # no entry is coerced to an int, a bool included
+    for gen in ((0.5, 0, 0), (True, 0, 2), (1, 0, 2.9), ("1", 0, 0), (Fraction(1), 0, 0)):
+        with pytest.raises(ValueError, match="generator entries are ints"):
+            lattice(gen)
 
 
 def seeded_lattices(seed, count):
@@ -285,6 +295,18 @@ def test_finiteness_matches_former_linear_algebra():
 
 
 def test_bases_name_the_available_characters():
+    # the three basis characters of each group are defined on it and take
+    # linearly independent values on three of its letters
+    letters = {
+        "G": ("x[0]", "x[1]", "y[01]"),
+        "Gy": ("x[0]", "y[1]", "y[01]"),
+        "yG": ("y[0]", "x[1]", "y[01]"),
+        "yGy": ("y[0]", "y[1]", "y[01]"),
+    }
+    assert set(BASES) == set(letters)
     for tag, basis in BASES.items():
-        assert set(basis) == AVAILABLE_CHARACTERS[tag]
-    assert set(BASES) == {"G", "Gy", "yG", "yGy"}
+        (a, b, c), (d, e, f), (g, h, i) = (
+            [char_value(name, word(text, tag)) for text in letters[tag]] for name in basis
+        )
+        assert a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g) != 0, tag
+

@@ -42,14 +42,33 @@ def simplicial_complex(top_simplices):
 
 
 def test_complex_rejects_facets_that_are_not_cells():
+    # also a dim that is no non-negative int (a bool included) and a facet
+    # collection that is no frozenset, naming the least such cell
     cases = (
         ({"a": 1}, {"a": frozenset({"b"})}, "facet b of a is not a cell"),
         ({"a": 0, "b": 0}, {"a": frozenset()}, "facets and dims must name the same cells"),
         ({"a": 0}, {"a": frozenset(), "b": frozenset()}, "facets and dims must name the same cells"),
+        ({"a": -1}, {"a": frozenset()}, "dim of a must be a non-negative int, not -1"),
+        ({"a": "0"}, {"a": frozenset()}, "dim of a must be a non-negative int, not '0'"),
+        ({"a": True}, {"a": frozenset()}, "dim of a must be a non-negative int, not True"),
+        ({"b": 0.0, "a": 1.0}, {"a": frozenset(), "b": frozenset()}, "dim of a must"),
+        ({"v": 0, "e": 1}, {"v": frozenset(), "e": "v"}, "facets of e must be a frozenset, not a str"),
+        ({"a": 0, "b": 0, "e": 1}, {"a": frozenset(), "b": frozenset(), "e": ["a", "b"]},
+         "facets of e must be a frozenset, not a list"),
+        ({"v": 0, "e": 1, "d": 1}, {"v": set(), "e": {"v"}, "d": ("v",)},
+         "facets of d must be a frozenset, not a tuple"),
     )
     for dims, facets, message in cases:
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=re.escape(message)):
             Complex(dims, facets)
+
+
+def test_closures_match_the_stack_walk_on_arrangements():
+    for n in range(1, 7):
+        for D in chain.from_iterable(combinations(range(1, n), r) for r in range(n)):
+            cx = enumerate_cells(Arrangement(n, frozenset(D))).complex
+            for c in cx.dims:
+                assert (cx.faces(c), cx.vertices_of(c)) == oracles.closure(cx, c), c
 
 
 def test_face_cache_takes_no_part_in_equality():

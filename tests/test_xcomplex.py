@@ -168,7 +168,7 @@ def test_edge_heights_match_special_form_character():
         v: frozenset(i for i, c in enumerate(pc.cluster.vertex_coords(v)) if c)
         for v in pc.cluster.complex.cells_of_dim(0)
     }
-    for pair in pc.cluster.edge_vertex_pairs():
+    for _, pair in pc.cluster.complex.edges():
         va, vb = sorted(pair)
         diff = xcomplex._difference_entries(pc.params, sets[va] - sets[vb], sets[vb] - sets[va])
         form_sum = sum(e for _, e in diff)
@@ -226,6 +226,35 @@ def test_edges_are_their_facets_on_assemblies():
     for pieces in _seeded_pieces(5, 30):
         cx = assemble(pieces).complex
         assert cx.edges() == [(e, cx.vertices_of(e)) for e in cx.cells_of_dim(1)]
+
+
+def _former_global_ids(piece):
+    """A piece's cell ids as `assemble` read them before the vertex sets
+    came from `Complex.vertices_of`: one pass up the facet table, an
+    edge's vertices its facets and a higher cell's the union of its
+    facets' vertices."""
+    cx = piece.cluster.complex
+    verts = {}
+    for c in cx.cells():
+        if cx.dims[c] == 1:
+            verts[c] = cx.facets[c]
+        elif cx.dims[c] > 1:
+            verts[c] = frozenset().union(*(verts[f] for f in cx.facets[c]))
+    ids = {v: piece.labels[v] for v in cx.cells_of_dim(0)}
+    for c, vv in verts.items():
+        ids[c] = f"{cx.dims[c]}|" + " && ".join(sorted(piece.labels[v] for v in vv))
+    return ids
+
+
+def test_closures_and_cell_ids_match_former_passes_on_assemblies():
+    for pieces in _seeded_pieces(5, 30):
+        cx = assemble(pieces).complex
+        for c in cx.dims:
+            assert (cx.faces(c), cx.vertices_of(c)) == oracles.closure(cx, c), c
+        for base, params in pieces:
+            piece = build_x_cluster(base, params)
+            ids = xcomplex._global_ids(piece)
+            assert list(ids.items()) == list(_former_global_ids(piece).items())
 
 
 def _former_cone_vertex(pieces):
