@@ -10,21 +10,25 @@ adjacent positions.  A transfer matrix over that pair table counts the
 cells by dimension without listing them, for any n.  A diagonal only
 joins coordinates inside one run, a maximal block of coordinates joined
 by chosen diagonals, so the cell complex is the product of its runs'
-complexes.  Only a run, the full path on its coordinates, is listed
-cell by cell, grown one coordinate at a time through the pair table;
-its facets come from local moves: merge two interior classes across a
-strict diagonal, or pin one interior class to a wall, which only its
-two boundary diagonals can forbid.  An edge's vertices are its two
-facets.  A flat is cut out by wall positions and '=' relations, which
-are characters of the cell keys, so a cell set is a flat restriction
-exactly when no cell outside it shows all the wall and '=' characters
-its keys have in common.  All arithmetic is exact.
+complexes, and a run of m coordinates has (2 * 4^m + 1) / 3 cells, so
+the size of a complex is the product of these closed forms.  Only a
+run, the full path on its coordinates, is listed cell by cell, once
+per run length and process (at most 8 tables under the size bound),
+grown one coordinate at a time through the pair table; its facets come
+from local moves: merge two interior classes across a strict diagonal,
+or pin one interior class to a wall, which only its two boundary
+diagonals can forbid.  An edge's vertices are its two facets.  A flat
+is cut out by wall positions and '=' relations, which are characters
+of the cell keys, so a cell set is a flat restriction exactly when no
+cell outside it shows all the wall and '=' characters its keys have in
+common.  All arithmetic is exact.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import product
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
@@ -188,19 +192,24 @@ def cell_counts(arr: Arrangement) -> List[int]:
     return [sum(col) for col in zip(*partial.values())]
 
 
-def _run_table(m: int) -> Tuple[Sequence[str], Sequence[str], Sequence[int], List[Tuple[int, ...]]]:
+@lru_cache(maxsize=None)
+def _run_table(
+    m: int,
+) -> Tuple[Tuple[str, ...], Tuple[str, ...], Tuple[int, ...], Tuple[Tuple[int, ...], ...]]:
     """The cells of one run of m coordinates, the full path, in key
     order: positions, relations, dimensions, and each cell's facets as
     offsets from its own index.  The cells are grown one coordinate at
     a time through the pair table, and a dimension counts the interior
-    classes: interior positions less the '=' joining two of them."""
+    classes: interior positions less the '=' joining two of them.  Each
+    table is built once per process, on first use, and shared, so it
+    is made of tuples only."""
     cells = [(p, "", int(p == "i")) for p in POS]
     for _ in range(1, m):
         cells = [(p + q, r + s, d + up) for p, r, d in cells for q, s, up in STEPS[True][p[-1]]]
     cells.sort()  # every positions string has length m, so this is key order
     P, R, D = zip(*cells)
     index = {f"{p}|{r}": i for i, (p, r) in enumerate(zip(P, R))}
-    O = [tuple(index[f] - i for f in _facets(p, r)) for i, (p, r) in enumerate(zip(P, R))]
+    O = tuple(tuple(index[f] - i for f in _facets(p, r)) for i, (p, r) in enumerate(zip(P, R)))
     return P, R, D, O
 
 
@@ -219,29 +228,33 @@ def enumerate_cells(arr: Arrangement) -> ClusterComplex:
     of coordinates joined by chosen diagonals, so the complex is the
     product of its runs' complexes, and the faces of a product are the
     products of faces (Ziegler, Lectures on Polytopes, 1995, section 0).
-    Each run length gets one table from `_run_table`, and the tables
-    are folded left to right: a facet of a product cell replaces one
-    factor by a facet of it, so the fold only scales and adds index
-    offsets and builds no facet keys.  Each facet set holds the cell
-    table's own key objects.  Past MAX_CELLS cells it raises ValueError
-    before any table is built: every arrangement with n <= 8 is listed,
-    and none with n >= 11.  The n > 12 check comes first, so that the
-    cell count is never taken for a huge n."""
+    Each run length has one table from `_run_table`, built once per
+    process and shared (at most 8 of them, since the bound keeps every
+    run at m <= 8), and the tables are folded left to right: a facet of
+    a product cell replaces one factor by a facet of it, so the fold
+    only scales and adds index offsets and builds no facet keys.  Each
+    facet set holds the cell table's own key objects.  The cell count
+    is the product of the runs' closed-form sizes (2 * 4^m + 1) / 3;
+    past MAX_CELLS it raises ValueError before any table is built:
+    every arrangement with n <= 8 is listed, and none with n >= 11.
+    The n > 12 check comes first, so that the runs are never read for
+    a huge n."""
     if arr.n > 12:
         raise ValueError("dimension bound exceeded (n <= 12)")
-    cells = sum(cell_counts(arr))
-    if cells > MAX_CELLS:
-        raise ValueError(f"cell bound exceeded ({cells} cells > {MAX_CELLS})")
     runs = []
     lo = 0
     for hi in range(1, arr.n + 1):
         if hi not in arr.diagonals:
             runs.append(hi - lo)
             lo = hi
-    tables = {m: _run_table(m) for m in set(runs)}
-    P, R, D, O = tables[runs[0]]
+    cells = 1
+    for m in runs:
+        cells *= (2 * 4 ** m + 1) // 3
+    if cells > MAX_CELLS:
+        raise ValueError(f"cell bound exceeded ({cells} cells > {MAX_CELLS})")
+    P, R, D, O = _run_table(runs[0])
     for m in runs[1:]:
-        P2, R2, D2, O2 = tables[m]
+        P2, R2, D2, O2 = _run_table(m)
         k2 = len(P2)
         P = [p + q for p in P for q in P2]
         R = [r + s for r in R for s in R2]

@@ -28,6 +28,16 @@ def _parse_forms(text: str):
     return [group.special_form(part.strip()) for part in text.split(";") if part.strip()]
 
 
+def _parse_diagonals(text: str) -> set:
+    diagonals = set()
+    for token in filter(None, (t.strip() for t in text.split(","))):
+        try:
+            diagonals.add(int(token))
+        except ValueError:
+            raise ValueError(f"diagonal index must be an int, not {token!r}") from None
+    return diagonals
+
+
 def _parse_pieces(items, tag):
     pieces = []
     for item in items:
@@ -78,9 +88,7 @@ def cmd_wordproblem(args):
 
 
 def cmd_cluster(args):
-    diagonals = frozenset(int(t) for t in args.diagonals.split(",") if t.strip()) \
-        if args.diagonals else frozenset()
-    arr = arrangements.Arrangement(args.n, diagonals)
+    arr = arrangements.Arrangement(args.n, _parse_diagonals(args.diagonals))
     if args.dot:
         print(arrangements.skeleton_to_dot(arrangements.enumerate_cells(arr)))
     elif args.json:

@@ -214,6 +214,45 @@ def test_cell_table_is_sorted_and_facets_share_its_keys():
                 assert all(f is key_of[f] for f in fs), (n, D)
 
 
+def _listing(cx):
+    return list(cx.dims.items()), list(cx.facets.items())
+
+
+def test_shared_run_tables_give_the_same_complexes_cold_and_warm():
+    # each complex built from empty run tables, then all of them in
+    # increasing and in decreasing n through the shared tables: the
+    # fold must never change a table it reads
+    arrs = [Arrangement(n, frozenset(D)) for n in range(1, 7) for D in all_diag_subsets(n)]
+    cold = {}
+    for arr in arrs:
+        arrangements._run_table.cache_clear()
+        cold[arr] = _listing(enumerate_cells(arr).complex)
+    arrangements._run_table.cache_clear()
+    for arr in arrs + arrs[::-1]:
+        assert _listing(enumerate_cells(arr).complex) == cold[arr], arr
+    assert arrangements._run_table.cache_info().currsize == 6
+    for m in range(1, 7):
+        table = arrangements._run_table(m)
+        assert type(table) is tuple and all(type(col) is tuple for col in table), m
+        assert all(type(offsets) is tuple for offsets in table[3]), m
+
+
+def test_cell_bound_reads_the_transfer_matrix_count(monkeypatch):
+    # with no room at all, the guard names its count for every
+    # arrangement the dimension bound lets through
+    def no_table(m):
+        raise AssertionError("run table built past the bound")
+
+    monkeypatch.setattr(arrangements, "_run_table", no_table)
+    monkeypatch.setattr(arrangements, "MAX_CELLS", 0)
+    for n in range(1, 13):
+        for D in all_diag_subsets(n):
+            arr = Arrangement(n, frozenset(D))
+            cells = sum(cell_counts(arr))
+            with pytest.raises(ValueError, match=rf"^cell bound exceeded \({cells} cells > 0\)$"):
+                enumerate_cells(arr)
+
+
 def test_dimension_bound_comes_before_the_run_tables(monkeypatch):
     # with no diagonals every run has length 1, so no run table would
     # ever reach the bound: 3^13 cells would be listed

@@ -26,6 +26,13 @@ def test_cluster_counts_need_no_cell_list(capsys):
     assert "dimension bound exceeded" in capsys.readouterr().err
 
 
+def test_cluster_names_a_bad_diagonal_index(capsys):
+    assert run(["cluster", "--n", "3", "--diagonals", "1,x"]) == 1
+    assert capsys.readouterr().err == "error: diagonal index must be an int, not 'x'\n"
+    assert run(["cluster", "--n", "3", "--diagonals", " 1, 2,"]) == 0
+    assert capsys.readouterr().out == "8 17 14 4\n"
+
+
 def test_cluster_json(capsys):
     assert run(["cluster", "--n", "2", "--diagonals", "1", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
