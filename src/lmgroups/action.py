@@ -204,6 +204,8 @@ def moved_endpoint(word, depth: int) -> Optional[str]:
     """The shortest 0^d or 1^d with d <= depth (0 first at equal d) whose
     forced image leaves the constant sequence, or None.  Each endpoint
     is fed one bit at a time through one chain."""
+    if depth < 0:
+        raise ValueError(f"search depth must be >= 0, got {depth}")
     moved = None
     for base in "01":
         limit = depth if moved is None else len(moved) - 1  # 0 wins ties

@@ -148,8 +148,11 @@ def relator_schemas(maxlen: int, maxp: int) -> List[GroupWord]:
     rules of F, the p-rotation rules of T together with the x-p
     transport, and the y-expansion, y-transport and independence rules.
     Each instance is returned as a relator (left side times the inverted
-    right side).
+    right side).  Both bounds must be non-negative ints.
     """
+    for name, bound in (("maxlen", maxlen), ("maxp", maxp)):
+        if type(bound) is not int or bound < 0:
+            raise ValueError(f"{name} must be a non-negative int, got {bound!r}")
     rels: List[GroupWord] = []
     subs = list(all_words(maxlen))
 

@@ -28,14 +28,13 @@ def _parse_forms(text: str):
     return [group.special_form(part.strip()) for part in text.split(";") if part.strip()]
 
 
-def _parse_diagonals(text: str) -> set:
-    diagonals = set()
-    for token in filter(None, (t.strip() for t in text.split(","))):
-        try:
-            diagonals.add(int(token))
-        except ValueError:
-            raise ValueError(f"diagonal index must be an int, not {token!r}") from None
-    return diagonals
+def _parse_number(token: str, expected: str, kind=int):
+    """The token read by kind (int or Fraction); a bad one raises a
+    ValueError that names it after what was expected."""
+    try:
+        return kind(token)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{expected}, not {token.strip()!r}") from None
 
 
 def _parse_pieces(items, tag):
@@ -88,7 +87,9 @@ def cmd_wordproblem(args):
 
 
 def cmd_cluster(args):
-    arr = arrangements.Arrangement(args.n, _parse_diagonals(args.diagonals))
+    diagonals = {_parse_number(t, "diagonal index must be an int")
+                 for t in args.diagonals.split(",") if t.strip()}
+    arr = arrangements.Arrangement(args.n, diagonals)
     if args.dot:
         print(arrangements.skeleton_to_dot(arrangements.enumerate_cells(arr)))
     elif args.json:
@@ -149,7 +150,7 @@ def cmd_phiinv(args):
     if args.value == "inf":
         q = None
     else:
-        q = Fraction(args.value)
+        q = _parse_number(args.value, "value must be a rational or 'inf'", Fraction)
     a, b = circle.phi_inverse(q)
     text = f"{a} {b}"
     _emit(args, {"preimages": [str(a), str(b)]}, text)
@@ -187,15 +188,17 @@ def cmd_classify(args):
     gens = []
     for part in args.gens.split(";"):
         if part.strip():
-            gens.append(tuple(int(t) for t in part.split(",")))
+            gens.append(tuple(_parse_number(t, "generator entry must be an int")
+                              for t in part.split(",")))
     result = sigma.classify_normal_subgroup(sigma.lattice(*gens), args.group)
     _emit(args, {"class": result}, result)
     return 0
 
 
 def cmd_sigma(args):
-    coords = tuple(Fraction(t) for t in args.char.split(","))
-    n = inf if args.n == "inf" else int(args.n)
+    coords = tuple(_parse_number(t, "character coordinate must be a rational", Fraction)
+                   for t in args.char.split(","))
+    n = inf if args.n == "inf" else _parse_number(args.n, "index must be an int or 'inf'")
     ok = sigma.sigma_membership(args.group, coords, n)
     _emit(args, {"member": ok}, str(ok).lower())
     return 0 if ok else 2

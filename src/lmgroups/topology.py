@@ -12,10 +12,10 @@ characteristic of a sphere, the poset is not regular and homology
 raises ValueError; these checks are necessary, not sufficient, so a
 non-regular poset that passes them is not detected.  Ranks and
 torsion come from an integer Smith normal form of the boundary
-matrices.  These have a few +-1 entries per column, so the Smith form
-first eliminates unit pivots on sparse rows (the fast path of
-Dumas-Saunders-Villard, 2001); only a remainder without a unit entry
-goes to a dense loop that takes a least entry as its pivot.
+matrices, found by one sparse elimination.  These have a few +-1
+entries per column, so it takes unit pivots first, as Dumas, Saunders
+and Villard (2001) do, and an entry of least magnitude only while no
+unit is left.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from itertools import compress
+from math import gcd
 from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
 
 
@@ -138,8 +139,14 @@ def smith_diagonal(rows: List[List[int]]) -> List[int]:
     row operations, then its own row by column operations that touch
     nothing else, and leaves a 1 on the diagonal.  Of the candidate
     rows of a column, the one with the fewest entries goes first, to
-    keep the fill-in small.  Whatever remains has no unit entry and goes
-    to the dense elimination."""
+    keep the fill-in small.  Only when a pass over the columns finds no
+    unit is an entry of least magnitude the pivot (fewest row entries,
+    then row, then column, on a tie).  Its row operations leave
+    remainders in its column; once it is alone there, column operations
+    reduce its row modulo it, and it goes to the diagonal when no
+    remainder is left.  A remainder is less than the pivot, so this
+    ends.  The diagonal entries other than 1 then become a divisibility
+    chain by pairwise gcd and lcm."""
     width = len(rows[0]) if rows else 0
     span = range(width)
     cols: List[Set[int]] = [set() for _ in span]  # the rows holding each column
@@ -149,9 +156,22 @@ def smith_diagonal(rows: List[List[int]]) -> List[int]:
         sparse.append({j: row[j] for j in nonzero})
         for j in nonzero:
             cols[j].add(i)
+
+    def subtract(i: int, f: int, pivot: Dict[int, int]) -> None:
+        # row i -= f * pivot, with the column sets kept in step
+        row = sparse[i]
+        for j, v in pivot.items():
+            w = row.get(j, 0) - f * v
+            if w:
+                row[j] = w
+                cols[j].add(i)
+            else:
+                del row[j]
+                cols[j].discard(i)
+
     units = 0
-    found = True
-    while found:
+    diag: List[int] = []
+    while True:
         found = False
         for c, holders in enumerate(cols):
             if not holders:
@@ -165,76 +185,35 @@ def smith_diagonal(rows: List[List[int]]) -> List[int]:
             for j in pivot:
                 cols[j].discard(p)
             for i in list(holders):
-                row = sparse[i]
-                f = row[c] * pivot[c]  # row[c] / pivot[c], as pivot[c] is +-1
-                for j, v in pivot.items():
-                    w = row.get(j, 0) - f * v
-                    if w:
-                        row[j] = w
-                        cols[j].add(i)
-                    else:
-                        del row[j]
-                        cols[j].discard(i)
+                subtract(i, sparse[i][c] * pivot[c], pivot)  # pivot[c] is +-1
             units += 1
             found = True
-    rest = [row for row in sparse if row]
-    live = sorted({j for row in rest for j in row})
-    return [1] * units + _smith_dense([[row.get(j, 0) for j in live] for row in rest])
-
-
-def _smith_dense(m: List[List[int]]) -> List[int]:
-    """Smith diagonal of a dense matrix, modified in place: move a least
-    nonzero entry to the pivot, reduce its row and column by it, and
-    start over from a least entry while a remainder is left; once the
-    pivot is alone in its row and column, make it divide the rest."""
-    if not m or not m[0]:
-        return []
-    R, C = len(m), len(m[0])
-    diag: List[int] = []
-    r = 0
-    while r < min(R, C):
-        # pick the first entry of least nonzero magnitude in the remaining
-        # block; no entry is smaller than 1, so a row holding 1 ends the search
-        pr, pc, best = -1, -1, None
-        for i in range(r, R):
-            for j in range(r, C):
-                v = abs(m[i][j])
-                if v and (best is None or v < best):
-                    pr, pc, best = i, j, v
-            if best == 1:
-                break
-        if best is None:
-            break
-        m[r], m[pr] = m[pr], m[r]
-        for i in range(R):
-            m[i][r], m[i][pc] = m[i][pc], m[i][r]
-        piv = m[r][r]
-        again = False
-        for i in range(r + 1, R):
-            if m[i][r]:
-                q = m[i][r] // piv
-                for j in range(r, C):
-                    m[i][j] -= q * m[r][j]
-                again = again or m[i][r] != 0
-        for j in range(r + 1, C):
-            if m[r][j]:
-                q = m[r][j] // piv
-                for i in range(r, R):
-                    m[i][j] -= q * m[i][r]
-                again = again or m[r][j] != 0
-        if not again and best > 1:
-            # the pivot must divide every later entry: add a row holding
-            # one it does not divide, and reduce again
-            for i in range(r + 1, R):
-                if any(m[i][j] % piv for j in range(r + 1, C)):
-                    m[r] = [x + y for x, y in zip(m[r], m[i])]
-                    again = True
-                    break
-        if again:
+        if found:
             continue
-        diag.append(best)
-        r += 1
-    return diag
+        least = min(((abs(v), len(row), i, j) for i, row in enumerate(sparse)
+                     for j, v in row.items()), default=None)
+        if least is None:
+            break
+        _, _, p, c = least
+        pivot = sparse[p]
+        a = pivot[c]
+        for i in [i for i in cols[c] if i != p]:
+            subtract(i, sparse[i][c] // a, pivot)
+        if len(cols[c]) == 1:
+            for j in [j for j in pivot if j != c]:
+                pivot[j] %= a
+                if not pivot[j]:
+                    del pivot[j]
+                    cols[j].discard(p)
+            if len(pivot) == 1:
+                diag.append(abs(a))
+                sparse[p] = {}
+                cols[c].discard(p)
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            g = gcd(diag[i], diag[j])
+            diag[i], diag[j] = g, diag[i] // g * diag[j]
+    return [1] * units + diag
 
 
 def _collapse(cx: Complex) -> Set[str]:

@@ -139,6 +139,15 @@ def test_fixes_endpoints_examples():
     assert action.fixes_endpoints(group.word("x[e]"), 16)
     assert not action.fixes_endpoints(group.word("p0"), 16)
     assert action.fixes_endpoints(group.word("y[10] y[110]^-1"), 16)
+    assert action.fixes_endpoints(group.word("x[e]"), 0)
+    # a negative depth reads no bit, and is refused as equal_at_depth refuses it
+    w = group.word("x[e]")
+    with pytest.raises(ValueError, match="search depth must be >= 0, got -3"):
+        action.fixes_endpoints(w, -3)
+    with pytest.raises(ValueError, match="search depth must be >= 0, got -1"):
+        action.moved_endpoint(w, -1)
+    with pytest.raises(ValueError, match="search depth must be >= 0, got -1"):
+        action.equal_at_depth(w, group.identity("Shat"), -1)
 
 
 def test_moved_endpoint_matches_restarting_scan():

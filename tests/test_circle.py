@@ -101,6 +101,15 @@ def test_relator_schemas_examples():
         assert group.char_value("psihat", r) == 0
 
 
+def test_relator_schemas_need_non_negative_int_bounds():
+    assert len(relator_schemas(0, 0)) == 3  # x-square and expansion at the root, p0^2
+    for bad in (-1, 1.0, True, "1"):
+        with pytest.raises(ValueError, match="maxlen must be a non-negative int"):
+            relator_schemas(bad, 1)
+        with pytest.raises(ValueError, match="maxp must be a non-negative int"):
+            relator_schemas(1, bad)
+
+
 def test_in_S():
     assert in_S(group.word("y[10] y[110]^-1"))
     assert not in_S(group.word("y[10]"))

@@ -165,6 +165,24 @@ def test_negative_depth_exits_1(capsys):
         assert captured.err.strip() == "error: search depth must be >= 0, got -1"
 
 
+def test_bad_numbers_are_named(capsys):
+    cases = [
+        (["relcheck", "--maxlen", "-1"], "maxlen must be a non-negative int, got -1"),
+        (["relcheck", "--maxp", "-1"], "maxp must be a non-negative int, got -1"),
+        (["sigma", "--char", "1,0,0", "--n", "x"], "index must be an int or 'inf', not 'x'"),
+        (["sigma", "--char", "1,a,0"], "character coordinate must be a rational, not 'a'"),
+        (["classify", "--gens", "1,x,0"], "generator entry must be an int, not 'x'"),
+        (["classify", "--gens", "1,0,0; 1,,0"], "generator entry must be an int, not ''"),
+        (["phiinv", "1/0"], "value must be a rational or 'inf', not '1/0'"),
+        (["phiinv", "x"], "value must be a rational or 'inf', not 'x'"),
+    ]
+    for argv, message in cases:
+        assert run(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+
 def test_error_exit(capsys):
     # chi0 is not defined on yG, which y[0] infers
     assert run(["char", "--name", "chi0", "y[0]"]) == 1
