@@ -81,8 +81,11 @@ def cmd_char(args):
 def cmd_wordproblem(args):
     w = _parse_word(args.word, args.tag)
     verdict = group.word_problem(w, depth=args.depth)
-    _emit(args, {"verdict": verdict.result, "witness": verdict.witness},
-          verdict.result + (f" (witness {verdict.witness})" if verdict.witness else ""))
+    if verdict.result == "unknown":  # the reason, not a witness
+        text = f"unknown ({verdict.witness})"
+    else:
+        text = verdict.result + (f" (witness {verdict.witness})" if verdict.witness else "")
+    _emit(args, {"verdict": verdict.result, "witness": verdict.witness}, text)
     return 2 if verdict.result == "not-identity" else 0
 
 

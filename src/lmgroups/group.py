@@ -559,7 +559,8 @@ def rewrite_standard_form(
     or an independent swap.  An expansion, a quad contraction
     (y_{u0} y_{u10}^-1 y_{u11} y_u^-1 = x_u^-1) or a head absorption
     transports the tail's prefix, so the scan starts over.  Budgets
-    guard termination; the result is checked against the action oracle.
+    guard termination; with validate the result is checked against the
+    action oracle at depth.
     """
     unread = w.unit_letters()[::-1]
     head: List[Letter] = []
@@ -664,12 +665,18 @@ def rewrite_standard_form(
         GroupWord(_merge_letters(head), w.tag), tuple((s, e) for _, s, e in merged), w.tag
     )
     if validate:
-        witness = action.equal_at_depth(w, sf.word(), depth)
-        if witness is not None:
-            raise AssertionError(
-                f"rewriting produced an unequal word (witness input {witness!r})"
-            )
+        _check_rewrite(w, sf, depth)
     return sf
+
+
+def _check_rewrite(w: GroupWord, sf: StandardForm, depth: int) -> None:
+    """Raise AssertionError if the action oracle separates w from its
+    standard form within depth."""
+    witness = action.equal_at_depth(w, sf.word(), depth)
+    if witness is not None:
+        raise AssertionError(
+            f"rewriting produced an unequal word (witness input {witness!r})"
+        )
 
 
 def _merge_letters(units: List[Letter]) -> Tuple[Letter, ...]:
@@ -698,16 +705,23 @@ class Verdict:
 
 def word_problem(w: GroupWord, depth: int = DEFAULT_DEPTH) -> Verdict:
     """NotIdentity with an action witness, searched first; Identity only
-    when the standard form has an empty tail and a trivial tree pair."""
+    when the standard form has an empty tail and a trivial tree pair.
+
+    The standard form is checked against w at depth only on the way to
+    `unknown`.  For `identity` the check is implied by the witness
+    search: a head that acts as the identity forces a prefix of u on any
+    input u, so an input separating w from it within depth would also
+    separate w from the identity, and the search found none."""
     witness = action.equal_at_depth(w, identity(w.tag), depth)
     if witness is not None:
         return Verdict("not-identity", witness)
     try:
-        sf = rewrite_standard_form(w, depth=depth)
+        sf = rewrite_standard_form(w, validate=False)
     except RewriteBudgetExceeded as exc:
         return Verdict("unknown", str(exc))
     if not sf.tail and decide_T_identity(sf.head):
         return Verdict("identity")
+    _check_rewrite(w, sf, depth)
     return Verdict("unknown", f"agrees with the identity to depth {depth}")
 
 

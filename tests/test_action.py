@@ -329,6 +329,20 @@ def _bench_size_pairs(seed, n=60):
     return pairs
 
 
+def test_identity_verdicts_agree_with_their_unvalidated_forms():
+    """word_problem skips the rewrite check on an identity verdict; the
+    check it skips passes on every identity among the bench-size words."""
+    depth = group.DEFAULT_DEPTH
+    identities = 0
+    for seed in (1, 2):
+        for w in dict.fromkeys(w for w, _ in _bench_size_pairs(seed)):
+            if group.word_problem(w).result == "identity":
+                identities += 1
+                form = group.rewrite_standard_form(w, validate=False).word()
+                assert action.equal_at_depth(w, form, depth) is None
+    assert identities
+
+
 def test_search_expands_each_node_once_at_bench_depth(monkeypatch):
     depth = 16
     feed_word = action.feed_word

@@ -69,6 +69,22 @@ def test_wordproblem_exit_codes(capsys):
     capsys.readouterr()
 
 
+def test_wordproblem_names_a_witness_only_for_not_identity(capsys):
+    deep = "0" * 19 + "1"
+    cases = [
+        (["--tag", "G", "y[01]"], "not-identity (witness 0101)", "0101"),
+        (["--tag", "G", f"y[{deep}]"], "unknown (agrees with the identity to depth 16)",
+         "agrees with the identity to depth 16"),
+        (["--tag", "G", "x[e] x[e]^-1"], "identity", None),
+    ]
+    for argv, text, witness in cases:
+        run(["wordproblem", *argv])
+        assert capsys.readouterr().out == text + "\n"
+        run(["wordproblem", "--json", *argv])
+        payload = json.loads(capsys.readouterr().out)
+        assert payload == {"format": 1, "verdict": text.split()[0], "witness": witness}
+
+
 def test_normalize_and_act(capsys):
     assert run(["normalize", "--tag", "yGy", "x[e]^-1 y[e]"]) == 0
     assert capsys.readouterr().out.strip() == "y[0] y[10]^-1 y[11]"

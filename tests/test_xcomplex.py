@@ -257,6 +257,20 @@ def test_closures_and_cell_ids_match_former_passes_on_assemblies():
             assert list(ids.items()) == list(_former_global_ids(piece).items())
 
 
+def test_vertex_sets_are_memoised_and_match_the_face_filter():
+    """`vertices_of` keeps one set per cell, equal to the filter of the
+    cell's faces it ran on every call before, on each assembly and on
+    each piece's shared arrangement complex."""
+    for pieces in _seeded_pieces(5, 30):
+        pieces_cx = [build_x_cluster(base, params).cluster.complex for base, params in pieces]
+        for cx in [assemble(pieces).complex] + pieces_cx:
+            for c, d in cx.dims.items():
+                got = cx.vertices_of(c)
+                assert cx.vertices_of(c) is got
+                assert got == (frozenset({c}) if d == 0 else
+                               frozenset(f for f in cx.faces(c) if not cx.dims[f])), c
+
+
 def _former_cone_vertex(pieces):
     """The cone search as it read its complexes before it took edges and
     squares from the facet table: every edge by the vertices of its
