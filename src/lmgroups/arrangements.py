@@ -93,9 +93,17 @@ STEPS = {
 
 
 def face_of(ckey: str, dkey: str) -> bool:
-    """True iff the cell with key ckey lies in the closure of dkey."""
+    """True iff the cell with key ckey lies in the closure of dkey.
+    Raises ValueError when a key has no '|', or when the two keys'
+    positions or relations differ in length: such keys are cells of
+    no one arrangement."""
+    for key in (ckey, dkey):
+        if "|" not in key:
+            raise ValueError(f"{key!r} is not a cell key")
     cp, cr = split_key(ckey)
     dp, dr = split_key(dkey)
+    if len(cp) != len(dp) or len(cr) != len(dr):
+        raise ValueError(f"{ckey!r} and {dkey!r} are keys of different shapes")
     for a, b in zip(cp, dp):
         if b != "i" and a != b:
             return False
@@ -210,7 +218,18 @@ def _run_table(
     P, R, D = zip(*cells)
     index = {f"{p}|{r}": i for i, (p, r) in enumerate(zip(P, R))}
     O = tuple(tuple(index[f] - i for f in _facets(p, r)) for i, (p, r) in enumerate(zip(P, R)))
+    _check_run_table(P, R, D, O)
     return P, R, D, O
+
+
+def _check_run_table(P, R, D, O) -> None:
+    """Pass a run table's cells through the checking `Complex`
+    constructor, which raises ValueError on a facet that is not a cell
+    one dimension down.  A product of checked tables is right by
+    construction, so `enumerate_cells` builds its complexes unchecked."""
+    keys = [f"{p}|{r}" for p, r in zip(P, R)]
+    facets = {k: frozenset(keys[i + o] for o in O[i]) for i, k in enumerate(keys)}
+    Complex(dict(zip(keys, D)), facets)
 
 
 # The most cells enumerate_cells lists: a run of m coordinates alone has
@@ -233,10 +252,12 @@ def enumerate_cells(arr: Arrangement) -> ClusterComplex:
     run at m <= 8), and the tables are folded left to right: a facet of
     a product cell replaces one factor by a facet of it, so the fold
     only scales and adds index offsets and builds no facet keys.  Each
-    facet set holds the cell table's own key objects.  The cell count
-    is the product of the runs' closed-form sizes (2 * 4^m + 1) / 3;
-    past MAX_CELLS it raises ValueError before any table is built:
-    every arrangement with n <= 8 is listed, and none with n >= 11.
+    facet set holds the cell table's own key objects.  Each table passed
+    the checking `Complex` constructor once, where it was made, so the
+    product is built unchecked.  The cell count is the product of the
+    runs' closed-form sizes (2 * 4^m + 1) / 3; past MAX_CELLS it raises
+    ValueError before any table is built: every arrangement with
+    n <= 8 is listed, and none with n >= 11.
     The n > 12 check comes first, so that the runs are never read for
     a huge n."""
     if arr.n > 12:
@@ -264,7 +285,7 @@ def enumerate_cells(arr: Arrangement) -> ClusterComplex:
     order = sorted(range(len(keys)), key=keys.__getitem__)
     dims = {keys[i]: D[i] for i in order}
     facets = {keys[i]: frozenset(keys[i + o] for o in O[i]) for i in order}
-    return ClusterComplex(arr, Complex(dims, facets))
+    return ClusterComplex(arr, Complex._trusted(dims, facets))
 
 
 # --------------------------------------------------------------------------

@@ -1,9 +1,14 @@
 """Finite regular cell complexes as face posets, with integral homology.
 
 A complex stores cells by key with a dimension and the set of
-codimension-one faces.  Homology first collapses free pairs on the cell
-complex (a homotopy equivalence), then takes the cellular chain complex
-of what remains.  Every complex here is regular (its cells are convex
+codimension-one faces.  The public constructor checks that every facet
+is a cell one dimension down.  Four builders make complexes that are
+right by construction and skip that check through one private
+constructor: products of run tables checked once where they were made,
+subcomplexes, ascending links, and gluings that reject inconsistent
+cells.  Homology first collapses free pairs on the cell complex (a
+homotopy equivalence), then takes the cellular chain complex of what
+remains.  Every complex here is regular (its cells are convex
 polytopes and vertex figures of them), so each incidence number is +-1
 and follows by induction on dimension from the face poset alone
 (Lundell-Weingram, "The Topology of CW Complexes", 1969).  Where that
@@ -29,6 +34,20 @@ from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
 
 @dataclass
 class Complex:
+    """Cells by key, each with a dimension and its set of facets.
+
+    The public constructor checks its input: both dicts name the same
+    cells, every dimension is a non-negative int, every facet set a
+    frozenset of cells one dimension down.  Four builders make complexes
+    that are right by construction and go through `_trusted`, which
+    checks nothing: the product fold of `arrangements.enumerate_cells`,
+    whose run tables each pass this check once per process where they
+    are made; `subcomplex`, which keeps the cells and facets of a
+    complex and checks closure; `xcomplex.ascending_link`, which drops
+    cells of a star with their facets outside it; and
+    `xcomplex.assemble`, whose gluing rejects a cell seen with two
+    dimensions or facet sets."""
+
     dims: Dict[str, int]
     facets: Dict[str, FrozenSet[str]]
     _faces: Dict[str, FrozenSet[str]] = field(
@@ -59,6 +78,17 @@ class Complex:
                     if f not in dims:
                         raise ValueError(f"facet {f} of {c} is not a cell")
                     raise ValueError(f"facet {f} of {c} has the wrong dimension")
+
+    @classmethod
+    def _trusted(cls, dims: Dict[str, int], facets: Dict[str, FrozenSet[str]]) -> "Complex":
+        """A complex from cells and facets right by construction, not
+        checked again; see the class docstring for its only callers."""
+        cx = object.__new__(cls)
+        cx.dims = dims
+        cx.facets = facets
+        cx._faces = {}
+        cx._vertices = {}
+        return cx
 
     def cells(self) -> List[str]:
         return sorted(self.dims, key=lambda k: (self.dims[k], k))
@@ -109,7 +139,10 @@ class Complex:
         """The complex on a cell set closed under faces.  A set holding
         every facet of each of its cells holds every face, by induction
         on dimension, so only facets are checked; the least cell missing
-        a facet is named.  The least key that is no cell is named first."""
+        a facet is named.  The least key that is no cell is named first.
+        The cells keep this complex's order and its dimensions and facet
+        sets, so the result is right by construction and not checked
+        again."""
         keep = set(keys)
         unknown = keep.difference(self.dims)
         if unknown:
@@ -117,10 +150,8 @@ class Complex:
         open_cells = [k for k in keep if not self.facets[k] <= keep]
         if open_cells:
             raise ValueError(f"cell set not closed under faces at {min(open_cells)}")
-        return Complex(
-            {k: self.dims[k] for k in keep},
-            {k: self.facets[k] for k in keep},
-        )
+        dims = {k: d for k, d in self.dims.items() if k in keep}
+        return Complex._trusted(dims, {k: self.facets[k] for k in dims})
 
 
 def order_complex(cx: Complex) -> List[Tuple[str, ...]]:
@@ -226,17 +257,21 @@ def smith_diagonal(rows: List[List[int]]) -> List[int]:
     return [1] * units + diag
 
 
-def _collapse(cx: Complex) -> Set[str]:
+def _collapse(cx: Complex) -> Tuple[Set[str], List[Tuple[str, str]]]:
     """Greedy free-pair collapse: while some cell f has exactly one
     cofacet c and c is maximal, remove the least such f (by dimension,
     then key) together with c.  Returns the cells that remain, a
-    subcomplex of the same homotopy type."""
+    subcomplex of the same homotopy type, and the free pairs (f, c) in
+    the order they were removed: a certificate of the collapse that can
+    be replayed without the heap (Forman, "Morse theory for cell
+    complexes", 1998)."""
     cofacets: Dict[str, Set[str]] = {k: set() for k in cx.dims}
     for c, fs in cx.facets.items():
         for f in fs:
             cofacets[f].add(c)
     heap = [(d, k) for k, d in cx.dims.items()]
     heapq.heapify(heap)
+    pairs: List[Tuple[str, str]] = []
     while heap:
         _, f = heapq.heappop(heap)
         if f not in cofacets or len(cofacets[f]) != 1:
@@ -245,6 +280,7 @@ def _collapse(cx: Complex) -> Set[str]:
         if cofacets[c]:
             continue
         del cofacets[f], cofacets[c]
+        pairs.append((f, c))
         # only the facets of a removed cell, and the facets of a cell
         # that has just become maximal, can have become free
         for cell in (f, c):
@@ -255,7 +291,7 @@ def _collapse(cx: Complex) -> Set[str]:
                     if not cofacets[g]:
                         for h in cx.facets[g]:
                             heapq.heappush(heap, (cx.dims[h], h))
-    return set(cofacets)
+    return set(cofacets), pairs
 
 
 def _is_vertex(cx: Complex, rest: Set[str]) -> bool:
@@ -353,7 +389,7 @@ def _cellular_homology(cx: Complex, cells: Set[str]) -> Dict[int, Tuple[int, Lis
 
 def homology_and_collapsible(cx: Complex) -> Tuple[Dict[int, Tuple[int, List[int]]], bool]:
     """reduced_homology(cx) and is_collapsible(cx), read from one collapse."""
-    rest = _collapse(cx)
+    rest, _ = _collapse(cx)
     h = _cellular_homology(cx, rest)
     for d in range(cx.dimension() + 1):
         h.setdefault(d, (0, []))
@@ -377,4 +413,4 @@ def is_trivial_homology(h: Dict[int, Tuple[int, List[int]]]) -> bool:
 def is_collapsible(cx: Complex) -> bool:
     """Greedy free-face collapse down to a single vertex.  True is a
     certificate of contractibility; False is inconclusive."""
-    return _is_vertex(cx, _collapse(cx))
+    return _is_vertex(cx, _collapse(cx)[0])

@@ -207,7 +207,11 @@ def assemble(pieces: Sequence[Tuple[GroupWord, Sequence[SpecialForm]]]) -> XComp
     """Union of labeled clusters with vertices identified by canonical
     coset keys and cells deduplicated by identified vertex sets; every
     pairwise intersection must be a subcluster of both pieces.  The
-    bases must share one tag, the group of the complex."""
+    bases must share one tag, the group of the complex.  Each glued
+    cell takes the dimension and identified facets of a cell of a
+    piece, and a cell met again with another dimension or facet set
+    raises AssemblyError, so the union is right by construction and
+    not checked again."""
     tags = sorted({base.tag for base, _ in pieces})
     if len(tags) > 1:
         raise TagViolation(f"pieces under different tags: {', '.join(tags)}")
@@ -248,7 +252,7 @@ def assemble(pieces: Sequence[Tuple[GroupWord, Sequence[SpecialForm]]]) -> XComp
                         f"intersection of pieces {i} and {j} is not a subcluster of both"
                     )
 
-    return XComplex(Complex(dims, facets), words)
+    return XComplex(Complex._trusted(dims, facets), words)
 
 
 # --------------------------------------------------------------------------
@@ -292,7 +296,9 @@ def ascending_link(cx: XComplex, vertex: str) -> Complex:
     """Link of the vertex in its ascending star: one link cell per cell
     whose (h, f)-minimum sits at the vertex (unique, since f is
     injective, so a cell whose minimum has the vertex's value holds the
-    vertex)."""
+    vertex).  A link cell keeps those facets of its cell that lie in
+    the star, each one dimension lower, so the link is right by
+    construction and not checked again."""
     if cx.complex.dims.get(vertex) != 0:
         raise ValueError(f"{vertex!r} is not a vertex of the complex")
     vals = morse_values(cx)
@@ -306,7 +312,7 @@ def ascending_link(cx: XComplex, vertex: str) -> Complex:
     facets = {
         c: frozenset(f for f in cx.complex.facets[c] if f in star_set) for c in star
     }
-    return Complex(dims, facets)
+    return Complex._trusted(dims, facets)
 
 
 def find_cone_vertex(

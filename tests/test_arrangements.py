@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 from itertools import chain, combinations, product
 from types import SimpleNamespace
@@ -218,6 +219,47 @@ def _listing(cx):
     return list(cx.dims.items()), list(cx.facets.items())
 
 
+def test_enumerated_complexes_pass_the_checking_constructor():
+    # enumerate_cells builds its complexes unchecked: each must be one
+    # the public constructor accepts, with the same cells in the same order
+    for n in range(1, 8):
+        for D in all_diag_subsets(n):
+            cx = enumerate_cells(Arrangement(n, frozenset(D))).complex
+            checked = Complex(dict(cx.dims), dict(cx.facets))
+            assert checked == cx and _listing(checked) == _listing(cx), (n, D)
+
+
+def test_run_tables_are_checked_once_where_they_are_made(monkeypatch):
+    checked = []
+    check = arrangements._check_run_table
+
+    def recording_check(P, R, D, O):
+        checked.append(len(P[0]))
+        check(P, R, D, O)
+
+    monkeypatch.setattr(arrangements, "_check_run_table", recording_check)
+    arrangements._run_table.cache_clear()
+    try:
+        for arr in (Arrangement(5, frozenset({1, 2, 4})), Arrangement(6, frozenset({2, 4, 5})),
+                    Arrangement(3, frozenset({1, 2}))):
+            enumerate_cells(arr)
+    finally:
+        arrangements._run_table.cache_clear()
+    assert checked == [3, 2, 1]
+
+
+def test_run_table_check_rejects_a_corrupted_facet_dimension():
+    P, R, D, O = arrangements._run_table(3)
+    keys = [f"{p}|{r}" for p, r in zip(P, R)]
+    f = keys.index("000|==")
+    D = list(D)
+    D[f] = 1  # a vertex made an edge
+    first = next(i for i in range(len(keys)) if f in (i + o for o in O[i]))
+    message = f"facet 000|== of {keys[first]} has the wrong dimension"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        arrangements._check_run_table(P, R, tuple(D), O)
+
+
 def test_shared_run_tables_give_the_same_complexes_cold_and_warm():
     # each complex built from empty run tables, then all of them in
     # increasing and in decreasing n through the shared tables: the
@@ -349,6 +391,20 @@ def test_face_of_examples():
     assert not face_of(v10, diag)
     for c in cx.complex.cells():
         assert face_of(c, c)
+
+
+def test_face_of_refuses_keys_of_different_shapes():
+    # zip truncated these to True: positions of two lengths, and a key
+    # with no '|'
+    cases = (
+        ("00|", "000|", "'00|' and '000|' are keys of different shapes"),
+        ("ii|<", "ii|", "'ii|<' and 'ii|' are keys of different shapes"),
+        ("01|<", "i", "'i' is not a cell key"),
+        ("i", "01|<", "'i' is not a cell key"),
+    )
+    for ckey, dkey, message in cases:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            face_of(ckey, dkey)
 
 
 def test_face_of_partial_order_and_vertex_counts():

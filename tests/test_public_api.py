@@ -1,4 +1,6 @@
+import ast
 import inspect
+from pathlib import Path
 
 import lmgroups
 
@@ -82,3 +84,39 @@ def test_cluster_signatures_read_the_group_off_the_base():
     assert params(lmgroups.assemble) == ("pieces",)
     assert params(lmgroups.find_cone_vertex) == ("pieces",)
     assert params(lmgroups.XComplex) == ("complex", "vertex_words")
+
+
+# Complex._trusted checks nothing, so only builders whose complexes are
+# right by construction may call it; a new call site must be argued for
+# in the Complex docstring and added here.
+TRUSTED_COMPLEX_BUILDERS = {
+    ("arrangements", "enumerate_cells"),
+    ("topology", "Complex.subcomplex"),
+    ("xcomplex", "ascending_link"),
+    ("xcomplex", "assemble"),
+}
+
+
+def _trusted_sites(path):
+    """(module, enclosing definition) of every `._trusted` read in a
+    source file, other than GroupWord's."""
+    sites = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if (isinstance(child, ast.Attribute) and child.attr == "_trusted"
+                    and not (isinstance(child.value, ast.Name) and child.value.id == "GroupWord")):
+                sites.add((path.stem, ".".join(scope)))
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text()), ())
+    return sites
+
+
+def test_trusted_complexes_are_built_only_by_the_four_builders():
+    src = Path(lmgroups.__file__).parent
+    sites = set().union(*(_trusted_sites(p) for p in sorted(src.glob("*.py"))))
+    assert sites == TRUSTED_COMPLEX_BUILDERS

@@ -14,6 +14,7 @@ from lmgroups.topology import (
     Complex,
     _collapse,
     _incidences,
+    _is_vertex,
     is_collapsible,
     is_trivial_homology,
     order_complex,
@@ -139,6 +140,52 @@ def test_skeleta_match_face_closed_restriction():
                 sub = cx.subcomplex(keep)
                 assert sub.dims == {c: cx.dims[c] for c in keep}
                 assert sub.facets == {c: cx.facets[c] for c in keep}
+
+
+def test_skeleta_keep_the_cell_order_and_pass_the_checking_constructor():
+    # subcomplex builds unchecked from a set: the cells must come in the
+    # parent's order, and the public constructor must accept the result
+    for n in range(1, 6):
+        for D in chain.from_iterable(combinations(range(1, n), r) for r in range(n)):
+            cx = enumerate_cells(Arrangement(n, frozenset(D))).complex
+            for k in range(n + 1):
+                keep = {c for c, d in cx.dims.items() if d <= k}
+                sub = cx.subcomplex(keep)
+                assert list(sub.dims) == [c for c in cx.dims if c in keep]
+                assert list(sub.facets) == list(sub.dims)
+                assert Complex(dict(sub.dims), dict(sub.facets)) == sub, (n, D, k)
+
+
+def _replay_collapse(cx, pairs):
+    """Remove the free pairs in the given order, without a heap: at its
+    turn each face must have its cofacet as its only cofacet left, and
+    that cofacet none.  Returns the cells left."""
+    cofacets = {k: set() for k in cx.dims}
+    for c, fs in cx.facets.items():
+        for f in fs:
+            cofacets[f].add(c)
+    for f, c in pairs:
+        assert cofacets.get(f) == {c}, (f, c)
+        assert cofacets.get(c) == set(), (f, c)
+        del cofacets[f], cofacets[c]
+        for cell in (f, c):
+            for g in cx.facets[cell]:
+                if g in cofacets:
+                    cofacets[g].discard(cell)
+    return set(cofacets)
+
+
+def test_collapse_pairs_replay_on_every_skeleton():
+    for n in range(1, 6):
+        for D in chain.from_iterable(combinations(range(1, n), r) for r in range(n)):
+            cx = enumerate_cells(Arrangement(n, frozenset(D))).complex
+            for k in range(n + 1):
+                sk = _skeleton(cx, k)
+                rest, pairs = _collapse(sk)
+                assert _replay_collapse(sk, pairs) == rest, (n, D, k)
+                assert len(rest) + 2 * len(pairs) == len(sk.dims)
+                if k == n:
+                    assert _is_vertex(sk, rest), (n, D)
 
 
 def test_smith_diagonal_known():
@@ -356,7 +403,7 @@ def _boundary_matrices(monkeypatch):
                 if (n, k) != (4, 3) or not D:
                     sk = _skeleton(cx, k)
                     reduced_homology(sk)
-                    oracles.homology_of_simplices(order_complex(sk.subcomplex(_collapse(sk))))
+                    oracles.homology_of_simplices(order_complex(sk.subcomplex(_collapse(sk)[0])))
     monkeypatch.undo()
     return seen
 
@@ -440,6 +487,6 @@ def test_non_regular_posets_that_survive_the_collapse_raise():
          "the boundary of c1 has Euler characteristic 0, not that of a sphere"),
     ]
     for complex_, message in cases:
-        assert _collapse(complex_) == set(complex_.dims)
+        assert _collapse(complex_) == (set(complex_.dims), [])
         with pytest.raises(ValueError, match=message):
             reduced_homology(complex_)

@@ -312,6 +312,17 @@ def test_cone_search_matches_former_closure_criterion():
         assert find_cone_vertex(pieces) == (_former_cone_vertex(pieces), True)
 
 
+def test_assemblies_and_ascending_links_pass_the_checking_constructor():
+    # assemble and ascending_link build unchecked: the public constructor
+    # must accept every complex they make on the seeded suites
+    for pieces in _seeded_pieces(5, 30) + _seeded_pieces(17, 60):
+        cx = assemble(pieces)
+        assert topology.Complex(dict(cx.complex.dims), dict(cx.complex.facets)) == cx.complex
+        for v in cx.complex.cells_of_dim(0):
+            link = ascending_link(cx, v)
+            assert topology.Complex(dict(link.dims), dict(link.facets)) == link, v
+
+
 def test_coned_ascending_link_contractible():
     m, _ = find_cone_vertex([(F, FIG1_PARAMS)])
     apex = special_form(f"y[{'0' * m}1]")
