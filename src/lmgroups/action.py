@@ -30,6 +30,9 @@ from . import words
 
 State = Optional[Tuple["Machine", str]]
 
+# The depth of the oracle searches that back verdicts and checks.
+DEFAULT_DEPTH = 16
+
 
 @dataclass(frozen=True)
 class PrefixResult:
@@ -219,7 +222,7 @@ def moved_endpoint(word, depth: int) -> Optional[str]:
     return moved
 
 
-def fixes_endpoints(word, depth: int = 16) -> bool:
+def fixes_endpoints(word, depth: int = DEFAULT_DEPTH) -> bool:
     """True iff the forced images of 0^depth and 1^depth stay on the
     constant sequences."""
     return moved_endpoint(word, depth) is None

@@ -53,9 +53,6 @@ class Complex:
     _faces: Dict[str, FrozenSet[str]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
-    _vertices: Dict[str, FrozenSet[str]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self):
         dims = self.dims
@@ -87,7 +84,6 @@ class Complex:
         cx.dims = dims
         cx.facets = facets
         cx._faces = {}
-        cx._vertices = {}
         return cx
 
     def cells(self) -> List[str]:
@@ -113,16 +109,11 @@ class Complex:
 
     def vertices_of(self, key: str) -> FrozenSet[str]:
         """The cell itself if it is a vertex, else the vertices among its
-        faces, memoised per cell like `faces`."""
-        got = self._vertices.get(key)
-        if got is None:
-            if self.dims[key] == 0:
-                got = frozenset({key})
-            else:
-                dims = self.dims
-                got = frozenset([f for f in self.faces(key) if not dims[f]])
-            self._vertices[key] = got
-        return got
+        faces."""
+        dims = self.dims
+        if dims[key] == 0:
+            return frozenset({key})
+        return frozenset([f for f in self.faces(key) if not dims[f]])
 
     def edges(self) -> List[Tuple[str, FrozenSet[str]]]:
         """Each 1-cell with its vertices, which are its facets."""

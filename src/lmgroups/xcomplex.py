@@ -108,14 +108,18 @@ def _difference_entries(
     forms: Sequence[SpecialForm], plus: FrozenSet[int], minus: FrozenSet[int]
 ) -> List[Tuple[str, int]]:
     """The entries of the forms in `plus` and the inverse entries of the
-    forms in `minus`, sorted by the tree order."""
-    letters: List[Tuple[str, int]] = []
-    for i in sorted(plus):
-        letters.extend(forms[i].entries)
-    for i in sorted(minus):
-        letters.extend(forms[i].inverse_entries())
-    letters.sort(key=lambda e: tree_key(e[0]))
-    return letters
+    forms in `minus`, in the tree order.  `forms` are pairwise
+    independent and sorted by `sort_params`, so concatenating them in
+    index order is already sorted: a special form's subscripts increase
+    strictly (u01^m before u10^n), and every word strictly between
+    u01^m and u10^n is a proper prefix of the first or a proper
+    extension of the second, so no subscript of another form lies
+    between a form's first and last subscripts."""
+    return [
+        e
+        for i in sorted(plus | minus)
+        for e in (forms[i].entries if i in plus else forms[i].inverse_entries())
+    ]
 
 
 @lru_cache(maxsize=64)

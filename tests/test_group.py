@@ -508,14 +508,19 @@ def test_sorted_coset_units_match_the_rewriter(monkeypatch):
     for w in inputs:
         checked.clear()
         head, units = group._coset_units(w)
-        # sorted, not rewritten, and still checked against the action
-        assert not rewritten and checked == [w], w
+        # sorted, not rewritten, and with no oracle call: the sort only
+        # applies the defining relation y_s y_t = y_t y_s
+        assert not rewritten and not checked, w
+        # the sort is checked against the action here, not at run time
+        sorted_word = GroupWord(tuple(("y", s, e) for s, e in units), w.tag)
+        assert real_equal(w, sorted_word, 16) is None, w
         sf = rewrite_standard_form(w)
         assert head.letters == sf.head.letters == ()
         assert units == group._unit_entries(sf.tail)
 
+    checked.clear()
     sorted_keys = [canonical_coset.__wrapped__(w) for w in inputs]
-    assert not rewritten
+    assert not rewritten and not checked
     monkeypatch.setattr(group, "_coset_units", _rewriter_coset_units)
     assert sorted_keys == [canonical_coset.__wrapped__(w) for w in inputs]
     contracted = sum(len(k.letters) < len(w.letters) for k, w in zip(sorted_keys, inputs))
@@ -570,6 +575,8 @@ def test_letter_memo_keeps_every_rejection():
         ((("y", "0", 1),), "Gy"),  # a zero run under Gy
         ((("y", "01", 1.0),), "G"),  # a float exponent equal to 1
         ((("p", 1.0, 1),), "T"),  # a float index equal to 1
+        ((("y", "01", True),), "G"),  # a bool exponent
+        ((("p", True, 1),), "T"),  # a bool index
     ]
 
     def outcome(letters, tag):
@@ -581,6 +588,10 @@ def test_letter_memo_keeps_every_rejection():
     cold = [outcome(*r) for r in rejections]
     assert cold[0] == (TagViolation, "exponent must be a nonzero integer, got 0")
     assert cold[2] == (ValueError, "not a binary word: ['0', '1']")
+    assert cold[-2] == (TagViolation, "exponent must be a nonzero integer, got True")
+    assert cold[-1] == (TagViolation, "p index must be a natural number, got True")
+    # a rejected letter never enters the typed memo
+    assert group._checked_letter.cache_info().currsize == 0
     # the equal letters with integer entries are valid and memoised
     assert GroupWord((("y", "01", 1),), "G").letters == (("y", "01", 1),)
     assert GroupWord((("p", 1, 1),), "T").letters == (("p", 1, 1),)
@@ -588,6 +599,10 @@ def test_letter_memo_keeps_every_rejection():
     for _ in range(2):
         assert [outcome(*r) for r in rejections] == cold
     assert GroupWord((("y", "0", 1),), "yG").letters == (("y", "0", 1),)
+    assert group._checked_letter.cache_info().currsize == 3
+    # a special form's signs are the ints +-1 too
+    with pytest.raises(ValueError, match="special-form signs are \\+-1, got True"):
+        SpecialForm((("01", True),))
 
 
 def test_relator_suite_small_with_characters():

@@ -86,6 +86,12 @@ def test_cluster_signatures_read_the_group_off_the_base():
     assert params(lmgroups.XComplex) == ("complex", "vertex_words")
 
 
+def test_rewrite_validates_at_the_one_oracle_depth():
+    # no depth knob: a validated rewrite is checked at DEFAULT_DEPTH
+    params = tuple(inspect.signature(lmgroups.rewrite_standard_form).parameters)
+    assert params == ("w", "max_steps", "max_subscript", "validate")
+
+
 # Complex._trusted checks nothing, so only builders whose complexes are
 # right by construction may call it; a new call site must be argued for
 # in the Complex docstring and added here.

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 import re
 
@@ -7,7 +8,7 @@ import pytest
 
 from lmgroups import arrangements, group, topology, xcomplex
 from lmgroups.group import GroupWord, TagViolation, canonical_coset, special_form
-from lmgroups.words import independent
+from lmgroups.words import independent, tree_key
 from lmgroups.xcomplex import (
     ClusterError,
     CrossCheckError,
@@ -258,17 +259,52 @@ def test_closures_and_cell_ids_match_former_passes_on_assemblies():
 
 
 def test_vertex_sets_are_memoised_and_match_the_face_filter():
-    """`vertices_of` keeps one set per cell, equal to the filter of the
-    cell's faces it ran on every call before, on each assembly and on
-    each piece's shared arrangement complex."""
+    """`vertices_of` equals the filter of the cell's memoised faces, on
+    each assembly and on each piece's shared arrangement complex."""
     for pieces in _seeded_pieces(5, 30):
         pieces_cx = [build_x_cluster(base, params).cluster.complex for base, params in pieces]
         for cx in [assemble(pieces).complex] + pieces_cx:
             for c, d in cx.dims.items():
                 got = cx.vertices_of(c)
-                assert cx.vertices_of(c) is got
                 assert got == (frozenset({c}) if d == 0 else
                                frozenset(f for f in cx.faces(c) if not cx.dims[f])), c
+
+
+def _former_difference_entries(forms, plus, minus):
+    """`_difference_entries` as it was before it trusted the tree order:
+    the chosen entries concatenated, then sorted by `tree_key`."""
+    letters = []
+    for i in sorted(plus):
+        letters.extend(forms[i].entries)
+    for i in sorted(minus):
+        letters.extend(forms[i].inverse_entries())
+    letters.sort(key=lambda e: tree_key(e[0]))
+    return letters
+
+
+def test_difference_entries_are_sorted_by_the_forms_intervals():
+    """Independent forms sorted by `sort_params` fill disjoint intervals
+    of the tree order in index order, so every difference product is
+    already sorted: on every cluster of the seeded assemblies and on
+    random parameter sets, for every disjoint (P, N)."""
+    from genutil import random_params
+
+    rng = random.Random(24)
+    clusters = [xcomplex.sort_params(params)
+                for pieces in _seeded_pieces(5, 30) for _, params in pieces]
+    clusters += [xcomplex.sort_params(random_params(rng)) for _ in range(200)]
+    checked = 0
+    for forms in clusters:
+        for f in forms:
+            keys = [tree_key(s) for s in f.subscripts()]
+            assert all(a < b for a, b in zip(keys, keys[1:])), f
+        for signs in itertools.product((0, 1, -1), repeat=len(forms)):
+            plus = frozenset(i for i, c in enumerate(signs) if c == 1)
+            minus = frozenset(i for i, c in enumerate(signs) if c == -1)
+            got = xcomplex._difference_entries(forms, plus, minus)
+            assert got == _former_difference_entries(forms, plus, minus), (forms, plus, minus)
+            checked += 1
+    assert checked > 1000
 
 
 def _former_cone_vertex(pieces):
