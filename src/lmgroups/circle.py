@@ -215,7 +215,9 @@ def t_transporter(
     another: both pairs consecutive, or both independent and
     non-consecutive.  Built by completing both pairs to finite codes,
     padding arcs to matching lengths and aligning cyclically, then
-    converting the prefix map to a word."""
+    converting the prefix map to a word.  No element of T exists where,
+    on one side, the arc between the pins is empty for one pair only: T
+    acts by homeomorphisms of the circle, which keep an empty arc empty."""
     a1, a2 = from_pair
     b1, b2 = to_pair
     for s in (a1, a2, b1, b2):
@@ -229,8 +231,6 @@ def t_transporter(
         for s, t in ((a1, a2), (b1, b2)):
             if not independent(s, t):
                 raise TransporterError("non-consecutive pairs must be independent")
-    if (a1, a2) == (b1, b2):
-        return group.identity("T")
 
     src, s_arc = _completed_pair(a1, a2)
     dst, d_arc = _completed_pair(b1, b2)
@@ -242,13 +242,9 @@ def t_transporter(
     if back_s != back_d:
         short, pins = (src, (a1, a2)) if back_s < back_d else (dst, (b1, b2))
         _pad_arc(short, pins[1], pins[0], abs(back_s - back_d))
-    if len(src) != len(dst):
-        raise TransporterError("arc padding failed")
     k = len(src)
     r = (dst.index(b1) - src.index(a1)) % k
     pm = tuple(sorted((src[j], dst[(j + r) % k]) for j in range(k)))
-    if dict(pm)[a2] != b2:
-        raise TransporterError("cyclic alignment cannot match the second pin")
     word = group.pm_to_word_T(pm)
     for s, t in ((a1, b1), (a2, b2)):
         image = s
@@ -262,20 +258,17 @@ def t_transporter(
 
 
 def _completed_pair(s: str, t: str) -> Tuple[List[str], int]:
-    """Minimal complete prefix code containing s and t as leaves, sorted,
-    plus the cyclic arc length from s to t."""
+    """Minimal complete prefix code containing the independent s and t
+    as leaves, sorted, plus the cyclic arc length from s to t."""
     leaves = [""]
     for target in (s, t):
         while True:
-            host = next((l for l in leaves if target.startswith(l)), None)
-            if host is None:
-                raise TransporterError("pair entries are not independent")
+            host = next(l for l in leaves if target.startswith(l))
             if host == target:
                 break
             leaves.remove(host)
             leaves.extend([host + "0", host + "1"])
             leaves.sort()
-    leaves.sort()
     return leaves, _arc(leaves, s, t)
 
 
@@ -290,7 +283,9 @@ def _pad_arc(leaves: List[str], start: str, end: str, count: int):
         i, j = leaves.index(start), leaves.index(end)
         interior = [leaves[(i + d) % k] for d in range(1, (j - i) % k)]
         if not interior:
-            raise TransporterError("arc has no interior leaf to split")
+            raise TransporterError(
+                "no element of T exists: the arc between the pins is empty for one pair only"
+            )
         leaf = interior[0]
         leaves.remove(leaf)
         leaves.extend([leaf + "0", leaf + "1"])

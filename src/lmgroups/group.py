@@ -33,7 +33,8 @@ relation, so the standard form of such a word is the word sorted by
 the tree order, and contracting a triple keeps the subscripts
 independent.  The sort applies only that relation, so its result is
 not checked against the action at run time; the tests check it on the
-seeded suites.
+seeded suites.  Any other word is rewritten once, and a contraction is
+taken only onto a tail that the rewriter leaves unchanged.
 """
 
 from __future__ import annotations
@@ -770,27 +771,37 @@ def same_coset(g: GroupWord, g2: GroupWord) -> Verdict:
 # Canonical coset keys (vertices of the cluster complex)
 
 
+def _absorb(tail: List[Tuple[str, int]], skip, at: int, u: str) -> Optional[List[Tuple[str, int]]]:
+    """The units before position `at` of a unit tail, less those at `skip`,
+    transported as x_u^-1 at `at` moves left past them into the F part;
+    None where one cannot be."""
+    moved = [(partial_action(s, ("x", u, -1)), e) for i, (s, e) in enumerate(tail[:at])
+             if i not in skip]
+    return None if any(s is None for s, _ in moved) else moved
+
+
 def _triple_contract(tail: List[Tuple[str, int]]) -> Optional[List[Tuple[str, int]]]:
-    """Find y_{u0} y_{u10}^-1 y_{u11} inside a sorted unit tail and
-    absorb its x_u^-1 into the F part on the left, transporting the
-    letters it passes; returns the new unit tail or None."""
+    """Find y_{u0} y_{u10}^-1 y_{u11} = x_u^-1 y_u inside a standard unit
+    tail and absorb its x_u^-1 into the F part on the left, with any
+    quad y_{w0} y_{w10}^-1 y_{w11} y_w^-1 = x_w^-1 that y_u completes;
+    returns the first new unit tail that is again standard, or None."""
     for p3, (v, sg) in enumerate(tail):
         if sg != 1 or not v.endswith("11"):
             continue
         u = v[:-2]
         pos = _ordered_commuting(tail, [(u + "0", 1), (u + "10", -1)], p3)
-        if pos is None:
+        new = None if pos is None else _absorb(tail, pos, p3, u)
+        if new is None:
             continue
-        new: List[Tuple[str, int]] = []
-        for i, (s, e) in enumerate(tail[:p3]):
-            if i in pos:
-                continue
-            s2 = partial_action(s, ("x", u, -1))
-            if s2 is None:
-                break
-            new.append((s2, e))
-        else:
-            return new + [(u, 1)] + tail[p3 + 1:]
+        new += [(u, 1)] + tail[p3 + 1:]
+        while (quad := _find_quad(new)) is not None and (
+            moved := _absorb(new, quad[:3], quad[3], quad[4])
+        ) is not None:
+            new = moved + new[quad[3] + 1:]
+        # standard: no quad, sorted, and no cancelling neighbours
+        if quad is None and all((s, e) == (t, f) or tree_order_less(s, t)
+                                for (s, e), (t, f) in zip(new, new[1:])):
+            return new
     return None
 
 
@@ -799,21 +810,17 @@ def _unit_entries(tail: Sequence[Tuple[str, int]]) -> List[Tuple[str, int]]:
     return [(s, 1 if e > 0 else -1) for s, e in tail for _ in range(abs(e))]
 
 
-# A round of canonical_coset's contraction loop on a sorted tail removes
-# two units, but a rewritten tail need not shrink, so the loop is capped.
-MAX_COSET_CONTRACTIONS = 10_000
-
-
 def _coset_units(w: GroupWord) -> Tuple[GroupWord, List[Tuple[str, int]]]:
-    """The head and the unit tail of w's standard form.  A word of unit
-    y letters whose subscripts are pairwise independent is its own tail,
-    sorted by the tree order: y_s y_t = y_t y_s for independent s, t is a
-    defining relation, and the rewriter on such a word only swaps.  The
-    order is post-order, so a prefix-related pair of units (an equal
-    pair included) always shows up as an adjacent pair once sorted.
-    Every other word goes to rewrite_standard_form, which checks its
-    result against w with the action oracle; the sorted branch applies
-    only the defining relation, so it calls no oracle."""
+    """The head and the unit tail of w's standard form, a tail the
+    rewriter leaves unchanged.  A word of unit y letters whose
+    subscripts are pairwise independent is its own tail, sorted by the
+    tree order: y_s y_t = y_t y_s for independent s, t is a defining
+    relation, and the rewriter on such a word only swaps.  The order is
+    post-order, so a prefix-related pair of units (an equal pair
+    included) always shows up as an adjacent pair once sorted.  Every
+    other word goes to rewrite_standard_form, which checks its result
+    against w with the action oracle; the sorted branch applies only the
+    defining relation, so it calls no oracle."""
     if all(k == "y" and e in (1, -1) for k, _, e in w.letters):
         tail = sorted(w.letters, key=lambda l: tree_key(l[1]))
         if all(independent(s, t) for (_, s, _), (_, t, _) in zip(tail, tail[1:])):
@@ -826,27 +833,22 @@ def _coset_units(w: GroupWord) -> Tuple[GroupWord, List[Tuple[str, int]]]:
 def canonical_coset(g: GroupWord) -> GroupWord:
     """Canonical representative word for the coset Fg: the standard-form
     tail with the F head dropped and every left-absorbable triple
-    y_{u0} y_{u10}^-1 y_{u11} contracted to y_u.
+    y_{u0} y_{u10}^-1 y_{u11} contracted to y_u where that leaves a
+    standard tail, so the key needs no second rewrite.  Each contraction
+    removes at least two units, so the loop ends.
 
     The tail comes from `_coset_units`, which sorts a product of unit y
     letters with pairwise independent subscripts (the vertex words of a
     cluster over the identity, for one) instead of rewriting it, with no
-    oracle check: the sort is a sequence of defining relations.  That
-    branch is closed under the contraction: each unit other than the
-    triple is independent of u0, u10 and u11, hence of u, so x_u^-1
-    fixes it and the contracted tail is again pairwise independent.
-    More than MAX_COSET_CONTRACTIONS rounds raise RewriteBudgetExceeded."""
+    oracle check: the sort is a sequence of defining relations.  There
+    every contraction qualifies: each unit other than the triple is
+    independent of u0, u10 and u11, hence of u, so x_u^-1 fixes it and
+    the contracted tail is again sorted and pairwise independent."""
     head, units = _coset_units(g)
     if head.letters and not pm_order_preserving(pm_of_word(head)):
         raise TagViolation("coset representative has a head outside F")
-    rounds = 0
     while (new := _triple_contract(units)) is not None:
-        if rounds == MAX_COSET_CONTRACTIONS:
-            partial = GroupWord(tuple(("y", s, e) for s, e in units), g.tag)
-            raise RewriteBudgetExceeded(partial, "coset-contraction budget exceeded")
-        rounds += 1
-        # a word of y letters standardises to a head of x letters, in F
-        _, units = _coset_units(GroupWord(tuple(("y", s, e) for s, e in new), g.tag))
+        units = new
     key = GroupWord(_merge_letters([("y", s, e) for s, e in units]), g.tag)
     if psi_like_value(key) != psi_like_value(g):
         raise AssertionError("coset key changed the psi height")

@@ -14,6 +14,9 @@ to the definition, with a second only at sizes the first cannot reach.
 - Tree pairs: the rows `pm_x`/`pm_p`, composed unreduced by `pm_of_word`.
 - Moved endpoints: the scan `_moved_endpoint`, restarted for each 0^d, 1^d.
 - Rewriting: the former `rewrite_standard_form`, restarted after each rule.
+- Coset keys: the former contraction loop `canonical_coset`, which
+  standardises the tail again after each contraction and stops where a
+  tail repeats.
 - Convexity of cells: the phase-one simplex `_in_convex_hull`.
 
 `same_map` and `is_reduced` state what equal and reduced tree pairs are.
@@ -26,7 +29,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from lmgroups import action, topology, words
+from lmgroups import action, group, topology, words
 from lmgroups.action import PrefixResult
 from lmgroups.arrangements import (
     POS,
@@ -46,6 +49,7 @@ from lmgroups.group import (
     RewriteBudgetExceeded,
     StandardForm,
     TagViolation,
+    _coset_units,
     _merge_letters,
     _ordered_commuting,
 )
@@ -891,6 +895,47 @@ def rewrite_standard_form(
 
 def _word_of(units: List[Letter], tag: str) -> GroupWord:
     return GroupWord(_merge_letters(units), tag)
+
+
+# --------------------------------------------------------------------------
+# Coset keys: the former contraction loop, which contracted the first
+# absorbable triple and standardised the tail again after each contraction
+
+
+def _first_triple_contraction(tail: List[Tuple[str, int]]) -> Optional[List[Tuple[str, int]]]:
+    for p3, (v, sg) in enumerate(tail):
+        if sg != 1 or not v.endswith("11"):
+            continue
+        u = v[:-2]
+        pos = _ordered_commuting(tail, [(u + "0", 1), (u + "10", -1)], p3)
+        if pos is None:
+            continue
+        new: List[Tuple[str, int]] = []
+        for i, (s, e) in enumerate(tail[:p3]):
+            if i in pos:
+                continue
+            s2 = words.partial_action(s, ("x", u, -1))
+            if s2 is None:
+                break
+            new.append((s2, e))
+        else:
+            return new + [(u, 1)] + tail[p3 + 1:]
+    return None
+
+
+def canonical_coset(g: GroupWord) -> Optional[GroupWord]:
+    """The key of the coset Fg by the former loop, or None where a tail
+    repeats: there that loop spun until its contraction budget ran out."""
+    head, units = _coset_units(g)
+    if head.letters and not group.pm_order_preserving(group.pm_of_word(head)):
+        raise TagViolation("coset representative has a head outside F")
+    seen = set()
+    while (new := _first_triple_contraction(units)) is not None:
+        if tuple(units) in seen:
+            return None
+        seen.add(tuple(units))
+        _, units = _coset_units(GroupWord(tuple(("y", s, e) for s, e in new), g.tag))
+    return _word_of([("y", s, e) for s, e in units], g.tag)
 
 
 # --------------------------------------------------------------------------

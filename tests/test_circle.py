@@ -16,7 +16,7 @@ from lmgroups.circle import (
     s_witness,
     t_transporter,
 )
-from lmgroups.words import all_words, partial_action
+from lmgroups.words import all_words, consecutive, independent, partial_action
 
 
 def test_tailpoint_canonical():
@@ -153,6 +153,40 @@ def test_transporter_random_consecutive_pairs():
             for letter in f.unit_letters():
                 img = partial_action(img, letter)
             assert img == b
+
+
+def _arcs_empty(s, t):
+    """Whether the open arcs of the circle from s to t and from t back
+    to s, between the dyadic intervals of the two addresses, are empty."""
+    (a, b), (c, d) = ((Fraction(int(u, 2), 2 ** len(u)), Fraction(int(u, 2) + 1, 2 ** len(u)))
+                      for u in (s, t))
+    return (c - b) % 1 == 0, (a - d) % 1 == 0
+
+
+def test_transporter_exists_unless_one_arc_alone_is_empty():
+    subs = list(all_words(3, 1))
+    pairs = [(s, t) for s in subs for t in subs if independent(s, t)]
+    made = 0
+    for src in pairs:
+        for dst in pairs:
+            if (consecutive(*src) is None) != (consecutive(*dst) is None):
+                with pytest.raises(TransporterError, match="pairs are of different kinds"):
+                    t_transporter(src, dst)
+            elif _arcs_empty(*src) != _arcs_empty(*dst):
+                with pytest.raises(TransporterError, match="empty for one pair only"):
+                    t_transporter(src, dst)
+            else:
+                f = t_transporter(src, dst)
+                made += 1
+                for a, b in zip(src, dst):
+                    img = a
+                    for letter in f.unit_letters():
+                        img = partial_action(img, letter)
+                    assert img == b, (src, dst)
+    assert made > len(pairs) ** 2 // 3
+    # both pairs consecutive, yet only the second has a leaf between its pins
+    with pytest.raises(TransporterError, match="empty for one pair only"):
+        t_transporter(("0", "1"), ("0", "10"))
 
 
 def test_witness_pair_cases():

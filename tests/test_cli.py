@@ -110,6 +110,12 @@ def test_xcluster_and_cone(capsys):
     assert capsys.readouterr().out.strip() == "m=3 verified=True"
 
 
+def test_xcluster_over_a_base_that_needs_no_spin(capsys):
+    # the base's tail contracts onto a tail the rewriter would expand back
+    assert run(["xcluster", "--base", "y[01] y[011]", "--params", "y[10]"]) == 0
+    assert capsys.readouterr().out == "diagonals [] counts [2, 1]\n"
+
+
 def test_asclink(capsys):
     assert run(["asclink", "--piece", "e|y[010];y[0110]^-1;y[0111];y[0001]",
                 "--vertex", "e"]) == 0

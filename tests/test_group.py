@@ -537,22 +537,72 @@ def test_coset_units_rewrite_what_they_cannot_sort(monkeypatch):
         assert rewritten == [w]
 
 
-def test_coset_contraction_budget(monkeypatch):
+def _coset_words(rng, per_tag, max_sub, max_len, x_share):
+    """Random words of unit letters under each of the five y tags: y
+    letters the tag allows, with x letters in a share x_share of places."""
+    for tag in ("G", "Gy", "yG", "yGy", "Shat"):
+        ys = [s for s in all_words(max_sub) if group.y_subscript_allowed(tag, s)]
+        xs = list(all_words(max_sub))
+        for _ in range(per_tag):
+            yield GroupWord(tuple(
+                ("x", rng.choice(xs), rng.choice((1, -1))) if rng.random() < x_share
+                else ("y", rng.choice(ys), rng.choice((1, -1)))
+                for _ in range(rng.randint(1, max_len))
+            ), tag)
+
+
+def _seeded_coset_words():
+    rng = random.Random(25)
+    return [*_coset_words(rng, 200, 3, 5, 0.0), *_coset_words(rng, 200, 4, 6, 0.25)]
+
+
+def test_coset_keys_match_the_former_loop():
+    # the former loop standardised the tail again after each contraction;
+    # where it ends the keys agree, and where a tail repeats, where it spun
+    # until its budget ran out, the key still names the coset.  In the tail
+    # y[000]^2 y[0010]^-1 y[0011] y[010]^-1 y[011] y[0]^-1 of the first
+    # word, the triple at 00 leaves y[00] to complete the quad at 0, which
+    # the former loop found by rewriting
+    quad = word("y[0] y[000] y[0]^-1", "yG")
+    assert canonical_coset.__wrapped__(quad) == word("y[00000]", "yG")
+    ends = cycles = 0
+    for g in [quad, *_seeded_coset_words()]:
+        key, ref = canonical_coset.__wrapped__(g), oracles.canonical_coset(g)
+        if ref is None:
+            cycles += 1
+            assert in_F(g * key.inverse()).result == "yes", g
+        else:
+            ends += 1
+            assert key == ref, g
+    assert ends > 1800 and cycles > 80
+
+
+def test_coset_keys_end_where_the_former_loop_spun():
+    for text in ("y[e]^-1 y[e]^-1 y[0100]", "y[0] y[00] y[e] y[001] y[1]^-1"):
+        g = word(text, "yGy")
+        assert oracles.canonical_coset(g) is None
+        assert same_coset(g, canonical_coset.__wrapped__(g)).result == "yes"
+
+
+def test_canonical_coset_rewrites_at_most_once(monkeypatch):
+    inputs = _seeded_coset_words() + [word("y[0] y[000] y[0]^-1", "yG")]
+    rewritten = _record_rewrites(monkeypatch)
+    for g in inputs:
+        rewritten.clear()
+        canonical_coset.__wrapped__(g)
+        assert len(rewritten) <= 1, g
     # the x letter sends the word to the rewriter; its tail needs one
     # contraction, y[0010] y[00110]^-1 y[00111] to y[001]
-    w = word("x[1] y[0010] y[00110]^-1 y[00111]", "G")
-    monkeypatch.setattr(group, "MAX_COSET_CONTRACTIONS", 0)
-    with pytest.raises(group.RewriteBudgetExceeded, match="coset-contraction budget") as info:
-        canonical_coset.__wrapped__(w)
-    assert info.value.partial == word("y[0010] y[00110]^-1 y[00111]", "G")
-    monkeypatch.setattr(group, "MAX_COSET_CONTRACTIONS", 1)
-    assert canonical_coset.__wrapped__(w) == word("y[001]", "G")
+    g = word("x[1] y[0010] y[00110]^-1 y[00111]", "G")
+    rewritten.clear()
+    assert canonical_coset.__wrapped__(g) == word("y[001]", "G")
+    assert rewritten == [g]
 
 
 def test_y_words_standardise_to_heads_of_x_letters():
-    # canonical_coset's contraction loop re-standardises words of unit y
-    # letters and drops their heads unchecked: expansions and quads only
-    # make x units, and a word of x letters lies in F
+    # canonical_coset checks that the head of a word's standard form lies
+    # in F; for a word of unit y letters it always does: expansions and
+    # quads only make x units, and a word of x letters lies in F
     rng = random.Random(19)
     nonempty = 0
     for tag in ("G", "Gy", "yG", "yGy", "Shat"):
