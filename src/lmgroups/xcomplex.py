@@ -16,8 +16,8 @@ order, return the same cluster, so a cluster is built and cross-checked
 once and then shared.  An XCluster is therefore immutable: its fields
 cannot be assigned and its label maps are read-only.  The cell complex
 of each arrangement is enumerated once and shared by all its clusters,
-and the edge rule is evaluated once per pair (P, N) of disjoint
-parameter sets, the parameters one vertex has and the other lacks.
+and the edge rule is read from one table per cluster, of the junctions
+of the last unit of each parameter with the first unit of a later one.
 Adjacency is read from the facet table: an edge's vertices are its
 facets, and the squares on an edge are the cells holding it as a facet.
 """
@@ -26,10 +26,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import combinations
+from itertools import combinations, product
 from operator import mul
 from types import MappingProxyType
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Mapping, Optional, Sequence, Tuple
 
 from . import group
 from .arrangements import Arrangement, ClusterComplex, enumerate_cells, is_flat_restriction
@@ -104,39 +104,43 @@ def sort_params(params: Sequence[SpecialForm]) -> Tuple[SpecialForm, ...]:
     return tuple(sorted(params, key=lambda f: tree_key(f.subscripts()[0])))
 
 
-def _difference_entries(
-    forms: Sequence[SpecialForm], plus: FrozenSet[int], minus: FrozenSet[int]
-) -> List[Tuple[str, int]]:
-    """The entries of the forms in `plus` and the inverse entries of the
-    forms in `minus`, in the tree order.  `forms` are pairwise
-    independent and sorted by `sort_params`, so concatenating them in
-    index order is already sorted: a special form's subscripts increase
-    strictly (u01^m before u10^n), and every word strictly between
-    u01^m and u10^n is a proper prefix of the first or a proper
-    extension of the second, so no subscript of another form lies
-    between a form's first and last subscripts."""
-    return [
-        e
-        for i in sorted(plus | minus)
-        for e in (forms[i].entries if i in plus else forms[i].inverse_entries())
-    ]
+def _joins(forms: Sequence[SpecialForm]) -> Dict[tuple, bool]:
+    """`joins[(i, a), (j, b)]` for forms i < j and signs a, b = +-1: the
+    special-form rule on the last unit of form i, its sign times a, then
+    the first unit of form j, its sign times b.  An edge's difference is
+    the forms one vertex has and the inverses of those the other has, in
+    index order, which is the tree order: the forms are independent and
+    sorted by `sort_params`, a form's subscripts increase strictly (u01^m
+    before u10^n), and every word strictly between u01^m and u10^n is a
+    proper prefix of the first or a proper extension of the second, so
+    no subscript of another form lies between a form's first and last
+    subscripts.  The rule reads only adjacent units, and each form and
+    its inverse pass it, so a difference is special exactly when every
+    junction of neighbouring chosen forms passes."""
+    return {
+        ((i, a), (j, b)): group.is_special_entries(((s, e * a), (t, f * b)))
+        for (i, fi), (j, fj) in combinations(enumerate(forms), 2)
+        for (s, e), (t, f) in [(fi.entries[-1], fj.entries[0])]
+        for a, b in product((1, -1), repeat=2)
+    }
 
 
 @lru_cache(maxsize=64)
 def _arrangement_frame(k: int, diagonals: FrozenSet[int]):
     """The cell complex of the k-cluster with these diagonals, its
     vertices with their coordinates, and every vertex pair (a, b) with
-    the differences A - B and B - A of their parameter sets A, B and
-    whether an edge of the arrangement joins a and b."""
+    the neighbouring pairs of the coordinates where they differ, each
+    as (index, sign), the sign +1 where a has the parameter and b lacks
+    it and -1 the other way round, and whether an edge of the
+    arrangement joins a and b."""
     cluster = enumerate_cells(Arrangement(k, diagonals))
     vertices = tuple((v, cluster.vertex_coords(v)) for v in cluster.complex.cells_of_dim(0))
     edges = {vv for _, vv in cluster.complex.edges()}
-    sets = [frozenset(i for i, c in enumerate(coords) if c) for _, coords in vertices]
-    pairs = tuple(
-        (va, vb, sets[a] - sets[b], sets[b] - sets[a], frozenset({va, vb}) in edges)
-        for (a, (va, _)), (b, (vb, _)) in combinations(enumerate(vertices), 2)
-    )
-    return cluster, vertices, pairs
+    pairs = []
+    for (va, ca), (vb, cb) in combinations(vertices, 2):
+        signed = [(i, x - y) for i, (x, y) in enumerate(zip(ca, cb)) if x != y]
+        pairs.append((va, vb, tuple(zip(signed, signed[1:])), frozenset({va, vb}) in edges))
+    return cluster, vertices, tuple(pairs)
 
 
 def build_x_cluster(base: GroupWord, params: Sequence[SpecialForm]) -> XCluster:
@@ -158,11 +162,8 @@ def _build_x_cluster(base: GroupWord, forms: Tuple[SpecialForm, ...]) -> XCluste
     if not group.independent_forms(forms):
         raise ClusterError("parameters are not independent")
     k = len(forms)
-    diagonals = frozenset(
-        i + 1
-        for i in range(k - 1)
-        if group.is_special_entries(forms[i].entries + forms[i + 1].entries)
-    )
+    joins = _joins(forms)
+    diagonals = frozenset(i + 1 for i in range(k - 1) if joins[(i, 1), (i + 1, 1)])
     cluster, vertices, pairs = _arrangement_frame(k, diagonals)
     labels: Dict[str, str] = {}
     label_words: Dict[str, GroupWord] = {}
@@ -175,14 +176,10 @@ def _build_x_cluster(base: GroupWord, forms: Tuple[SpecialForm, ...]) -> XCluste
         raise ClusterError("coset collision among cluster vertices")
 
     # cross-check: arrangement edges must equal the special-form edge rule,
-    # which reads only the parameters that differ between two vertices
-    rules: Dict[Tuple[FrozenSet[int], FrozenSet[int]], bool] = {}
+    # read at the junctions of the parameters that differ between two vertices
     mismatches = []
-    for va, vb, plus, minus, present in pairs:
-        rule = rules.get((plus, minus))
-        if rule is None:
-            rule = group.is_special_entries(_difference_entries(forms, plus, minus))
-            rules[plus, minus] = rule
+    for va, vb, junctions, present in pairs:
+        rule = all(joins[j] for j in junctions)
         if rule != present:
             mismatches.append((labels[va], labels[vb], rule, present))
     if mismatches:

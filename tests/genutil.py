@@ -1,5 +1,7 @@
 """Shared random generators for cluster-complex tests."""
 
+import oracles
+
 from lmgroups import group, xcomplex
 
 
@@ -51,9 +53,7 @@ def clean_params(rng, max_forms=3, max_sub=5):
             for j in range(len(forms)):
                 if i == j:
                     continue
-                merged = xcomplex._difference_entries(
-                    forms, frozenset({i}), frozenset({j})
-                )
+                merged = oracles.difference_entries(forms, frozenset({i}), frozenset({j}))
                 if group.is_special_entries(merged) and j != i + 1:
                     ok = False
         if ok:

@@ -5,6 +5,8 @@ to the definition, with a second only at sizes the first cannot reach.
 - Facets, n = 6 and 7 (the sweep takes 22 s at n = 6): the former `_facets`.
 - Faces and vertices of a cell: the stack walk `closure` down the facets.
 - Flats: the flat-mask enumeration `_flat_cell_sets`.
+- The edge rule of a cluster: the whole difference product
+  `difference_entries`, read by `group.is_special_entries`.
 - Homology: the barycentric subdivision pipeline `reduced_homology`, the
   simplicial chain complex `homology_of_simplices` of `order_complex`.
 - Collapsibility: the greedy collapse `is_collapsible`, rescanning each step.
@@ -217,6 +219,25 @@ def _flat_cell_sets(piece, ids: Dict[str, str]) -> List[FrozenSet[str]]:
         if inside:
             flats.add(inside)
     return sorted((frozenset(ids[k] for k in flat) for flat in flats), key=sorted)
+
+
+# --------------------------------------------------------------------------
+# The edge rule of a cluster: the difference product of two vertices
+
+
+def difference_entries(
+    forms, plus: FrozenSet[int], minus: FrozenSet[int]
+) -> List[Tuple[str, int]]:
+    """The entries of the forms in `plus` and the inverse entries of the
+    forms in `minus`, concatenated in index order: for forms sorted by
+    `xcomplex.sort_params` this is the tree order, and the two vertices
+    whose parameter sets differ by (plus, minus) are joined by an edge
+    exactly when `group.is_special_entries` accepts the product."""
+    return [
+        e
+        for i in sorted(plus | minus)
+        for e in (forms[i].entries if i in plus else forms[i].inverse_entries())
+    ]
 
 
 # --------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import gc
 import random
 import re
 from collections import Counter
@@ -183,50 +184,58 @@ def _product(left, right):
     return dims, facets
 
 
-def test_cells_are_the_product_of_their_runs():
+@pytest.fixture(scope="module")
+def complexes_to_seven():
+    """The complex of every arrangement with n <= 7 by (n, diagonals),
+    enumerated once for the tests that read them all (346 111 cells).
+    They are frozen out of the garbage collector's scans while they
+    live, which would otherwise walk them again on every full pass."""
+    complexes = {
+        (n, D): enumerate_cells(Arrangement(n, frozenset(D))).complex
+        for n in range(1, 8)
+        for D in all_diag_subsets(n)
+    }
+    gc.freeze()
+    yield complexes
+    gc.unfreeze()
+
+
+def test_cells_are_the_product_of_their_runs(complexes_to_seven):
     # the last run splits off each arrangement: the rest is a smaller
     # arrangement, checked the same way, so by induction every complex
     # with n <= 7 is the product of its runs; with the sweep (n <= 5) and
     # the table lookup (single runs, n = 6 and 7) every one is checked
-    smaller = {}
-    for n in range(1, 8):
-        for D in all_diag_subsets(n):
-            arr = Arrangement(n, frozenset(D))
-            cx = enumerate_cells(arr).complex
-            if n < 7:
-                smaller[arr] = cx
-            lo = max((j for j in range(1, n) if j not in D), default=0)
-            if not lo:
-                continue
-            rest = smaller[Arrangement(lo, frozenset(d for d in D if d < lo))]
-            run = smaller[Arrangement(n - lo, frozenset(range(1, n - lo)))]
-            dims, facets = _product(rest, run)
-            assert cx.dims == dims, (n, D)
-            assert cx.facets == facets, (n, D)
+    for (n, D), cx in complexes_to_seven.items():
+        lo = max((j for j in range(1, n) if j not in D), default=0)
+        if not lo:
+            continue
+        rest = complexes_to_seven[lo, tuple(d for d in D if d < lo)]
+        run = complexes_to_seven[n - lo, tuple(range(1, n - lo))]
+        dims, facets = _product(rest, run)
+        assert cx.dims == dims, (n, D)
+        assert cx.facets == facets, (n, D)
 
 
-def test_cell_table_is_sorted_and_facets_share_its_keys():
-    for n in range(1, 7):
-        for D in all_diag_subsets(n):
-            cx = enumerate_cells(Arrangement(n, frozenset(D))).complex
-            assert list(cx.dims) == sorted(cx.dims), (n, D)
-            key_of = {k: k for k in cx.dims}
-            for fs in cx.facets.values():
-                assert all(f is key_of[f] for f in fs), (n, D)
+def test_cell_table_is_sorted_and_facets_share_its_keys(complexes_to_seven):
+    for (n, D), cx in complexes_to_seven.items():
+        if n > 6:
+            continue
+        assert list(cx.dims) == sorted(cx.dims), (n, D)
+        key_of = {k: k for k in cx.dims}
+        for fs in cx.facets.values():
+            assert all(f is key_of[f] for f in fs), (n, D)
 
 
 def _listing(cx):
     return list(cx.dims.items()), list(cx.facets.items())
 
 
-def test_enumerated_complexes_pass_the_checking_constructor():
+def test_enumerated_complexes_pass_the_checking_constructor(complexes_to_seven):
     # enumerate_cells builds its complexes unchecked: each must be one
     # the public constructor accepts, with the same cells in the same order
-    for n in range(1, 8):
-        for D in all_diag_subsets(n):
-            cx = enumerate_cells(Arrangement(n, frozenset(D))).complex
-            checked = Complex(dict(cx.dims), dict(cx.facets))
-            assert checked == cx and _listing(checked) == _listing(cx), (n, D)
+    for (n, D), cx in complexes_to_seven.items():
+        checked = Complex(dict(cx.dims), dict(cx.facets))
+        assert checked == cx and _listing(checked) == _listing(cx), (n, D)
 
 
 def test_run_tables_are_checked_once_where_they_are_made(monkeypatch):

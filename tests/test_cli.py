@@ -116,6 +116,18 @@ def test_xcluster_over_a_base_that_needs_no_spin(capsys):
     assert capsys.readouterr().out == "diagonals [] counts [2, 1]\n"
 
 
+def test_xcluster_names_the_pairs_the_cross_check_rejects(capsys):
+    # y[01] y[10]^-1 is special but y[01] y[10] is not: the square has no
+    # diagonal to carry the edge the rule asks for
+    assert run(["xcluster", "--params", "y[01];y[10]"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: edge rule and arrangement skeleton disagree on: "
+        "(y[10], y[01]) rule=True arrangement=False\n"
+    )
+
+
 def test_asclink(capsys):
     assert run(["asclink", "--piece", "e|y[010];y[0110]^-1;y[0111];y[0001]",
                 "--vertex", "e"]) == 0

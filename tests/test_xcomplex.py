@@ -171,7 +171,7 @@ def test_edge_heights_match_special_form_character():
     }
     for _, pair in pc.cluster.complex.edges():
         va, vb = sorted(pair)
-        diff = xcomplex._difference_entries(pc.params, sets[va] - sets[vb], sets[vb] - sets[va])
+        diff = oracles.difference_entries(pc.params, sets[va] - sets[vb], sets[vb] - sets[va])
         form_sum = sum(e for _, e in diff)
         ha = group.psi_like_value(pc.label_words[va])
         hb = group.psi_like_value(pc.label_words[vb])
@@ -205,11 +205,10 @@ def test_find_cone_vertex_fig1():
     m, verified = find_cone_vertex([(F, FIG1_PARAMS)])
     assert (m, verified) == (3, True)
     assert find_cone_vertex([]) == (0, True)
-    m2, v2 = find_cone_vertex([(F, [special_form("y[00001]")])])
-    assert v2 and m2 == 1
-    # a deeper piece pushes the cone subscript deeper only when it must
-    m3, v3 = find_cone_vertex([(F, [special_form("y[0001]")])])
-    assert v3 and not independent("0" * m3 + "1", "0001") is False
+    # a deeper piece pushes the cone subscript deeper only when it must:
+    # y[01] is independent of both
+    assert find_cone_vertex([(F, [special_form("y[00001]")])]) == (1, True)
+    assert find_cone_vertex([(F, [special_form("y[0001]")])]) == (1, True)
 
 
 def _seeded_pieces(seed, count):
@@ -271,7 +270,7 @@ def test_vertex_sets_are_memoised_and_match_the_face_filter():
 
 
 def _former_difference_entries(forms, plus, minus):
-    """`_difference_entries` as it was before it trusted the tree order:
+    """`oracles.difference_entries` as it was before it trusted the tree order:
     the chosen entries concatenated, then sorted by `tree_key`."""
     letters = []
     for i in sorted(plus):
@@ -301,10 +300,89 @@ def test_difference_entries_are_sorted_by_the_forms_intervals():
         for signs in itertools.product((0, 1, -1), repeat=len(forms)):
             plus = frozenset(i for i, c in enumerate(signs) if c == 1)
             minus = frozenset(i for i, c in enumerate(signs) if c == -1)
-            got = xcomplex._difference_entries(forms, plus, minus)
+            got = oracles.difference_entries(forms, plus, minus)
             assert got == _former_difference_entries(forms, plus, minus), (forms, plus, minus)
             checked += 1
     assert checked > 1000
+
+
+def _frame_junctions(k):
+    """The junctions of every ordered pair of distinct corners of the
+    k-cube by their (P, N), the parameters the first corner has and the
+    second lacks and the other way round: as the arrangement frame
+    stores them, and for the reversed pair with every sign flipped."""
+    _, vertices, pairs = xcomplex._arrangement_frame(k, frozenset())
+    coords = dict(vertices)
+    out = {}
+    for va, vb, junctions, _ in pairs:
+        a, b = coords[va], coords[vb]
+        plus = frozenset(i for i in range(k) if a[i] > b[i])
+        minus = frozenset(i for i in range(k) if a[i] < b[i])
+        flipped = tuple(((i, -s), (j, -t)) for (i, s), (j, t) in junctions)
+        for key, value in (((plus, minus), junctions), ((minus, plus), flipped)):
+            assert out.setdefault(key, value) == value, key
+    assert len(out) == 3 ** k - 1
+    return out
+
+
+def test_junction_rule_is_the_special_form_rule_on_difference_products():
+    """The cross-check reads the junction table at the junctions the
+    frame stores: on seeded parameter sets, clean or not, that verdict
+    equals the special-form rule on the whole difference product for
+    every disjoint (P, N), and the diagonals of each set that builds are
+    the former rule on adjacent products."""
+    from genutil import random_params
+
+    rng = random.Random(7)
+    frames = {k: _frame_junctions(k) for k in range(1, 5)}
+    compared = built = rejected = 0
+    for _ in range(1000):
+        forms = xcomplex.sort_params(random_params(rng, max_forms=4))
+        joins = xcomplex._joins(forms)
+        for (plus, minus), junctions in frames[len(forms)].items():
+            whole = group.is_special_entries(oracles.difference_entries(forms, plus, minus))
+            assert all(joins[j] for j in junctions) == whole, (forms, plus, minus)
+            compared += 1
+        try:
+            pc = build_x_cluster(F, forms)
+        except CrossCheckError:
+            rejected += 1
+            continue
+        built += 1
+        assert pc.diagonals == frozenset(
+            i + 1 for i in range(len(forms) - 1)
+            if group.is_special_entries(forms[i].entries + forms[i + 1].entries)
+        ), forms
+    assert compared > 20000 and built > 100 and rejected > 100
+
+
+def test_an_arrangement_edge_the_rule_rejects_raises_cross_check_error(monkeypatch):
+    # the other direction of the cross-check: a frame that joins two
+    # corners of FIG1 whose difference y[010] y[0111] is not special
+    pc = fig1()
+    a, b = (pc.cluster.vertex_of_coords(c) for c in ((0, 0, 0), (1, 0, 1)))
+    assert not pc.has_edge_between_coords((0, 0, 0), (1, 0, 1))
+    frame = xcomplex._arrangement_frame
+    first, second = next(
+        (va, vb) for va, vb, _, _ in frame(3, pc.diagonals)[2] if {va, vb} == {a, b}
+    )
+
+    def joined(k, diagonals):
+        cluster, vertices, pairs = frame(k, diagonals)
+        return cluster, vertices, tuple(
+            (va, vb, junctions, present or {va, vb} == {a, b})
+            for va, vb, junctions, present in pairs
+        )
+
+    xcomplex._build_x_cluster.cache_clear()
+    xcomplex._arrangement_frame.cache_clear()
+    monkeypatch.setattr(xcomplex, "_arrangement_frame", joined)
+    with pytest.raises(CrossCheckError) as exc:
+        build_x_cluster(F, FIG1_PARAMS)
+    assert str(exc.value) == (
+        "edge rule and arrangement skeleton disagree on: "
+        f"({pc.labels[first]}, {pc.labels[second]}) rule=False arrangement=True"
+    )
 
 
 def _former_cone_vertex(pieces):
