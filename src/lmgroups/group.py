@@ -516,11 +516,10 @@ def _ordered_commuting(
     pos: List[int] = []
     lo = 0
     for pat in want:
-        found = next((i for i in range(lo, anchor) if tail[i] == pat), None)
-        if found is None:
+        if pat not in tail[lo:anchor]:
             return None
-        pos.append(found)
-        lo = found + 1
+        pos.append(tail.index(pat, lo, anchor))
+        lo = pos[-1] + 1
     for p in range(pos[0] + 1, anchor):
         if p not in pos and any(
             pi < p and not _commutes(tail[pi][0], tail[p][0]) for pi in pos
@@ -771,31 +770,42 @@ def same_coset(g: GroupWord, g2: GroupWord) -> Verdict:
 # Canonical coset keys (vertices of the cluster complex)
 
 
-def _absorb(tail: List[Tuple[str, int]], skip, at: int, u: str) -> Optional[List[Tuple[str, int]]]:
+def _absorb(
+    tail: List[Tuple[str, int]], skip, at: int, u: str, e: int
+) -> Optional[List[Tuple[str, int]]]:
     """The units before position `at` of a unit tail, less those at `skip`,
-    transported as x_u^-1 at `at` moves left past them into the F part;
+    transported as x_u^e at `at` moves left past them into the F part;
     None where one cannot be."""
-    moved = [(partial_action(s, ("x", u, -1)), e) for i, (s, e) in enumerate(tail[:at])
+    moved = [(partial_action(s, ("x", u, e)), g) for i, (s, g) in enumerate(tail[:at])
              if i not in skip]
     return None if any(s is None for s, _ in moved) else moved
 
 
+# the triples of a unit tail that equal x_u^e y_u^sign, keyed by the sign
+# of their last unit: its subscript suffix, the two units before it, and e
+_TRIPLES = {
+    1: ("11", (("0", 1), ("10", -1)), -1),  # y_{u0} y_{u10}^-1 y_{u11} = x_u^-1 y_u
+    -1: ("1", (("00", -1), ("01", 1)), 1),  # y_{u00}^-1 y_{u01} y_{u1}^-1 = x_u y_u^-1
+}
+
+
 def _triple_contract(tail: List[Tuple[str, int]]) -> Optional[List[Tuple[str, int]]]:
-    """Find y_{u0} y_{u10}^-1 y_{u11} = x_u^-1 y_u inside a standard unit
-    tail and absorb its x_u^-1 into the F part on the left, with any
-    quad y_{w0} y_{w10}^-1 y_{w11} y_w^-1 = x_w^-1 that y_u completes;
+    """Find a triple of `_TRIPLES` inside a standard unit tail and absorb
+    its x_u^e into the F part on the left, with any quad
+    y_{w0} y_{w10}^-1 y_{w11} y_w^-1 = x_w^-1 that the new y_u completes;
     returns the first new unit tail that is again standard, or None."""
     for p3, (v, sg) in enumerate(tail):
-        if sg != 1 or not v.endswith("11"):
+        suffix, before, e = _TRIPLES[sg]
+        if not v.endswith(suffix):
             continue
-        u = v[:-2]
-        pos = _ordered_commuting(tail, [(u + "0", 1), (u + "10", -1)], p3)
-        new = None if pos is None else _absorb(tail, pos, p3, u)
+        u = v[:-len(suffix)]
+        pos = _ordered_commuting(tail, [(u + t, g) for t, g in before], p3)
+        new = None if pos is None else _absorb(tail, pos, p3, u, e)
         if new is None:
             continue
-        new += [(u, 1)] + tail[p3 + 1:]
+        new += [(u, sg)] + tail[p3 + 1:]
         while (quad := _find_quad(new)) is not None and (
-            moved := _absorb(new, quad[:3], quad[3], quad[4])
+            moved := _absorb(new, quad[:3], quad[3], quad[4], -1)
         ) is not None:
             new = moved + new[quad[3] + 1:]
         # standard: no quad, sorted, and no cancelling neighbours
@@ -833,17 +843,18 @@ def _coset_units(w: GroupWord) -> Tuple[GroupWord, List[Tuple[str, int]]]:
 def canonical_coset(g: GroupWord) -> GroupWord:
     """Canonical representative word for the coset Fg: the standard-form
     tail with the F head dropped and every left-absorbable triple
-    y_{u0} y_{u10}^-1 y_{u11} contracted to y_u where that leaves a
-    standard tail, so the key needs no second rewrite.  Each contraction
-    removes at least two units, so the loop ends.
+    y_{u0} y_{u10}^-1 y_{u11}, or its mirror y_{u00}^-1 y_{u01} y_{u1}^-1,
+    contracted to y_u, or to y_u^-1, where that leaves a standard tail,
+    so the key needs no second rewrite.  Each contraction removes at
+    least two units, so the loop ends.
 
     The tail comes from `_coset_units`, which sorts a product of unit y
     letters with pairwise independent subscripts (the vertex words of a
     cluster over the identity, for one) instead of rewriting it, with no
     oracle check: the sort is a sequence of defining relations.  There
     every contraction qualifies: each unit other than the triple is
-    independent of u0, u10 and u11, hence of u, so x_u^-1 fixes it and
-    the contracted tail is again sorted and pairwise independent."""
+    independent of the triple's subscripts, hence of u, so x_u^+-1 fixes
+    it and the contracted tail is again sorted and pairwise independent."""
     head, units = _coset_units(g)
     if head.letters and not pm_order_preserving(pm_of_word(head)):
         raise TagViolation("coset representative has a head outside F")

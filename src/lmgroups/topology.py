@@ -272,16 +272,19 @@ def _collapse(cx: Complex) -> Tuple[Set[str], List[Tuple[str, str]]]:
             continue
         del cofacets[f], cofacets[c]
         pairs.append((f, c))
-        # only the facets of a removed cell, and the facets of a cell
-        # that has just become maximal, can have become free
+        # only a facet of a removed cell left with one cofacet, and a
+        # facet with one cofacet of a cell that has just become maximal,
+        # can have become free: the heap holds every free cell
         for cell in (f, c):
             for g in cx.facets[cell]:
                 if g in cofacets:
                     cofacets[g].discard(cell)
-                    heapq.heappush(heap, (cx.dims[g], g))
-                    if not cofacets[g]:
+                    if len(cofacets[g]) == 1:
+                        heapq.heappush(heap, (cx.dims[g], g))
+                    elif not cofacets[g]:
                         for h in cx.facets[g]:
-                            heapq.heappush(heap, (cx.dims[h], h))
+                            if len(cofacets[h]) == 1:
+                                heapq.heappush(heap, (cx.dims[h], h))
     return set(cofacets), pairs
 
 

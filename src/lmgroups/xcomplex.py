@@ -11,15 +11,15 @@ glue along shared cosets into larger complexes, carrying the Morse data
 (psi height, then the negative lexicographic rank as an injective
 tie-break, so every cell has a unique minimal vertex by construction).
 
-Clusters are memoised: equal arguments, with the parameters in any
-order, return the same cluster, so a cluster is built and cross-checked
-once and then shared.  An XCluster is therefore immutable: its fields
-cannot be assigned and its label maps are read-only.  The cell complex
-of each arrangement is enumerated once and shared by all its clusters,
-and the edge rule is read from one table per cluster, of the junctions
-of the last unit of each parameter with the first unit of a later one.
-Adjacency is read from the facet table: an edge's vertices are its
-facets, and the squares on an edge are the cells holding it as a facet.
+Assemblies are memoised: equal pieces in one order, each with its
+parameters in any order, return the same complex, so a cone search and
+its caller glue each assembly once.  An XComplex is therefore immutable,
+as an XCluster is: fields cannot be assigned and maps are read-only.
+The cell complex of each arrangement is enumerated once and shared by
+all its clusters, and the edge rule is read from one table per cluster,
+of the junctions of the last unit of each parameter with the first unit
+of a later one.  Adjacency is read from the facet table: an edge's
+vertices are its facets, and the squares on an edge are its cofacets.
 """
 
 from __future__ import annotations
@@ -94,10 +94,10 @@ class XCluster:
         return any(vv == pair for _, vv in self.cluster.complex.edges())
 
 
-@dataclass
+@dataclass(frozen=True)
 class XComplex:
     complex: Complex
-    vertex_words: Dict[str, GroupWord]
+    vertex_words: Mapping[str, GroupWord]
 
 
 def sort_params(params: Sequence[SpecialForm]) -> Tuple[SpecialForm, ...]:
@@ -147,15 +147,8 @@ def build_x_cluster(base: GroupWord, params: Sequence[SpecialForm]) -> XCluster:
     """The labeled k-cluster spanned by independent special-form
     parameters over a base coset, in the base's group: a parameter
     outside it raises TagViolation.  Hard-errors when the special-form
-    edge rule disagrees with the arrangement's 1-skeleton.  Memoised on
-    (base, sorted parameters), the base's tag included: the result is
-    shared and immutable, and a failing build raises again on every
-    call."""
-    return _build_x_cluster(base, sort_params(params))
-
-
-@lru_cache(maxsize=4096)
-def _build_x_cluster(base: GroupWord, forms: Tuple[SpecialForm, ...]) -> XCluster:
+    edge rule disagrees with the arrangement's 1-skeleton."""
+    forms = sort_params(params)
     if not forms:
         raise ClusterError("a cluster needs at least one parameter")
     form_words = [f.word(base.tag) for f in forms]  # validates every subscript once
@@ -212,10 +205,17 @@ def assemble(pieces: Sequence[Tuple[GroupWord, Sequence[SpecialForm]]]) -> XComp
     cell takes the dimension and identified facets of a cell of a
     piece, and a cell met again with another dimension or facet set
     raises AssemblyError, so the union is right by construction and
-    not checked again."""
+    not checked again.  Memoised on the pieces in order, each as (base,
+    sorted parameters): the result is shared and immutable, and a
+    failing assembly raises again."""
     tags = sorted({base.tag for base, _ in pieces})
     if len(tags) > 1:
         raise TagViolation(f"pieces under different tags: {', '.join(tags)}")
+    return _assemble(tuple((base, sort_params(params)) for base, params in pieces))
+
+
+@lru_cache(maxsize=4096)
+def _assemble(pieces: Tuple[Tuple[GroupWord, Tuple[SpecialForm, ...]], ...]) -> XComplex:
     built = [build_x_cluster(b, p) for b, p in pieces]
     idmaps = [_global_ids(pc) for pc in built]
 
@@ -253,7 +253,7 @@ def assemble(pieces: Sequence[Tuple[GroupWord, Sequence[SpecialForm]]]) -> XComp
                         f"intersection of pieces {i} and {j} is not a subcluster of both"
                     )
 
-    return XComplex(Complex._trusted(dims, facets), words)
+    return XComplex(Complex._trusted(dims, facets), MappingProxyType(words))
 
 
 # --------------------------------------------------------------------------

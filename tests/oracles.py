@@ -925,22 +925,30 @@ def _word_of(units: List[Letter], tag: str) -> GroupWord:
 
 def _first_triple_contraction(tail: List[Tuple[str, int]]) -> Optional[List[Tuple[str, int]]]:
     for p3, (v, sg) in enumerate(tail):
-        if sg != 1 or not v.endswith("11"):
+        if sg == 1 and v.endswith("11"):
+            # y_{u0} y_{u10}^-1 y_{u11} = x_u^-1 y_u
+            u = v[:-2]
+            pos = _ordered_commuting(tail, [(u + "0", 1), (u + "10", -1)], p3)
+            x = -1
+        elif sg == -1 and v.endswith("1"):
+            # the mirror y_{u00}^-1 y_{u01} y_{u1}^-1 = x_u y_u^-1
+            u = v[:-1]
+            pos = _ordered_commuting(tail, [(u + "00", -1), (u + "01", 1)], p3)
+            x = 1
+        else:
             continue
-        u = v[:-2]
-        pos = _ordered_commuting(tail, [(u + "0", 1), (u + "10", -1)], p3)
         if pos is None:
             continue
         new: List[Tuple[str, int]] = []
         for i, (s, e) in enumerate(tail[:p3]):
             if i in pos:
                 continue
-            s2 = words.partial_action(s, ("x", u, -1))
+            s2 = words.partial_action(s, ("x", u, x))
             if s2 is None:
                 break
             new.append((s2, e))
         else:
-            return new + [(u, 1)] + tail[p3 + 1:]
+            return new + [(u, sg)] + tail[p3 + 1:]
     return None
 
 

@@ -577,6 +577,23 @@ def test_coset_keys_match_the_former_loop():
     assert ends > 1800 and cycles > 80
 
 
+def test_every_defining_relation_keys_both_sides_alike():
+    # y_w = x_w y_{w0} y_{w10}^-1 y_{w11}, so y[w] and y[w0] y[w10]^-1 y[w11]
+    # name one coset, and so do y[w]^-1 and its mirror y[w00]^-1 y[w01] y[w1]^-1
+    instances = 0
+    for tag in ("G", "Gy", "yG", "yGy"):
+        for w in all_words(4):
+            for sign, rhs in ((1, [("0", 1), ("10", -1), ("11", 1)]),
+                              (-1, [("00", -1), ("01", 1), ("1", -1)])):
+                letters = tuple(("y", w + t, e) for t, e in rhs)
+                if not all(group.y_subscript_allowed(tag, s) for _, s, _ in letters):
+                    continue
+                lhs = GroupWord((("y", w, sign),), tag)
+                assert canonical_coset.__wrapped__(GroupWord(letters, tag)) == lhs, (tag, w, sign)
+                instances += 1
+    assert instances == 210
+
+
 def test_coset_keys_end_where_the_former_loop_spun():
     for text in ("y[e]^-1 y[e]^-1 y[0100]", "y[0] y[00] y[e] y[001] y[1]^-1"):
         g = word(text, "yGy")

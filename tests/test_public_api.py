@@ -99,7 +99,7 @@ TRUSTED_COMPLEX_BUILDERS = {
     ("arrangements", "enumerate_cells"),
     ("topology", "Complex.subcomplex"),
     ("xcomplex", "ascending_link"),
-    ("xcomplex", "assemble"),
+    ("xcomplex", "_assemble"),  # behind the memo of `assemble`
 }
 
 

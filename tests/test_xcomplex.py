@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import random
 import re
+from collections import Counter
 
 import oracles
 import pytest
@@ -374,15 +375,17 @@ def test_an_arrangement_edge_the_rule_rejects_raises_cross_check_error(monkeypat
             for va, vb, junctions, present in pairs
         )
 
-    xcomplex._build_x_cluster.cache_clear()
+    # a memoised assembly of FIG1 would not read the frame again
+    xcomplex._assemble.cache_clear()
     xcomplex._arrangement_frame.cache_clear()
     monkeypatch.setattr(xcomplex, "_arrangement_frame", joined)
-    with pytest.raises(CrossCheckError) as exc:
-        build_x_cluster(F, FIG1_PARAMS)
-    assert str(exc.value) == (
-        "edge rule and arrangement skeleton disagree on: "
-        f"({pc.labels[first]}, {pc.labels[second]}) rule=False arrangement=True"
-    )
+    for build in (lambda: build_x_cluster(F, FIG1_PARAMS), lambda: assemble([(F, FIG1_PARAMS)])):
+        with pytest.raises(CrossCheckError) as exc:
+            build()
+        assert str(exc.value) == (
+            "edge rule and arrangement skeleton disagree on: "
+            f"({pc.labels[first]}, {pc.labels[second]}) rule=False arrangement=True"
+        )
 
 
 def _former_cone_vertex(pieces):
@@ -457,19 +460,76 @@ def test_cross_check_on_random_clusters():
         built += 1
 
 
-def test_clusters_are_memoised_and_shared():
-    c = fig1()
-    assert build_x_cluster(F, FIG1_PARAMS[::-1]) is c
-    assert build_x_cluster(F, [FIG1_PARAMS[1], FIG1_PARAMS[2], FIG1_PARAMS[0]]) is c
-    assert build_x_cluster(group.identity("Gy"), FIG1_PARAMS) is not c
+def test_assemblies_are_memoised_and_shared():
+    # the parameter order within a piece does not matter, the piece order
+    # and the base's tag do; clusters are built anew on every call
+    cx = assemble([(F, FIG1_PARAMS)])
+    assert assemble([(F, FIG1_PARAMS[::-1])]) is cx
+    assert assemble([(F, [FIG1_PARAMS[1], FIG1_PARAMS[2], FIG1_PARAMS[0]])]) is cx
+    gy = assemble([(group.identity("Gy"), FIG1_PARAMS)])
+    assert gy is not cx and {w.tag for w in gy.vertex_words.values()} == {"Gy"}
+    assert build_x_cluster(F, FIG1_PARAMS) is not fig1()
+    e = group.identity("yGy")
+    pieces = [(e, [special_form("y[1]"), special_form("y[0000]")]),
+              (group.word("y[1]", "yGy"), [special_form("y[0]")])]
+    swapped = assemble(pieces[::-1])
+    assert swapped is not assemble(pieces) and swapped == assemble(pieces)
+    # so a shared complex is immutable
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cx.vertex_words = {}
+    with pytest.raises(TypeError):
+        cx.vertex_words["y[1]"] = group.identity("G")
+    assert "y[1]" not in cx.vertex_words
 
 
 def test_failing_builds_raise_on_every_call():
+    dependent = [special_form("y[01]"), special_form("y[011]")]
     for _ in range(2):
         with pytest.raises(CrossCheckError):
             build_x_cluster(F, [special_form("y[01]"), special_form("y[10]")])
         with pytest.raises(ClusterError, match="not independent"):
-            build_x_cluster(F, [special_form("y[01]"), special_form("y[011]")])
+            build_x_cluster(F, dependent)
+        with pytest.raises(CrossCheckError):
+            assemble([(F, [special_form("y[01]"), special_form("y[10]")])])
+        with pytest.raises(ClusterError, match="not independent"):
+            assemble([(F, FIG1_PARAMS), (F, dependent)])
+
+
+def test_the_cone_flow_glues_each_assembly_once(monkeypatch):
+    # the benchmark's flow: assemble, search for a cone vertex, assemble
+    # the coned pieces.  The search assembles its caller's pieces again
+    # and the caller the winner again, yet each distinct assembly builds
+    # each of its pieces once
+    real_build, real_assemble = build_x_cluster, assemble
+    calls, builds, glued, inside = Counter(), Counter(), set(), []
+
+    def spy_build(base, params):
+        builds[inside[-1]] += 1
+        return real_build(base, params)
+
+    def spy_assemble(pieces):
+        key = tuple((b, xcomplex.sort_params(p)) for b, p in pieces)
+        calls[key] += 1
+        inside.append(key)
+        try:
+            cx = real_assemble(pieces)
+        finally:
+            inside.pop()
+        glued.add(key)
+        return cx
+
+    monkeypatch.setattr(xcomplex, "build_x_cluster", spy_build)
+    monkeypatch.setattr(xcomplex, "assemble", spy_assemble)
+    xcomplex._assemble.cache_clear()
+    flows = _seeded_pieces(17, 20)
+    for pieces in flows:
+        xcomplex.assemble(pieces)
+        m, _ = find_cone_vertex(pieces)
+        apex = special_form(f"y[{'0' * m}1]")
+        xcomplex.assemble([(b, list(p) + [apex]) for b, p in pieces])
+    assert sum(calls.values()) - len(calls) >= 2 * len(flows)
+    assert all(builds[key] == len(key) for key in glued)
+    assert all(builds[key] <= len(key) for key in calls)
 
 
 def test_coordinates_must_be_a_corner_of_the_cube():
@@ -500,23 +560,23 @@ def test_clusters_are_immutable():
     assert c.labels[v] == "e"
 
 
-def test_memoised_clusters_match_cold_builds():
+def test_memoised_assemblies_match_cold_builds():
     from genutil import clean_params
 
     rng = random.Random(41)
     params = [clean_params(rng, rng.randint(1, 4)) for _ in range(30)]
     params += [p[::-1] for p in params[:10]]
-    warm = [build_x_cluster(F, p) for p in params]
-    for p, pc in zip(params, warm):
-        xcomplex._build_x_cluster.cache_clear()
+    assemblies = [[(F, p)] for p in params] + _seeded_pieces(5, 10)
+    warm = [assemble(pieces) for pieces in assemblies]
+    for pieces, cx in zip(assemblies, warm):
+        xcomplex._assemble.cache_clear()
         xcomplex._arrangement_frame.cache_clear()
         group.canonical_coset.cache_clear()
-        cold = build_x_cluster(F, p)
-        assert cold is not pc
-        assert dict(cold.labels) == dict(pc.labels)
-        assert dict(cold.label_words) == dict(pc.label_words)
-        assert (cold.params, cold.diagonals) == (pc.params, pc.diagonals)
-        assert cold.cluster.complex.dims == pc.cluster.complex.dims
+        cold = assemble(pieces)
+        assert cold is not cx
+        assert dict(cold.vertex_words) == dict(cx.vertex_words)
+        assert cold.complex.dims == cx.complex.dims
+        assert cold.complex.facets == cx.complex.facets
 
 
 def test_labels_are_cosets_of_the_form_products_over_the_base():
@@ -532,16 +592,18 @@ def test_labels_are_cosets_of_the_form_products_over_the_base():
         for base in bases:
             for p in params:
                 if cold:
-                    xcomplex._build_x_cluster.cache_clear()
+                    xcomplex._assemble.cache_clear()
                     xcomplex._arrangement_frame.cache_clear()
                     group.canonical_coset.cache_clear()
                 pc = build_x_cluster(base, p)
+                cx = assemble([(base, p)])
+                assert sorted(cx.vertex_words) == sorted(pc.labels.values())
                 for v in pc.cluster.complex.cells_of_dim(0):
                     coords = pc.cluster.vertex_coords(v)
                     ys = tuple(("y", s, e) for f, c in zip(pc.params, coords) if c
                                for s, e in f.entries)
                     key = canonical_coset.__wrapped__(GroupWord(ys, base.tag) * base)
-                    assert pc.label_words[v] == key
+                    assert pc.label_words[v] == key == cx.vertex_words[pc.labels[v]]
                     assert pc.labels[v] == key.to_string()
 
 
@@ -567,6 +629,14 @@ def test_pieces_under_two_tags_are_refused():
     for search in (assemble, find_cone_vertex):
         with pytest.raises(TagViolation, match="pieces under different tags: G, Gy"):
             search(pieces)
+
+
+def test_a_mirror_triple_glues_onto_its_coset():
+    # y[1000]^-1 y[1001] y[101]^-1 = x[10] y[10]^-1: one coset, one vertex
+    cx = assemble([(F, [special_form("y[10]^-1")]),
+                   (F, [special_form("y[1000]^-1 y[1001] y[101]^-1")])])
+    assert sorted(cx.vertex_words) == ["e", "y[10]^-1"]
+    assert [len(cx.complex.cells_of_dim(d)) for d in range(2)] == [2, 1]
 
 
 def test_assemble_intersection_guard():
