@@ -117,7 +117,7 @@ def face_of(ckey: str, dkey: str) -> bool:
     return True
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClusterComplex:
     arrangement: Arrangement
     complex: Complex

@@ -666,18 +666,12 @@ def rewrite_standard_form(
         GroupWord(_merge_letters(head), w.tag), tuple((s, e) for _, s, e in merged), w.tag
     )
     if validate:
-        _check_rewrite(w, sf, DEFAULT_DEPTH)
+        witness = action.equal_at_depth(w, sf.word(), DEFAULT_DEPTH)
+        if witness is not None:
+            raise AssertionError(
+                f"rewriting produced an unequal word (witness input {witness!r})"
+            )
     return sf
-
-
-def _check_rewrite(w: GroupWord, sf: StandardForm, depth: int) -> None:
-    """Raise AssertionError if the action oracle separates w from its
-    standard form within depth."""
-    witness = action.equal_at_depth(w, sf.word(), depth)
-    if witness is not None:
-        raise AssertionError(
-            f"rewriting produced an unequal word (witness input {witness!r})"
-        )
 
 
 def _merge_letters(units: List[Letter]) -> Tuple[Letter, ...]:
@@ -705,14 +699,11 @@ class Verdict:
 
 
 def word_problem(w: GroupWord, depth: int = DEFAULT_DEPTH) -> Verdict:
-    """NotIdentity with an action witness, searched first; Identity only
-    when the standard form has an empty tail and a trivial tree pair.
-
-    The standard form is checked against w at depth only on the way to
-    `unknown`.  For `identity` the check is implied by the witness
-    search: a head that acts as the identity forces a prefix of u on any
-    input u, so an input separating w from it within depth would also
-    separate w from the identity, and the search found none."""
+    """NotIdentity with an action witness within depth; Identity only when
+    the unvalidated standard form has an empty tail and a trivial tree
+    pair, which the same search vouches for: a head acting as the identity
+    forces a prefix of u on any input u, so an input separating w from it
+    would separate w from the identity too.  Unknown otherwise."""
     witness = action.equal_at_depth(w, identity(w.tag), depth)
     if witness is not None:
         return Verdict("not-identity", witness)
@@ -722,7 +713,6 @@ def word_problem(w: GroupWord, depth: int = DEFAULT_DEPTH) -> Verdict:
         return Verdict("unknown", str(exc))
     if not sf.tail and decide_T_identity(sf.head):
         return Verdict("identity")
-    _check_rewrite(w, sf, depth)
     return Verdict("unknown", f"agrees with the identity to depth {depth}")
 
 

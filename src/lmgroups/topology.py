@@ -29,10 +29,10 @@ import heapq
 from dataclasses import dataclass, field
 from itertools import compress
 from math import gcd
-from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Set, Tuple
 
 
-@dataclass
+@dataclass(frozen=True)
 class Complex:
     """Cells by key, each with a dimension and its set of facets.
 
@@ -46,10 +46,11 @@ class Complex:
     complex and checks closure; `xcomplex.ascending_link`, which drops
     cells of a star with their facets outside it; and
     `xcomplex.assemble`, whose gluing rejects a cell seen with two
-    dimensions or facet sets."""
+    dimensions or facet sets.  Fields cannot be assigned, and a complex
+    shared from a memo holds read-only maps."""
 
-    dims: Dict[str, int]
-    facets: Dict[str, FrozenSet[str]]
+    dims: Mapping[str, int]
+    facets: Mapping[str, FrozenSet[str]]
     _faces: Dict[str, FrozenSet[str]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -77,13 +78,15 @@ class Complex:
                     raise ValueError(f"facet {f} of {c} has the wrong dimension")
 
     @classmethod
-    def _trusted(cls, dims: Dict[str, int], facets: Dict[str, FrozenSet[str]]) -> "Complex":
+    def _trusted(
+        cls, dims: Mapping[str, int], facets: Mapping[str, FrozenSet[str]]
+    ) -> "Complex":
         """A complex from cells and facets right by construction, not
         checked again; see the class docstring for its only callers."""
         cx = object.__new__(cls)
-        cx.dims = dims
-        cx.facets = facets
-        cx._faces = {}
+        object.__setattr__(cx, "dims", dims)
+        object.__setattr__(cx, "facets", facets)
+        object.__setattr__(cx, "_faces", {})
         return cx
 
     def cells(self) -> List[str]:

@@ -14,9 +14,10 @@ tie-break, so every cell has a unique minimal vertex by construction).
 Assemblies are memoised: equal pieces in one order, each with its
 parameters in any order, return the same complex, so a cone search and
 its caller glue each assembly once.  An XComplex is therefore immutable,
-as an XCluster is: fields cannot be assigned and maps are read-only.
-The cell complex of each arrangement is enumerated once and shared by
-all its clusters, and the edge rule is read from one table per cluster,
+as an XCluster is: fields cannot be assigned, down to the cell complex,
+and maps are read-only, its cells and facets too.  The cell complex of
+each arrangement is enumerated once and shared, read-only, by all its
+clusters, and the edge rule is read from one table per cluster,
 of the junctions of the last unit of each parameter with the first unit
 of a later one.  Adjacency is read from the facet table: an edge's
 vertices are its facets, and the squares on an edge are its cofacets.
@@ -132,8 +133,13 @@ def _arrangement_frame(k: int, diagonals: FrozenSet[int]):
     the neighbouring pairs of the coordinates where they differ, each
     as (index, sign), the sign +1 where a has the parameter and b lacks
     it and -1 the other way round, and whether an edge of the
-    arrangement joins a and b."""
-    cluster = enumerate_cells(Arrangement(k, diagonals))
+    arrangement joins a and b.  The complex is shared by every cluster
+    of this shape, so its maps are read-only."""
+    arr = Arrangement(k, diagonals)
+    cells = enumerate_cells(arr).complex
+    cluster = ClusterComplex(
+        arr, Complex(MappingProxyType(cells.dims), MappingProxyType(cells.facets))
+    )
     vertices = tuple((v, cluster.vertex_coords(v)) for v in cluster.complex.cells_of_dim(0))
     edges = {vv for _, vv in cluster.complex.edges()}
     pairs = []
@@ -206,7 +212,8 @@ def assemble(pieces: Sequence[Tuple[GroupWord, Sequence[SpecialForm]]]) -> XComp
     piece, and a cell met again with another dimension or facet set
     raises AssemblyError, so the union is right by construction and
     not checked again.  Memoised on the pieces in order, each as (base,
-    sorted parameters): the result is shared and immutable, and a
+    sorted parameters): the result is shared, so its fields cannot be
+    assigned and its maps, cells and facets included, are read-only; a
     failing assembly raises again."""
     tags = sorted({base.tag for base, _ in pieces})
     if len(tags) > 1:
@@ -253,7 +260,10 @@ def _assemble(pieces: Tuple[Tuple[GroupWord, Tuple[SpecialForm, ...]], ...]) -> 
                         f"intersection of pieces {i} and {j} is not a subcluster of both"
                     )
 
-    return XComplex(Complex._trusted(dims, facets), MappingProxyType(words))
+    return XComplex(
+        Complex._trusted(MappingProxyType(dims), MappingProxyType(facets)),
+        MappingProxyType(words),
+    )
 
 
 # --------------------------------------------------------------------------

@@ -330,17 +330,19 @@ def _bench_size_pairs(seed, n=60):
 
 
 def test_identity_verdicts_agree_with_their_unvalidated_forms():
-    """word_problem skips the rewrite check on an identity verdict; the
-    check it skips passes on every identity among the bench-size words."""
+    """word_problem skips the rewrite check on identity and unknown
+    verdicts; the check it skips passes on every one of them among the
+    bench-size words."""
     depth = group.DEFAULT_DEPTH
-    identities = 0
+    seen = {"identity": 0, "unknown": 0}
     for seed in (1, 2):
         for w in dict.fromkeys(w for w, _ in _bench_size_pairs(seed)):
-            if group.word_problem(w).result == "identity":
-                identities += 1
+            result = group.word_problem(w).result
+            if result in seen:
+                seen[result] += 1
                 form = group.rewrite_standard_form(w, validate=False).word()
                 assert action.equal_at_depth(w, form, depth) is None
-    assert identities
+    assert all(seen.values()), seen
 
 
 def test_search_expands_each_node_once_at_bench_depth(monkeypatch):

@@ -1,4 +1,7 @@
 import json
+import os
+import re
+import shlex
 
 import pytest
 
@@ -279,3 +282,33 @@ def test_help_exits_0(capsys):
         run(["cone", "--help"])
     assert exc.value.code == 0
     assert "group tag (default: G)" in capsys.readouterr().out
+
+
+def _readme_examples():
+    """The lines of the README's command-line example block, each split
+    into its argv and its annotation (None where it has none)."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    block = re.search(r"## Command line\n.*?```sh\n(.*?)```", text, re.S).group(1)
+    out = []
+    for line in block.splitlines():
+        command, _, note = line.partition(" # ")
+        out.append((shlex.split(command)[1:], note.strip() or None))
+    return out
+
+
+def test_readme_examples_hold(capsys):
+    # an annotation prefixes the first line of stdout, and names the exit
+    # code where it is not 0
+    examples = _readme_examples()
+    assert len(examples) == 16
+    for argv, note in examples:
+        code = run(argv)
+        first = (capsys.readouterr().out.splitlines() or [""])[0]
+        expected, exit_code = note or "", 0
+        m = re.fullmatch(r"(.*?)\s*\(exit (\d+)\)", expected)
+        if m:
+            expected, exit_code = m.group(1), int(m.group(2))
+        assert code == exit_code, argv
+        assert first.startswith(expected), (argv, first)

@@ -747,13 +747,15 @@ def test_word_problem_and_in_F_match_former_rewrite_first(seed):
         if oracles.equal_at_depth(w, group.identity(w.tag), depth) is not None:
             assert v.result == "not-identity" and len(v.witness) <= depth
             assert oracles._incompatible(oracles.act_prefix(w, v.witness).forced, v.witness)
-        elif pm is not None and all(a == b for a, b in pm):
-            assert v == group.Verdict("identity")
-            # the rewrite check the verdict skips: its form agrees with w
-            form = rewrite_standard_form(w, validate=False).word()
-            assert action.equal_at_depth(w, form, depth) is None
         else:
-            assert v == group.Verdict("unknown", budget or f"agrees with the identity to depth {depth}")
+            if pm is not None and all(a == b for a, b in pm):
+                assert v == group.Verdict("identity")
+            else:
+                assert v == group.Verdict("unknown", budget or f"agrees with the identity to depth {depth}")
+            if budget is None:
+                # the rewrite check the verdict skips: its form agrees with w
+                form = rewrite_standard_form(w, validate=False).word()
+                assert action.equal_at_depth(w, form, depth) is None
 
         v = in_F(w)
         characters = [
@@ -793,9 +795,9 @@ def test_certificates_are_read_before_the_rewriter(monkeypatch):
     assert find_cone_vertex([(word("x[01]", "G"), param)]) == (2, True)
 
 
-def test_word_problem_searches_once_per_identity_verdict(monkeypatch):
-    """identity: the witness search only; unknown: that search and the
-    rewrite check; not-identity: the witness search, no rewriting."""
+def test_word_problem_searches_once_per_verdict(monkeypatch):
+    """identity and unknown: the witness search and one unvalidated
+    rewrite; not-identity: the witness search, no rewriting."""
     searches, rewrites = [], []
     equal, rewrite = action.equal_at_depth, group.rewrite_standard_form
 
@@ -811,31 +813,28 @@ def test_word_problem_searches_once_per_identity_verdict(monkeypatch):
     monkeypatch.setattr(group, "rewrite_standard_form", counted_rewrite)
     deep = "0" * 19 + "1"
     cases = [
-        ("x[01] y[010] y[0110]^-1 y[0111] y[01]^-1", "G", "identity", 1, 1),
-        ("e", "G", "identity", 1, 1),
-        (f"y[{deep}]", "G", "unknown", 2, 1),
-        (f"x[{deep}]", "G", "unknown", 2, 1),
-        ("y[10]", "yGy", "not-identity", 1, 0),
+        ("x[01] y[010] y[0110]^-1 y[0111] y[01]^-1", "G", "identity", 1),
+        ("e", "G", "identity", 1),
+        (f"y[{deep}]", "G", "unknown", 1),
+        (f"x[{deep}]", "G", "unknown", 1),
+        ("y[10]", "yGy", "not-identity", 0),
     ]
-    for text, tag, result, n_searches, n_rewrites in cases:
+    for text, tag, result, n_rewrites in cases:
         del searches[:], rewrites[:]
-        w = word(text, tag)
-        assert word_problem(w).result == result, text
-        assert (len(searches), len(rewrites)) == (n_searches, n_rewrites), text
-        assert searches[0] == group.identity(tag)
-        assert rewrites in ([], [{"validate": False}])
-        if result == "unknown":
-            assert searches[1] == rewrite(w, validate=False).word()
+        assert word_problem(word(text, tag)).result == result, text
+        assert searches == [group.identity(tag)], text
+        assert rewrites == [{"validate": False}] * n_rewrites, text
 
 
-def test_word_problem_checks_the_rewrite_before_unknown(monkeypatch):
-    def wrong(w, **kwargs):
-        return group.StandardForm(group.identity(w.tag), (("01", 1),), w.tag)
-
-    monkeypatch.setattr(group, "rewrite_standard_form", wrong)
-    w = GroupWord((("y", "0" * 19 + "1", 1),), "G")
+def test_validated_rewrite_names_the_separating_input(monkeypatch):
+    """With transport through x units broken, y[01] x[0] rewrites to
+    x[0] y[01]; the validated rewrite refuses it with an input that
+    separates the two, while the unvalidated one hands it out."""
+    monkeypatch.setattr(group, "partial_action", lambda s, g: s)
+    w = word("y[01] x[0]", "G")
+    assert rewrite_standard_form(w, validate=False).word() == word("x[0] y[01]", "G")
     with pytest.raises(AssertionError, match=r"^rewriting produced an unequal word \(witness input '0"):
-        word_problem(w)
+        rewrite_standard_form(w)
 
 
 def test_in_F_character_witness_ignores_hash_seed():

@@ -126,3 +126,12 @@ def test_trusted_complexes_are_built_only_by_the_four_builders():
     src = Path(lmgroups.__file__).parent
     sites = set().union(*(_trusted_sites(p) for p in sorted(src.glob("*.py"))))
     assert sites == TRUSTED_COMPLEX_BUILDERS
+
+
+def test_sources_parse_under_the_oldest_supported_python():
+    # CI runs 3.10 as well; a newer syntax feature fails here first
+    root = Path(__file__).resolve().parent.parent
+    paths = sorted(p for d in ("src", "tests", "bench") for p in (root / d).rglob("*.py"))
+    assert len(paths) > 20
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))

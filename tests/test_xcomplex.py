@@ -3,6 +3,7 @@ import itertools
 import random
 import re
 from collections import Counter
+from types import MappingProxyType
 
 import oracles
 import pytest
@@ -11,6 +12,7 @@ from lmgroups import arrangements, group, topology, xcomplex
 from lmgroups.group import GroupWord, TagViolation, canonical_coset, special_form
 from lmgroups.words import independent, tree_key
 from lmgroups.xcomplex import (
+    AssemblyError,
     ClusterError,
     CrossCheckError,
     MorseValue,
@@ -560,6 +562,29 @@ def test_clusters_are_immutable():
     assert c.labels[v] == "e"
 
 
+def test_memoised_complexes_are_read_only():
+    # every cluster of one shape shares its cell complex and every call of
+    # one assembly returns the same complex, so a write to either raises
+    # and the next cluster of that shape keeps its cells
+    e = group.identity("G")
+    shared = build_x_cluster(e, [special_form("y[01]")]).cluster
+    glued = assemble([(e, [special_form("y[01]")])])
+    for cx in (shared.complex, glued.complex):
+        with pytest.raises(TypeError):
+            cx.dims["junk"] = 0
+        with pytest.raises(TypeError):
+            cx.facets["junk"] = frozenset()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cx.dims = {}
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        shared.complex = topology.Complex({}, {})
+    other = build_x_cluster(e, [special_form("y[10]")]).cluster
+    assert other is shared and sorted(other.complex.dims) == ["0|", "1|", "i|"]
+    assert topology.reduced_homology(other.complex) == {0: (0, []), 1: (0, [])}
+    again = assemble([(e, [special_form("y[01]")])])
+    assert again is glued and "junk" not in again.complex.dims
+
+
 def test_memoised_assemblies_match_cold_builds():
     from genutil import clean_params
 
@@ -727,3 +752,39 @@ def test_assemble_intersection_guard_rejects_opposite_corners():
     edge.add(next(g for c, g in ids.items() if c.startswith("0i")))
     assert _restricts_to_flat(pc, ids, edge)
     assert frozenset(edge) in oracles._flat_cell_sets(pc, ids)
+
+
+def test_assemble_guards_raise_assembly_error(monkeypatch):
+    # random assemblies trip the cluster checks first, so the two gluing
+    # guards are reached with hand-labelled clusters in place of built ones
+    square = build_x_cluster(F, [special_form("y[01]"), special_form("y[110]^-1")])
+    line = build_x_cluster(F, [special_form("y[01]")])
+    assert not square.diagonals
+
+    def relabel(pc, corners):
+        # corners: coordinates of pc -> coordinates of the square whose label it takes
+        labels, words = dict(pc.labels), dict(pc.label_words)
+        for dst, src in corners.items():
+            v, u = pc.cluster.vertex_of_coords(dst), square.cluster.vertex_of_coords(src)
+            labels[v], words[v] = square.labels[u], square.label_words[u]
+        return dataclasses.replace(
+            pc, labels=MappingProxyType(labels), label_words=MappingProxyType(words)
+        )
+
+    swapped = relabel(square, {(1, 0): (1, 1), (1, 1): (1, 0)})
+    diagonal = relabel(line, {(0,): (0, 0), (1,): (1, 1)})
+    ids = xcomplex._global_ids
+    two_cell = [c for c, d in square.cluster.complex.dims.items() if d == 2]
+    assert [ids(swapped)[c] for c in two_cell] == [ids(square)[c] for c in two_cell]
+    assert set(ids(swapped).values()) != set(ids(square).values())
+
+    pieces = [(F, square.params), (F, line.params)]
+    for second, message in (
+        (swapped, r"^cell 2\|.* glued with inconsistent faces: intersection is not a subcluster$"),
+        (diagonal, r"^intersection of pieces 0 and 1 is not a subcluster of both$"),
+    ):
+        built = iter([square, second])
+        monkeypatch.setattr(xcomplex, "build_x_cluster", lambda base, params: next(built))
+        xcomplex._assemble.cache_clear()
+        with pytest.raises(AssemblyError, match=message):
+            assemble(pieces)
