@@ -398,22 +398,11 @@ def _balanced0_factors(pairs: List[Tuple[str, int]]) -> List[GroupWord]:
 
 
 def _balanced1_factors(pairs: List[Tuple[str, int]]) -> List[GroupWord]:
-    n = len(pairs)
-    m = 1
-    while any(s.startswith("1" * m) for s, _ in pairs):
-        m += 1
-    # w * prod_k (y_{s_k}^-1 y_{b_k}) telescopes into a comb word, so w
-    # factors as that comb word times the inverted pair powers
-    swaps: List[GroupWord] = []
-    comb: List[Tuple[str, int]] = []
-    for idx, k in enumerate(range(n - 1, -1, -1)):
-        s, e = pairs[k]
-        b = "1" * (m + idx + 1) + "0"
-        # the swap y_s^-e y_b^e equals the pair word y_b y_s^-1 (e = +1)
-        # or y_s y_b^-1 (e = -1), the letters being independent
-        rep = _pair_factors(b, s) if e > 0 else _pair_factors(s, b)
-        swaps.extend(rep)
-        comb.append((b, e))
-    factors = _balanced0_factors(comb)
-    factors.extend(w.inverse() for w in reversed(swaps))
+    # b = 1^M 0 is longer than every subscript and, none of them being a
+    # run of 1s, independent of each: y_b commutes with every letter, so
+    # w = prod_k (y_{s_k} y_b^-1)^{e_k}, the exponents summing to 0
+    b = "1" * max((len(s) for s, _ in pairs), default=0) + "0"
+    factors: List[GroupWord] = []
+    for s, e in pairs:
+        factors.extend(_pair_factors(s, b) if e > 0 else _pair_factors(b, s))
     return factors

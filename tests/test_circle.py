@@ -224,6 +224,19 @@ def test_witness_balanced_families():
         s_witness(group.word("y[11] y[10]^-1"), "Balanced1")  # a 1-run subscript
 
 
+def test_balanced1_witnesses_take_at_most_two_factors_per_unit():
+    # one anchor y_b, b = 1^M 0, pairs with every letter: a consecutive
+    # pair is one conjugate of the pair generator, any other pair two
+    rng = random.Random(3)
+    subs = [s for s in all_words(4) if s and "0" in s]
+    for _ in range(30):
+        k = rng.randint(1, 3)
+        units = [(rng.choice(subs), e) for e in (1, -1) for _ in range(k)]
+        rng.shuffle(units)
+        w = group.GroupWord(tuple(("y", s, e) for s, e in units), "Shat")
+        assert len(s_witness(w, "Balanced1")) <= 2 * len(units), w
+
+
 def test_witness_validation_is_mechanical():
     # each factorization multiplies back to the input at depth 16 and
     # every factor is itself in S (checked inside s_witness); spot-check

@@ -2,6 +2,8 @@ import json
 import os
 import re
 import shlex
+import subprocess
+import sys
 
 import pytest
 
@@ -12,6 +14,22 @@ from lmgroups.cli import run
 def test_char(capsys):
     assert run(["char", "--name", "psi", "y[01] y[10]^-1"]) == 0
     assert capsys.readouterr().out.strip() == "0"
+
+
+def test_module_entry_point_runs_main():
+    # the console script `lmg` and `python -m lmgroups.cli` both go
+    # through cli.main, which exits with run's code
+    src = os.path.dirname(os.path.dirname(group.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+    def lmg(*argv):
+        return subprocess.run([sys.executable, "-m", "lmgroups.cli", *argv],
+                              env=env, capture_output=True, text=True)
+
+    out = lmg("char", "--name", "psi", "y[01] y[10]^-1")
+    assert (out.returncode, out.stdout) == (0, "0\n")
+    assert lmg("wordproblem", "--tag", "G", "y[01]").returncode == 2
 
 
 def test_cluster_counts(capsys):

@@ -562,7 +562,7 @@ def test_coset_keys_match_the_former_loop():
     # until its budget ran out, the key still names the coset.  In the tail
     # y[000]^2 y[0010]^-1 y[0011] y[010]^-1 y[011] y[0]^-1 of the first
     # word, the triple at 00 leaves y[00] to complete the quad at 0, which
-    # the former loop found by rewriting
+    # the next contraction takes as a triple plus a cancellation
     quad = word("y[0] y[000] y[0]^-1", "yG")
     assert canonical_coset.__wrapped__(quad) == word("y[00000]", "yG")
     ends = cycles = 0
@@ -579,7 +579,8 @@ def test_coset_keys_match_the_former_loop():
 
 def test_every_defining_relation_keys_both_sides_alike():
     # y_w = x_w y_{w0} y_{w10}^-1 y_{w11}, so y[w] and y[w0] y[w10]^-1 y[w11]
-    # name one coset, and so do y[w]^-1 and its mirror y[w00]^-1 y[w01] y[w1]^-1
+    # name one coset, and so do y[w]^-1 and its mirror y[w00]^-1 y[w01] y[w1]^-1;
+    # each triple times y[w]^-sign, its quad, lies in F and keys to e
     instances = 0
     for tag in ("G", "Gy", "yG", "yGy"):
         for w in all_words(4):
@@ -590,8 +591,21 @@ def test_every_defining_relation_keys_both_sides_alike():
                     continue
                 lhs = GroupWord((("y", w, sign),), tag)
                 assert canonical_coset.__wrapped__(GroupWord(letters, tag)) == lhs, (tag, w, sign)
+                quad = GroupWord(letters, tag) * lhs.inverse()
+                assert canonical_coset.__wrapped__(quad) == group.identity(tag), (tag, w, sign)
                 instances += 1
     assert instances == 210
+
+
+def test_an_expanded_letter_keys_with_its_word():
+    # the partner expands the first letter, y[110]^-1 = y[11011]^-1 y[11010]
+    # y[1100]^-1 x[110]^-1; its standard-form tail ends in the mirror quad
+    # y[11000]^-1 y[11001] y[1101]^-1 y[110], which one contraction removes:
+    # the mirror triple leaves y[110]^-1, and that cancels against y[110]
+    g = word("y[110]^-1 y[01] y[011]^-1 y[110]", "G")
+    partner = word("y[11011]^-1 y[11010] y[1100]^-1 x[110]^-1 y[01] y[011]^-1 y[110]", "G")
+    assert canonical_coset.__wrapped__(partner) == canonical_coset.__wrapped__(g)
+    assert canonical_coset.__wrapped__(g) == word("y[010] y[0110]^-1 y[0111] y[011]^-1", "G")
 
 
 def test_coset_keys_end_where_the_former_loop_spun():
@@ -775,6 +789,9 @@ def test_word_problem_and_in_F_match_former_rewrite_first(seed):
             # an empty tail with a tree pair outside F moves an endpoint
             assert pm is None and oracles._moved_endpoint(w, depth) is None
             assert v == group.Verdict("unknown", "nonempty standard-form tail only")
+            # the rewrite check the verdict skips: its form agrees with w
+            form = rewrite_standard_form(w, validate=False).word()
+            assert action.equal_at_depth(w, form, depth) is None
 
 
 def test_certificates_are_read_before_the_rewriter(monkeypatch):
@@ -824,6 +841,39 @@ def test_word_problem_searches_once_per_verdict(monkeypatch):
         assert word_problem(word(text, tag)).result == result, text
         assert searches == [group.identity(tag)], text
         assert rewrites == [{"validate": False}] * n_rewrites, text
+
+
+def test_in_F_searches_once_per_yes_verdict(monkeypatch):
+    """yes: one unvalidated rewrite, then the validated one and its
+    search; no by a character: neither; no by an endpoint and unknown:
+    the unvalidated rewrite alone."""
+    searches, rewrites = [], []
+    equal, rewrite = action.equal_at_depth, group.rewrite_standard_form
+
+    def counted_equal(*args):
+        searches.append(args[0])
+        return equal(*args)
+
+    def counted_rewrite(*args, **kwargs):
+        rewrites.append(kwargs)
+        return rewrite(*args, **kwargs)
+
+    monkeypatch.setattr(action, "equal_at_depth", counted_equal)
+    monkeypatch.setattr(group, "rewrite_standard_form", counted_rewrite)
+    unvalidated = [{"validate": False}]
+    cases = [
+        ("x[0] y[010] y[0110]^-1 y[0111] y[01]^-1", "G", "yes", unvalidated + [{}]),
+        ("y[01]", "G", "no", []),
+        ("p0 y[01] y[10]^-1", "Shat", "no", unvalidated),
+        ("y[01] y[10]^-1", "G", "unknown", unvalidated),
+        ("y[0000000000] x[00000000000] y[01]^-1", "Shat", "unknown", unvalidated),
+    ]
+    for text, tag, result, expected in cases:
+        del searches[:], rewrites[:]
+        w = word(text, tag)
+        assert in_F(w).result == result, text
+        assert rewrites == expected, text
+        assert searches == [w] * (result == "yes"), text
 
 
 def test_validated_rewrite_names_the_separating_input(monkeypatch):
