@@ -17,16 +17,20 @@ per run length and process (at most 8 tables under the size bound),
 grown one coordinate at a time through the pair table; its facets come
 from local moves: merge two interior classes across a strict diagonal,
 or pin one interior class to a wall, which only its two boundary
-diagonals can forbid.  An edge's vertices are its two facets.  A flat
-is cut out by wall positions and '=' relations, which are characters
-of the cell keys, so a cell set is a flat restriction exactly when no
-cell outside it shows all the wall and '=' characters its keys have in
-common.  All arithmetic is exact.
+diagonals can forbid.  A product's facets are index offsets into its
+cell table, and each facet set is built from them only when it is first
+read, so counting cells or taking a skeleton builds no set it does not
+read.  An edge's vertices are its two facets.  A flat is cut out by
+wall positions and '=' relations, which are characters of the cell
+keys, so a cell set is a flat restriction exactly when no cell outside
+it shows all the wall and '=' characters its keys have in common.  All
+arithmetic is exact.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
@@ -240,6 +244,83 @@ def _check_run_table(P, R, D, O) -> None:
 MAX_CELLS = 100_000
 
 
+class _LazyFacets(Mapping):
+    """The facet sets of an `enumerate_cells` complex: a read-only map in
+    the complex's key order, over the product's keys, their sorted order
+    and each run's offset table.  The first read folds the runs' offsets;
+    each set is built on its first read, from the cells' own key
+    objects, and kept.  A full read (`items`, `values`, `==`) builds
+    every missing set in one pass."""
+
+    __slots__ = ("_dims", "_keys", "_order", "_runs", "_offsets", "_index", "_sets")
+
+    def __init__(self, dims, keys, order, runs):
+        self._dims = dims  # the cells in key order
+        self._keys = keys  # the cells in product order, None once every set is built
+        self._order = order  # key order as indices into the product
+        self._runs = runs  # each run's offset table, left to right
+        self._offsets = self._index = None
+        self._sets: Dict[str, FrozenSet[str]] = {}
+
+    def _fold(self) -> List[Tuple[int, ...]]:
+        # a facet of a product cell replaces one factor by a facet of it,
+        # so the fold only scales and adds index offsets
+        if self._offsets is None:
+            O = self._runs[0]
+            for O2 in self._runs[1:]:
+                k2 = len(O2)
+                O = [a + b for a in [tuple(o * k2 for o in oa) for oa in O] for b in O2]
+            self._offsets = O
+        return self._offsets
+
+    def __getitem__(self, key: str) -> FrozenSet[str]:
+        try:
+            return self._sets[key]
+        except KeyError:
+            if self._keys is None:
+                raise
+        if self._index is None:
+            self._index = dict(zip(self._keys, range(len(self._keys))))
+            self._fold()
+        i = self._index[key]  # a key that is no cell raises KeyError here
+        keys = self._keys
+        got = self._sets[key] = frozenset([keys[i + o] for o in self._offsets[i]])
+        return got
+
+    def _all(self) -> Dict[str, FrozenSet[str]]:
+        """Every facet set in key order, the missing ones built in one
+        pass; the tables they were built from are then let go."""
+        if self._keys is not None:
+            keys, sets, O = self._keys, self._sets, self._fold()
+            self._sets = {
+                k: sets[k] if k in sets else frozenset([keys[i + o] for o in O[i]])
+                for k, i in zip(self._dims, self._order)
+            }
+            self._keys = self._order = self._runs = self._offsets = self._index = None
+        return self._sets
+
+    def __len__(self) -> int:
+        return len(self._dims)
+
+    def __iter__(self):
+        return iter(self._dims)
+
+    def __contains__(self, key) -> bool:
+        return key in self._dims
+
+    def items(self):
+        return self._all().items()
+
+    def values(self):
+        return self._all().values()
+
+    def __eq__(self, other) -> bool:
+        return self._all() == other
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self._all()!r})"
+
+
 def enumerate_cells(arr: Arrangement) -> ClusterComplex:
     """All satisfiable sign vectors of the arrangement, graded by the
     number of interior coordinate classes, with the facet relation.  A
@@ -249,14 +330,15 @@ def enumerate_cells(arr: Arrangement) -> ClusterComplex:
     products of faces (Ziegler, Lectures on Polytopes, 1995, section 0).
     Each run length has one table from `_run_table`, built once per
     process and shared (at most 8 of them, since the bound keeps every
-    run at m <= 8), and the tables are folded left to right: a facet of
-    a product cell replaces one factor by a facet of it, so the fold
-    only scales and adds index offsets and builds no facet keys.  Each
-    facet set holds the cell table's own key objects.  Each table passed
-    the checking `Complex` constructor once, where it was made, so the
-    product is built unchecked.  The cell count is the product of the
-    runs' closed-form sizes (2 * 4^m + 1) / 3; past MAX_CELLS it raises
-    ValueError before any table is built: every arrangement with
+    run at m <= 8), and the tables' positions, relations and dimensions
+    are folded left to right into the cell keys and dims.  The facets
+    are a read-only `_LazyFacets` map over the same keys, which folds
+    the runs' facet offsets and builds each facet set when it is first
+    read, so a caller pays only for the sets it reads.  Each table
+    passed the checking `Complex` constructor once, where it was made,
+    so the product is built unchecked.  The cell count is the product
+    of the runs' closed-form sizes (2 * 4^m + 1) / 3; past MAX_CELLS it
+    raises ValueError before any table is built: every arrangement with
     n <= 8 is listed, and none with n >= 11.
     The n > 12 check comes first, so that the runs are never read for
     a huge n."""
@@ -274,18 +356,17 @@ def enumerate_cells(arr: Arrangement) -> ClusterComplex:
     if cells > MAX_CELLS:
         raise ValueError(f"cell bound exceeded ({cells} cells > {MAX_CELLS})")
     P, R, D, O = _run_table(runs[0])
+    offsets = [O]
     for m in runs[1:]:
         P2, R2, D2, O2 = _run_table(m)
-        k2 = len(P2)
         P = [p + q for p in P for q in P2]
         R = [r + s for r in R for s in R2]
         D = [d + e for d in D for e in D2]
-        O = [a + b for a in [tuple(o * k2 for o in oa) for oa in O] for b in O2]
+        offsets.append(O2)
     keys = [f"{p}|{r}" for p, r in zip(P, R)]
     order = sorted(range(len(keys)), key=keys.__getitem__)
     dims = {keys[i]: D[i] for i in order}
-    facets = {keys[i]: frozenset(keys[i + o] for o in O[i]) for i in order}
-    return ClusterComplex(arr, Complex._trusted(dims, facets))
+    return ClusterComplex(arr, Complex._trusted(dims, _LazyFacets(dims, keys, order, offsets)))
 
 
 # --------------------------------------------------------------------------

@@ -42,8 +42,9 @@ class Complex:
     that are right by construction and go through `_trusted`, which
     checks nothing: the product fold of `arrangements.enumerate_cells`,
     whose run tables each pass this check once per process where they
-    are made; `subcomplex`, which keeps the cells and facets of a
-    complex and checks closure; `xcomplex.ascending_link`, which drops
+    are made, and whose facets are a read-only map that builds each set
+    on its first read; `subcomplex`, which keeps the cells and facets of
+    a complex and checks closure; `xcomplex.ascending_link`, which drops
     cells of a star with their facets outside it; and
     `xcomplex.assemble`, whose gluing rejects a cell seen with two
     dimensions or facet sets.  Fields cannot be assigned, and a complex

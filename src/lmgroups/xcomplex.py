@@ -138,7 +138,7 @@ def _arrangement_frame(k: int, diagonals: FrozenSet[int]):
     arr = Arrangement(k, diagonals)
     cells = enumerate_cells(arr).complex
     cluster = ClusterComplex(
-        arr, Complex(MappingProxyType(cells.dims), MappingProxyType(cells.facets))
+        arr, Complex(MappingProxyType(cells.dims), MappingProxyType(dict(cells.facets.items())))
     )
     vertices = tuple((v, cluster.vertex_coords(v)) for v in cluster.complex.cells_of_dim(0))
     edges = {vv for _, vv in cluster.complex.edges()}

@@ -188,13 +188,17 @@ def _product(left, right):
 def complexes_to_seven():
     """The complex of every arrangement with n <= 7 by (n, diagonals),
     enumerated once for the tests that read them all (346 111 cells).
-    They are frozen out of the garbage collector's scans while they
-    live, which would otherwise walk them again on every full pass."""
+    Every facet set is built here, by one full read of each complex, and
+    all of them are frozen out of the garbage collector's scans while
+    they live, which would otherwise walk them again on every full pass;
+    a set first read after the freeze would be scanned."""
     complexes = {
         (n, D): enumerate_cells(Arrangement(n, frozenset(D))).complex
         for n in range(1, 8)
         for D in all_diag_subsets(n)
     }
+    for cx in complexes.values():
+        cx.facets.values()
     gc.freeze()
     yield complexes
     gc.unfreeze()
@@ -236,6 +240,53 @@ def test_enumerated_complexes_pass_the_checking_constructor(complexes_to_seven):
     for (n, D), cx in complexes_to_seven.items():
         checked = Complex(dict(cx.dims), dict(cx.facets))
         assert checked == cx and _listing(checked) == _listing(cx), (n, D)
+
+
+def test_enumerated_facet_sets_are_built_when_first_read(monkeypatch):
+    # the facets of an enumerated complex are a read-only map that builds
+    # each set on its first read and keeps it: counts and cell lists
+    # build none, a 1-skeleton builds only the vertex and edge sets, and
+    # a full read builds the rest
+    arr = Arrangement(7, frozenset({1, 2, 4, 5}))
+    eager = dict(enumerate_cells(arr).complex.facets.items())
+    built = []
+
+    def counting_frozenset(items=()):
+        built.append(frozenset(items))
+        return built[-1]
+
+    monkeypatch.setattr(arrangements, "frozenset", counting_frozenset, raising=False)
+    cx = enumerate_cells(arr)
+    full, facets = cx.complex, cx.complex.facets
+    assert cx.counts() == cell_counts(arr)
+    assert full.euler_characteristic() == 1
+    assert len(full.cells_of_dim(3)) == cx.counts()[3]
+    assert len(built) == 0
+    low = [c for c, d in full.dims.items() if d <= 1]
+    skeleton = full.subcomplex(low)
+    assert Counter(built) == Counter(eager[c] for c in low)
+    assert skeleton.facets == {c: eager[c] for c in low}
+    edge = full.cells_of_dim(1)[0]
+    kept = facets[edge]
+    assert len(built) == len(low)
+
+    for junk in ("junk", "0000000|<<<<", "iiiiiii|<<<"):
+        with pytest.raises(KeyError):
+            facets[junk]
+        assert facets.get(junk) is None and junk not in facets
+    assert len(facets) == len(full.dims) and list(facets) == list(full.dims)
+    assert facets == eager and eager == facets
+    assert len(built) == len(eager) and facets[edge] is kept
+    assert list(facets.items()) == list(eager.items())
+    changed = {**eager, edge: frozenset()}
+    assert facets != changed and changed != facets
+    with pytest.raises(TypeError):
+        facets[edge] = frozenset()
+    with pytest.raises(TypeError):
+        del facets[edge]
+    assert facets == eager
+    with pytest.raises(KeyError):
+        facets["junk"]
 
 
 def test_run_tables_are_checked_once_where_they_are_made(monkeypatch):
