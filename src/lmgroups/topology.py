@@ -1,33 +1,25 @@
 """Finite regular cell complexes as face posets, with integral homology.
 
 A complex stores cells by key with a dimension and the set of
-codimension-one faces.  The public constructor checks that every facet
-is a cell one dimension down.  Four builders make complexes that are
-right by construction and skip that check through one private
-constructor: products of run tables checked once where they were made,
-subcomplexes, ascending links, and gluings that reject inconsistent
-cells.  Homology first collapses free pairs on the cell complex (a
-homotopy equivalence), then takes the cellular chain complex of what
-remains.  Every complex here is regular (its cells are convex
-polytopes and vertex figures of them), so each incidence number is +-1
-and follows by induction on dimension from the face poset alone
-(Lundell-Weingram, "The Topology of CW Complexes", 1969).  Where that
-induction fails, or a cell boundary does not have the Euler
+codimension-one faces; the class docstring says which builders skip
+the public constructor's check.  Homology reads the critical cells of
+one coreduction pass where their counts decide it, and otherwise takes
+the cellular chain complex of the whole complex.  Every complex here
+is regular (its cells are convex polytopes and vertex figures of
+them), so each incidence number is +-1 and follows by induction on
+dimension from the face poset alone (Lundell-Weingram, "The Topology
+of CW Complexes", 1969).  Where that induction fails on a cell the
+answer reads, or such a cell's boundary does not have the Euler
 characteristic of a sphere, the poset is not regular and homology
-raises ValueError; these checks are necessary, not sufficient, so a
-non-regular poset that passes them is not detected.  Ranks and
-torsion come from an integer Smith normal form of the boundary
-matrices, found by one sparse elimination.  These have a few +-1
-entries per column, so it takes unit pivots first, as Dumas, Saunders
-and Villard (2001) do, and an entry of least magnitude only while no
-unit is left.
+raises ValueError; these checks are necessary, not sufficient.  Ranks
+and torsion come from a sparse Smith normal form that takes unit
+pivots first (Dumas, Saunders and Villard, 2001).
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import chain, compress
 from math import gcd
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Set, Tuple
 
@@ -252,48 +244,48 @@ def smith_diagonal(rows: List[List[int]]) -> List[int]:
     return [1] * units + diag
 
 
-def _collapse(cx: Complex) -> Tuple[Set[str], List[Tuple[str, str]]]:
-    """Greedy free-pair collapse: while some cell f has exactly one
-    cofacet c and c is maximal, remove the least such f (by dimension,
-    then key) together with c.  Returns the cells that remain, a
-    subcomplex of the same homotopy type, and the free pairs (f, c) in
-    the order they were removed: a certificate of the collapse that can
-    be replayed without the heap (Forman, "Morse theory for cell
-    complexes", 1998)."""
-    cofacets: Dict[str, Set[str]] = {k: set() for k in cx.dims}
-    for c, fs in cx.facets.items():
+def _coreduce(cx: Complex) -> Tuple[List[str], List[Tuple[str, str]]]:
+    """Coreductions (Mrozek-Batko, "Coreduction homology algorithm",
+    2009): the least vertex is critical; a cell whose count of remaining
+    facets drops to one is stacked, and paired with that facet if the
+    count is still one when unstacked; with the stack empty, the least
+    remaining cell by (dim, key) is critical.  Returns the critical
+    cells and the pairs (f, c), f then c's only remaining facet: an
+    acyclic matching (Forman, "Morse theory for cell complexes", 1998)
+    that cofacets stacked in key order make a function of the cells."""
+    facets = cx.facets
+    cofacets: Dict[str, List[str]] = {k: [] for k in facets}
+    for c, fs in sorted(facets.items()):
         for f in fs:
-            cofacets[f].add(c)
-    heap = [(d, k) for k, d in cx.dims.items()]
-    heapq.heapify(heap)
+            cofacets[f].append(c)
+    left = {c: len(fs) for c, fs in facets.items()}  # remaining facets of each remaining cell
+    critical: List[str] = []
     pairs: List[Tuple[str, str]] = []
-    while heap:
-        _, f = heapq.heappop(heap)
-        if f not in cofacets or len(cofacets[f]) != 1:
-            continue
-        (c,) = cofacets[f]
-        if cofacets[c]:
-            continue
-        del cofacets[f], cofacets[c]
-        pairs.append((f, c))
-        # only a facet of a removed cell left with one cofacet, and a
-        # facet with one cofacet of a cell that has just become maximal,
-        # can have become free: the heap holds every free cell
-        for cell in (f, c):
-            for g in cx.facets[cell]:
-                if g in cofacets:
-                    cofacets[g].discard(cell)
-                    if len(cofacets[g]) == 1:
-                        heapq.heappush(heap, (cx.dims[g], g))
-                    elif not cofacets[g]:
-                        for h in cx.facets[g]:
-                            if len(cofacets[h]) == 1:
-                                heapq.heappush(heap, (cx.dims[h], h))
-    return set(cofacets), pairs
+    ready: List[str] = []  # cells whose count has dropped to one
 
+    def remove(cell: str) -> None:
+        del left[cell]
+        for c in cofacets[cell]:
+            if c in left:
+                left[c] -= 1
+                if left[c] == 1:
+                    ready.append(c)
 
-def _is_vertex(cx: Complex, rest: Set[str]) -> bool:
-    return len(rest) == 1 and cx.dims[next(iter(rest))] == 0
+    # by dimension, then key, each dimension sorted when reached
+    for s in chain.from_iterable(map(cx.cells_of_dim, range(cx.dimension() + 1))):
+        if not left:
+            break
+        if s in left:
+            critical.append(s)
+            remove(s)
+            while ready:
+                c = ready.pop()
+                if left.get(c) == 1:
+                    f = next(g for g in facets[c] if g in left)
+                    pairs.append((f, c))
+                    remove(f)
+                    remove(c)
+    return critical, pairs
 
 
 def _incidences(cx: Complex, cells: Iterable[str]) -> Dict[str, Dict[str, int]]:
@@ -386,21 +378,32 @@ def _cellular_homology(cx: Complex, cells: Set[str]) -> Dict[int, Tuple[int, Lis
 
 
 def homology_and_collapsible(cx: Complex) -> Tuple[Dict[int, Tuple[int, List[int]]], bool]:
-    """reduced_homology(cx) and is_collapsible(cx), read from one collapse."""
-    rest, _ = _collapse(cx)
-    h = _cellular_homology(cx, rest)
-    for d in range(cx.dimension() + 1):
-        h.setdefault(d, (0, []))
-    return h, _is_vertex(cx, rest)
+    """reduced_homology(cx) and is_collapsible(cx), from one coreduction
+    pass.  With c_d critical d-cells, every Morse boundary is zero, and
+    the homology is Z^(c_0 - 1) in degree 0 and Z^(c_d) above, when no
+    two positive critical degrees are adjacent and c_0 = 1 or c_1 = 0."""
+    critical, _ = _coreduce(cx)
+    counts = [0] * (cx.dimension() + 2)  # a zero above the top degree
+    for c in critical:
+        counts[cx.dims[c]] += 1
+    if cx.dims and (counts[0] == 1 or not counts[1]) and not any(map(min, counts[1:], counts[2:])):
+        closure = set(critical)
+        for d in range(len(counts) - 2, 0, -1):  # from the top dimension down
+            closure.update(*[cx.facets[c] for c in closure if cx.dims[c] == d])
+        _incidences(cx, closure)
+        h = {d: (k - (d == 0), []) for d, k in enumerate(counts[:-1])}
+    else:
+        h = _cellular_homology(cx, set(cx.dims))
+    return h, len(critical) == 1 and counts[0] == 1
 
 
 def reduced_homology(cx: Complex) -> Dict[int, Tuple[int, List[int]]]:
-    """Reduced integral homology of a regular cell complex: collapse free
-    pairs, then take the cellular homology of what remains.  Every degree
-    up to the dimension of the complex gets an entry.  Raises ValueError
-    when a cell of what remains fails one of the checks listed in
-    `_incidences`; a complex that passes them without being regular is
-    not detected."""
+    """Reduced integral homology of a regular cell complex, an entry for
+    every degree up to its dimension: read off the critical cells of a
+    coreduction pass where their counts decide it, else the cellular
+    homology of the whole complex.  Raises ValueError when the closure
+    of the critical cells, or in the latter case any cell, fails a check
+    of `_incidences`; a cell the pass pairs off is not checked."""
     return homology_and_collapsible(cx)[0]
 
 
@@ -409,6 +412,7 @@ def is_trivial_homology(h: Dict[int, Tuple[int, List[int]]]) -> bool:
 
 
 def is_collapsible(cx: Complex) -> bool:
-    """Greedy free-face collapse down to a single vertex.  True is a
-    certificate of contractibility; False is inconclusive."""
-    return _is_vertex(cx, _collapse(cx)[0])
+    """Whether a coreduction pass leaves one critical cell, a vertex: on
+    a regular complex a certificate of a collapse (Forman 1998; Chari
+    2000), while False is inconclusive."""
+    return [cx.dims[c] for c in _coreduce(cx)[0]] == [0]

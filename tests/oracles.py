@@ -9,7 +9,9 @@ to the definition, with a second only at sizes the first cannot reach.
   `difference_entries`, read by `group.is_special_entries`.
 - Homology: the barycentric subdivision pipeline `reduced_homology`, the
   simplicial chain complex `homology_of_simplices` of `order_complex`.
-- Collapsibility: the greedy collapse `is_collapsible`, rescanning each step.
+- Collapsibility: the greedy collapse `greedy_collapse`, rescanning each
+  step, read by `is_collapsible`; what it leaves also feeds the Smith
+  form test with boundary matrices.
 - Smith form above 8 x 8 (minors in test_topology below): `smith_diagonal`.
 - Action: the tuple interpreter `act_prefix`, searched by `equal_at_depth`.
 - Partial actions: the hand-written rows of `partial_action`.
@@ -337,9 +339,11 @@ def reduced_homology(cx: Complex) -> Dict[int, Tuple[int, List[int]]]:
     return h
 
 
-def is_collapsible(cx: Complex) -> bool:
-    """Greedy free-face collapse down to a single vertex.  True is a
-    certificate of contractibility; False is inconclusive."""
+def greedy_collapse(cx: Complex) -> Set[str]:
+    """The cells that the greedy free-face collapse leaves: while some
+    cell f has exactly one cofacet c and c is maximal, f and c go, the
+    least such f (by dimension, then key) first.  What is left is a
+    subcomplex of the same homotopy type."""
     dims = dict(cx.dims)
     facets = {k: set(v) for k, v in cx.facets.items()}
     cofaces: Dict[str, Set[str]] = {k: set() for k in dims}
@@ -364,7 +368,14 @@ def is_collapsible(cx: Complex) -> bool:
                     cofaces[g].discard(cell)
         del dims[f], facets[f], cofaces[f]
         del dims[c], facets[c], cofaces[c]
-    return len(dims) == 1 and next(iter(dims.values())) == 0
+    return set(dims)
+
+
+def is_collapsible(cx: Complex) -> bool:
+    """Whether the greedy collapse leaves a single vertex.  True is a
+    certificate of contractibility; False is inconclusive."""
+    rest = greedy_collapse(cx)
+    return len(rest) == 1 and cx.dims[min(rest)] == 0
 
 
 def smith_diagonal(rows: List[List[int]]) -> List[int]:

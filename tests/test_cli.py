@@ -166,14 +166,14 @@ def test_asclink_rejects_a_vertex_that_is_no_0_cell(capsys):
 
 def test_asclink_collapses_once(capsys, monkeypatch):
     argv = ["asclink", "--piece", "e|y[010];y[0110]^-1;y[0111];y[0001]", "--vertex", "e"]
-    collapse = topology._collapse
+    coreduce = topology._coreduce
     runs = []
 
-    def counting_collapse(cx):
+    def counting_coreduce(cx):
         runs.append(cx)
-        return collapse(cx)
+        return coreduce(cx)
 
-    monkeypatch.setattr(topology, "_collapse", counting_collapse)
+    monkeypatch.setattr(topology, "_coreduce", counting_coreduce)
     for extra in ([], ["--json"]):
         del runs[:]
         assert run(argv + extra) == 0
