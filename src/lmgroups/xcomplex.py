@@ -12,15 +12,18 @@ glue along shared cosets into larger complexes, carrying the Morse data
 tie-break, so every cell has a unique minimal vertex by construction).
 
 Assemblies are memoised: equal pieces in one order, each with its
-parameters in any order, return the same complex, so a cone search and
-its caller glue each assembly once.  An XComplex is therefore immutable,
-as an XCluster is: fields cannot be assigned, down to the cell complex,
-and maps are read-only, its cells and facets too.  The cell complex of
-each arrangement is enumerated once and shared, read-only, by all its
-clusters, and the edge rule is read from one table per cluster,
-of the junctions of the last unit of each parameter with the first unit
-of a later one.  Adjacency is read from the facet table: an edge's
-vertices are its facets, and the squares on an edge are its cofacets.
+parameters in any order, return the same complex, so `find_cone_vertex`
+and its caller glue each assembly once: the original pieces and the
+pieces enlarged by the cone parameter, which is computed, not searched.
+An XComplex is therefore immutable, as an XCluster is: fields cannot be
+assigned, down to the cell complex, and maps are read-only, its cells
+and facets too.  The cell complex of each arrangement is enumerated
+once and shared, read-only, by all its clusters, and the edge rule is
+read from one table per cluster, of the junctions of the last unit of
+each parameter with the first unit of a later one.  Adjacency is read
+from the facet table: an edge's vertices are its facets, the squares on
+an edge are its cofacets, and a cell's least Morse value is the least
+of its facets'.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from . import group
 from .arrangements import Arrangement, ClusterComplex, enumerate_cells, is_flat_restriction
 from .group import GroupWord, SpecialForm, TagViolation, canonical_coset, psi_like_value
 from .topology import Complex
-from .words import independent, tree_key
+from .words import consecutive, independent, tree_key
 
 __all__ = [
     "ClusterError",
@@ -307,57 +310,75 @@ def ascending_link(cx: XComplex, vertex: str) -> Complex:
     """Link of the vertex in its ascending star: one link cell per cell
     whose (h, f)-minimum sits at the vertex (unique, since f is
     injective, so a cell whose minimum has the vertex's value holds the
-    vertex).  A link cell keeps those facets of its cell that lie in
+    vertex).  A cell's minimum is the least of its facets' minima, read
+    in `Complex.cells` order, dimension first, so no cell's vertex set
+    is built.  A link cell keeps those facets of its cell that lie in
     the star, each one dimension lower, so the link is right by
     construction and not checked again."""
     if cx.complex.dims.get(vertex) != 0:
         raise ValueError(f"{vertex!r} is not a vertex of the complex")
     vals = morse_values(cx)
     low = vals[vertex].key()
-    star = [
-        c for c in cx.complex.cells()
-        if cx.complex.dims[c] and min(vals[v].key() for v in cx.complex.vertices_of(c)) == low
-    ]
+    dims, facets = cx.complex.dims, cx.complex.facets
+    least: Dict[str, Tuple[int, int]] = {}
+    for c in cx.complex.cells():  # dimension first: facets before their cells
+        least[c] = min(least[f] for f in facets[c]) if dims[c] else vals[c].key()
+    star = [c for c, key in least.items() if dims[c] and key == low]
     star_set = set(star)
-    dims = {c: cx.complex.dims[c] - 1 for c in star}
-    facets = {
-        c: frozenset(f for f in cx.complex.facets[c] if f in star_set) for c in star
-    }
-    return Complex._trusted(dims, facets)
+    return Complex._trusted(
+        {c: dims[c] - 1 for c in star},
+        {c: frozenset(f for f in facets[c] if f in star_set) for c in star},
+    )
 
 
 def find_cone_vertex(
     pieces: Sequence[Tuple[GroupWord, Sequence[SpecialForm]]],
 ) -> Tuple[int, bool]:
-    """Least m for which the extra parameter on the subscript 0^m 1
-    yields buildable enlarged clusters that cone off the whole original
-    link of the base coset; returns (m, True) once verified.  The bases
-    must share one tag, as in `assemble`."""
+    """The cone parameter y_a, a = 0^m 1, that cones off the link of
+    the base coset e, and (m, True) once the enlarged pieces are checked.
+    m is the least value up to the longest parameter subscript plus 3
+    for which a is independent of every parameter subscript and
+    consecutive with none, in either order, and y_a times each base
+    lies in the coset of y_a: then the apex joins no diagonal, so each
+    enlarged cluster is its cluster times an interval.  No fitting m
+    raises ClusterError.  The enlarged pieces are glued once, and the
+    check asks for the apex edge at e and every original neighbour of e
+    on a square with it; a failed gluing or check is a broken invariant
+    and raises AssertionError naming m.  The bases must share one tag,
+    as in `assemble`, and lie in the trivial coset."""
     if not pieces:
         return (0, True)
-    # the search cones off the link of the root vertex, labelled e
+    # the cone is on the link of the root vertex, labelled e
     if any(canonical_coset(base).letters for base, _ in pieces):
         raise ClusterError("cone search expects all pieces based at the trivial coset")
     subs = sorted({s for _, params in pieces for f in params for s in f.subscripts()})
     original = assemble(pieces)
-    froot = "e"
-    orig_nbrs = original.complex.adjacent_vertices(froot)
+    tag = pieces[0][0].tag
+
+    def fits(a: str) -> bool:
+        if any(not independent(a, s) or consecutive(a, s) or consecutive(s, a) for s in subs):
+            return False
+        y_a = GroupWord((("y", a, 1),), tag)
+        return all(canonical_coset(y_a * base) == y_a for base, _ in pieces)
+
     max_m = max((len(s) for s in subs), default=0) + 3
-    for m in range(1, max_m + 1):
-        a = "0" * m + "1"
-        if not all(independent(a, s) for s in subs):
-            continue
-        apex_form = SpecialForm(((a, 1),))
-        try:
-            big = assemble([(base, list(params) + [apex_form]) for base, params in pieces])
-        except ClusterError:
-            continue
-        # the edges at the root by their other vertex, and the squares on the apex edge
-        at_root = {w: e for e, vv in big.complex.edges() if froot in vv for w in vv - {froot}}
-        e_apex = at_root.get(apex_form.to_string())
-        if e_apex is None:
-            continue
-        squares = [fs for fs in big.complex.facets.values() if e_apex in fs]
-        if all(w in at_root and any(at_root[w] in fs for fs in squares) for w in orig_nbrs):
-            return (m, True)
-    raise ClusterError("no verified cone parameter found within the subscript bound")
+    m = next((m for m in range(1, max_m + 1) if fits("0" * m + "1")), None)
+    if m is None:
+        raise ClusterError("no verified cone parameter found within the subscript bound")
+    apex_form = SpecialForm((("0" * m + "1", 1),))
+    try:
+        big = assemble([(base, list(params) + [apex_form]) for base, params in pieces])
+    except ClusterError as exc:
+        msg = f"cone parameter m={m}: the enlarged pieces do not glue: {exc}"
+        raise AssertionError(msg) from exc
+    # the edges at the root by their other vertex, and the squares on the apex edge
+    froot = "e"
+    at_root = {w: e for e, vv in big.complex.edges() if froot in vv for w in vv - {froot}}
+    e_apex = at_root.get(apex_form.to_string())
+    squares = [fs for fs in big.complex.facets.values() if e_apex in fs]
+    if e_apex is None or not all(
+        w in at_root and any(at_root[w] in fs for fs in squares)
+        for w in original.complex.adjacent_vertices(froot)
+    ):
+        raise AssertionError(f"cone parameter m={m}: the enlarged pieces do not cone off e")
+    return (m, True)

@@ -7,6 +7,10 @@ to the definition, with a second only at sizes the first cannot reach.
 - Flats: the flat-mask enumeration `_flat_cell_sets`.
 - The edge rule of a cluster: the whole difference product
   `difference_entries`, read by `group.is_special_entries`.
+- The cone parameter: the search `cone_search` over the enlarged
+  assemblies, each checked on the closures of its cells.
+- Ascending links: the star `ascending_link` of the cells whose vertex
+  sets have their least Morse value at the vertex.
 - Homology: the barycentric subdivision pipeline `reduced_homology`, the
   simplicial chain complex `homology_of_simplices` of `order_complex`.
 - Collapsibility: the greedy collapse `greedy_collapse`, rescanning each
@@ -33,7 +37,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from lmgroups import action, group, topology, words
+from lmgroups import action, group, topology, words, xcomplex
 from lmgroups.action import PrefixResult
 from lmgroups.arrangements import (
     POS,
@@ -240,6 +244,63 @@ def difference_entries(
         for i in sorted(plus | minus)
         for e in (forms[i].entries if i in plus else forms[i].inverse_entries())
     ]
+
+
+# --------------------------------------------------------------------------
+# Cone parameters and ascending links: the search and the vertex-set star
+
+
+def cone_search(pieces) -> Optional[int]:
+    """The least m whose enlarged pieces glue and cone off the link of e,
+    searched: for each m up to the longest subscript plus 3 with 0^m 1
+    independent of every subscript, the enlarged assembly, every edge
+    read by the vertices of its closure, and a square on two edges by the
+    closure of every 2-cell.  None when no m passes."""
+    subs = sorted({s for _, params in pieces for f in params for s in f.subscripts()})
+
+    def edge_ids(cx):
+        return {cx.vertices_of(e): e for e in cx.cells_of_dim(1)}
+
+    nbrs = {w for pair in edge_ids(xcomplex.assemble(pieces).complex) if "e" in pair
+            for w in pair} - {"e"}
+    for m in range(1, max(len(s) for s in subs) + 4):
+        a = "0" * m + "1"
+        if not all(independent(a, s) for s in subs):
+            continue
+        apex = group.special_form(f"y[{a}]")
+        try:
+            cx = xcomplex.assemble([(b, list(params) + [apex]) for b, params in pieces]).complex
+        except xcomplex.ClusterError:
+            continue
+        ids = edge_ids(cx)
+        e_apex = ids.get(frozenset({"e", apex.to_string()}))
+        if e_apex is None:
+            continue
+        if all(
+            frozenset({"e", w}) in ids
+            and any(
+                ids[frozenset({"e", w})] in cx.faces(c) and e_apex in cx.faces(c)
+                for c in cx.cells_of_dim(2)
+            )
+            for w in nbrs
+        ):
+            return m
+    return None
+
+
+def ascending_link(cx, vertex: str) -> Complex:
+    """The link of the vertex in its ascending star, each cell's least
+    (h, f) vertex read over the vertex set of its closure."""
+    vals = xcomplex.morse_values(cx)
+    low = vals[vertex].key()
+    star = {
+        c for c in cx.complex.cells()
+        if cx.complex.dims[c] and min(vals[v].key() for v in cx.complex.vertices_of(c)) == low
+    }
+    return Complex(
+        {c: cx.complex.dims[c] - 1 for c in star},
+        {c: frozenset(f for f in cx.complex.facets[c] if f in star) for c in star},
+    )
 
 
 # --------------------------------------------------------------------------

@@ -390,45 +390,86 @@ def test_an_arrangement_edge_the_rule_rejects_raises_cross_check_error(monkeypat
         )
 
 
-def _former_cone_vertex(pieces):
-    """The cone search as it read its complexes before it took edges and
-    squares from the facet table: every edge by the vertices of its
-    closure, and a square on two edges by the closure of every 2-cell."""
-    subs = sorted({s for _, params in pieces for f in params for s in f.subscripts()})
+def _x_word(rng):
+    """A random x-word of length 1-3: an element of F, so a base in the
+    trivial coset."""
+    return GroupWord(tuple(
+        ("x", "".join(rng.choice("01") for _ in range(rng.randint(0, 3))), rng.choice((1, -1)))
+        for _ in range(rng.randint(1, 3))), "G")
 
-    def edge_ids(cx):
-        return {cx.vertices_of(e): e for e in cx.cells_of_dim(1)}
 
-    nbrs = {w for pair in edge_ids(assemble(pieces).complex) if "e" in pair for w in pair} - {"e"}
-    for m in range(1, max(len(s) for s in subs) + 4):
-        a = "0" * m + "1"
-        if not all(independent(a, s) for s in subs):
-            continue
-        apex = special_form(f"y[{a}]")
-        try:
-            cx = assemble([(base, list(params) + [apex]) for base, params in pieces]).complex
-        except ClusterError:
-            continue
-        ids = edge_ids(cx)
-        e_apex = ids.get(frozenset({"e", apex.to_string()}))
-        if e_apex is None:
-            continue
-        if all(
-            frozenset({"e", w}) in ids
-            and any(
-                ids[frozenset({"e", w})] in cx.faces(c) and e_apex in cx.faces(c)
-                for c in cx.cells_of_dim(2)
-            )
-            for w in nbrs
-        ):
-            return m
-    return None
+def _assert_cone_matches_search(pieces):
+    ref = oracles.cone_search(pieces)
+    if ref is None:
+        with pytest.raises(ClusterError, match="no verified cone parameter found"):
+            find_cone_vertex(pieces)
+    else:
+        assert find_cone_vertex(pieces) == (ref, True), pieces
 
 
 def test_cone_search_matches_former_closure_criterion():
-    # every one of these assemblies glues and has a cone parameter
-    for pieces in _seeded_pieces(17, 60):
-        assert find_cone_vertex(pieces) == (_former_cone_vertex(pieces), True)
+    # the closed-form m against the search over enlarged assemblies, on
+    # the seeded suites based at e and rebased at an x-word each
+    suites = _seeded_pieces(5, 30) + _seeded_pieces(17, 60)
+    rng = random.Random(3)
+    for pieces in suites:
+        _assert_cone_matches_search(pieces)
+        base = _x_word(rng)
+        _assert_cone_matches_search([(base, params) for _, params in pieces])
+
+
+def test_cone_parameter_over_x_bases():
+    # over a base x in F the apex y_a labels a vertex only where y_a x
+    # lies in the coset of y_a; over x[e] and x[0] that holds for no m up
+    # to the bound, so the closed form and the search both find none
+    param = [special_form("y[1001]")]
+    for text, m in (("x[01]", 2), ("x[1]", 1), ("x[10]", 1)):
+        assert find_cone_vertex([(group.word(text, "G"), param)]) == (m, True), text
+    for text in ("x[e]", "x[0]"):
+        pieces = [(group.word(text, "G"), param)]
+        with pytest.raises(ClusterError, match="no verified cone parameter found"):
+            find_cone_vertex(pieces)
+        assert oracles.cone_search(pieces) is None
+
+
+@pytest.mark.parametrize("broken", ["raises", "uncone"])
+def test_a_cone_that_fails_its_check_is_a_broken_invariant(monkeypatch, capsys, broken):
+    # the fitting m is not searched past: an enlarged assembly that does
+    # not glue, or does not cone off e, raises AssertionError naming m,
+    # and `lmg cone` exits 3 with no traceback
+    from lmgroups.cli import run
+
+    real = xcomplex.assemble
+    original = [(F, FIG1_PARAMS)]
+
+    def enlarged(pieces):
+        if pieces == original:
+            return real(pieces)
+        if broken == "raises":
+            raise ClusterError("coset collision among cluster vertices")
+        return real(original)
+
+    monkeypatch.setattr(xcomplex, "assemble", enlarged)
+    with pytest.raises(AssertionError, match="cone parameter m=3: the enlarged pieces"):
+        find_cone_vertex(original)
+    pieces = ";".join(f.to_string() for f in FIG1_PARAMS)
+    assert run(["cone", "--piece", f"e|{pieces}"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: cone parameter m=3: the enlarged pieces")
+    assert "Traceback" not in captured.err
+
+
+def test_ascending_links_match_the_vertex_set_star():
+    # each cell's least vertex read over its facets, against the star of
+    # the cells whose vertex sets have their least value at the vertex
+    for pieces in _seeded_pieces(5, 30) + _seeded_pieces(17, 60):
+        m, _ = find_cone_vertex(pieces)
+        apex = special_form(f"y[{'0' * m}1]")
+        for cx in (assemble(pieces), assemble([(b, list(p) + [apex]) for b, p in pieces])):
+            for v in cx.complex.cells_of_dim(0):
+                link, ref = ascending_link(cx, v), oracles.ascending_link(cx, v)
+                assert (link.dims, link.facets) == (ref.dims, ref.facets), v
 
 
 def test_assemblies_and_ascending_links_pass_the_checking_constructor():
@@ -498,10 +539,10 @@ def test_failing_builds_raise_on_every_call():
 
 
 def test_the_cone_flow_glues_each_assembly_once(monkeypatch):
-    # the benchmark's flow: assemble, search for a cone vertex, assemble
-    # the coned pieces.  The search assembles its caller's pieces again
-    # and the caller the winner again, yet each distinct assembly builds
-    # each of its pieces once
+    # the benchmark's flow: assemble, find the cone vertex, assemble the
+    # coned pieces.  find_cone_vertex assembles its caller's pieces again
+    # and the caller the coned pieces again, yet each distinct assembly
+    # builds each of its pieces once
     real_build, real_assemble = build_x_cluster, assemble
     calls, builds, glued, inside = Counter(), Counter(), set(), []
 
@@ -529,7 +570,9 @@ def test_the_cone_flow_glues_each_assembly_once(monkeypatch):
         m, _ = find_cone_vertex(pieces)
         apex = special_form(f"y[{'0' * m}1]")
         xcomplex.assemble([(b, list(p) + [apex]) for b, p in pieces])
-    assert sum(calls.values()) - len(calls) >= 2 * len(flows)
+    # one enlarged assembly per cone parameter: four calls per flow, at
+    # most two of them glued
+    assert sum(calls.values()) == 4 * len(flows) and len(calls) <= 2 * len(flows)
     assert all(builds[key] == len(key) for key in glued)
     assert all(builds[key] <= len(key) for key in calls)
 
