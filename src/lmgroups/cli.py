@@ -131,7 +131,7 @@ def cmd_asclink(args):
 def cmd_cone(args):
     m, verified = xcomplex.find_cone_vertex(_parse_pieces(args.piece, args.tag))
     _emit(args, {"m": m, "verified": verified}, f"m={m} verified={verified}")
-    return 0 if verified else 2
+    return 0
 
 
 def cmd_homology(args):

@@ -2,18 +2,18 @@
 
 A complex stores cells by key with a dimension and the set of
 codimension-one faces; the class docstring says which builders skip
-the public constructor's check.  Homology reads the critical cells of
-one coreduction pass where their counts decide it, and otherwise takes
-the cellular chain complex of the whole complex.  Every complex here
+the public constructor's check.  Homology is that of the Morse complex
+of one coreduction pass: its chains are the critical cells, and its
+boundary follows the flow along the matched pairs.  Every complex here
 is regular (its cells are convex polytopes and vertex figures of
 them), so each incidence number is +-1 and follows by induction on
 dimension from the face poset alone (Lundell-Weingram, "The Topology
 of CW Complexes", 1969).  Where that induction fails on a cell the
 answer reads, or such a cell's boundary does not have the Euler
 characteristic of a sphere, the poset is not regular and homology
-raises ValueError; these checks are necessary, not sufficient.  Ranks
-and torsion come from a sparse Smith normal form that takes unit
-pivots first (Dumas, Saunders and Villard, 2001).
+raises ValueError; these checks are necessary, not sufficient.  The
+Morse boundary matrices go to a sparse Smith normal form that takes
+unit pivots first (Dumas, Saunders and Villard, 2001).
 """
 
 from __future__ import annotations
@@ -345,65 +345,62 @@ def _incidences(cx: Complex, cells: Iterable[str]) -> Dict[str, Dict[str, int]]:
     return inc
 
 
-def _cellular_homology(cx: Complex, cells: Set[str]) -> Dict[int, Tuple[int, List[int]]]:
-    """Reduced integral homology of the face-closed cell set, from its
-    cellular chain complex augmented by one row under the vertices.
-    Returns {degree: (betti rank, torsion coefficients)} up to the top
-    dimension of the set; the empty set reports {-1: (1, [])}."""
-    if not cells:
-        return {-1: (1, [])}
-    inc = _incidences(cx, cells)
-    by_dim: Dict[int, List[str]] = {}
-    for c in sorted(cells):
-        by_dim.setdefault(cx.dims[c], []).append(c)
-    top = max(by_dim)  # a regular complex has cells of every lower dimension
-    ranks: List[int] = []
-    torsions: List[List[int]] = []
-    for d in range(top + 1):
-        cols = by_dim[d]
-        if d == 0:
-            rows = [[1] * len(cols)]
-        else:
-            below = {f: i for i, f in enumerate(by_dim[d - 1])}
-            rows = [[0] * len(cols) for _ in below]
-            for j, c in enumerate(cols):
-                for f, s in inc[c].items():
-                    rows[below[f]][j] = s
-        diag = smith_diagonal(rows)
-        ranks.append(len(diag))
-        torsions.append([v for v in diag if v > 1])
-    ranks.append(0)
-    torsions.append([])
-    return {d: (len(by_dim[d]) - ranks[d] - ranks[d + 1], torsions[d + 1]) for d in range(top + 1)}
-
-
 def homology_and_collapsible(cx: Complex) -> Tuple[Dict[int, Tuple[int, List[int]]], bool]:
-    """reduced_homology(cx) and is_collapsible(cx), from one coreduction
-    pass.  With c_d critical d-cells, every Morse boundary is zero, and
-    the homology is Z^(c_0 - 1) in degree 0 and Z^(c_d) above, when no
-    two positive critical degrees are adjacent and c_0 = 1 or c_1 = 0."""
-    critical, _ = _coreduce(cx)
-    counts = [0] * (cx.dimension() + 2)  # a zero above the top degree
-    for c in critical:
-        counts[cx.dims[c]] += 1
-    if cx.dims and (counts[0] == 1 or not counts[1]) and not any(map(min, counts[1:], counts[2:])):
-        closure = set(critical)
-        for d in range(len(counts) - 2, 0, -1):  # from the top dimension down
-            closure.update(*[cx.facets[c] for c in closure if cx.dims[c] == d])
-        _incidences(cx, closure)
-        h = {d: (k - (d == 0), []) for d, k in enumerate(counts[:-1])}
+    """reduced_homology(cx) and is_collapsible(cx), from the Morse
+    complex of one coreduction pass (Forman 1998; Harker, Mischaikow,
+    Mrozek and Nanda, FoCM 2014): the flow of a critical cell is itself,
+    of the upper cell of a pair zero, and of the lower cell f of a pair
+    (f, c) -[c:f] times the sum of [c:g] flow(g) over the other facets
+    g of c, each removed before f; that sum over a critical cell's
+    facets is its Morse boundary.  A matrix is built from degree d where
+    d and d - 1 have critical cells, into degree 0 only past one
+    critical vertex (the augmentation has rank 1), and then every cell
+    is checked by `_incidences`, else the closure of the critical cells."""
+    if not cx.dims:
+        return {-1: (1, [])}, False
+    critical, pairs = _coreduce(cx)
+    dims = cx.dims
+    top = cx.dimension()
+    by_dim = [[c for c in critical if dims[c] == d] for d in range(top + 1)]
+    built = [d for d in range(1, top + 1) if by_dim[d] and len(by_dim[d - 1]) > (d == 1)]
+    ranks = [1] + [0] * (top + 1)  # the rank of each boundary, the augmentation first
+    torsion: List[List[int]] = [[] for _ in by_dim]
+    if built:
+        inc = _incidences(cx, dims)
+        flow: Dict[str, Dict[str, int]] = {c: {c: 1} for c in critical}
+
+        def boundary(c: str) -> Dict[str, int]:  # a facet without a flow yet adds nothing
+            total: Dict[str, int] = {}
+            for g, t in inc[c].items():
+                for k, v in flow.get(g, {}).items():
+                    total[k] = total.get(k, 0) + t * v
+            return total
+
+        for f, c in pairs:  # in the order made
+            if dims[c] in built:
+                s = -inc[c][f]
+                flow[f] = {k: s * v for k, v in boundary(c).items()}
+        for d in built:
+            cols = [boundary(c) for c in by_dim[d]]
+            diag = smith_diagonal([[col.get(k, 0) for col in cols] for k in by_dim[d - 1]])
+            ranks[d] = len(diag)
+            torsion[d - 1] = [v for v in diag if v > 1]
     else:
-        h = _cellular_homology(cx, set(cx.dims))
-    return h, len(critical) == 1 and counts[0] == 1
+        closure = set(critical)
+        for d in range(top, 0, -1):
+            closure.update(*[cx.facets[c] for c in closure if dims[c] == d])
+        _incidences(cx, closure)
+    h = {d: (len(cs) - ranks[d] - ranks[d + 1], torsion[d]) for d, cs in enumerate(by_dim)}
+    return h, len(critical) == 1 and len(by_dim[0]) == 1
 
 
 def reduced_homology(cx: Complex) -> Dict[int, Tuple[int, List[int]]]:
     """Reduced integral homology of a regular cell complex, an entry for
-    every degree up to its dimension: read off the critical cells of a
-    coreduction pass where their counts decide it, else the cellular
-    homology of the whole complex.  Raises ValueError when the closure
-    of the critical cells, or in the latter case any cell, fails a check
-    of `_incidences`; a cell the pass pairs off is not checked."""
+    every degree up to its dimension, from the Morse complex of a
+    coreduction pass.  Raises ValueError when a cell fails a check of
+    `_incidences`: every cell where a Morse matrix is built, else the
+    closure of the critical cells, so a cell the pass pairs off may go
+    unchecked."""
     return homology_and_collapsible(cx)[0]
 
 

@@ -12,7 +12,9 @@ to the definition, with a second only at sizes the first cannot reach.
 - Ascending links: the star `ascending_link` of the cells whose vertex
   sets have their least Morse value at the vertex.
 - Homology: the barycentric subdivision pipeline `reduced_homology`, the
-  simplicial chain complex `homology_of_simplices` of `order_complex`.
+  simplicial chain complex `homology_of_simplices` of `order_complex`;
+  and the cellular chain complex `cellular_homology` of a whole cell
+  set, whose boundary matrices also feed the Smith form test.
 - Collapsibility: the greedy collapse `greedy_collapse`, rescanning each
   step, read by `is_collapsible`; what it leaves also feeds the Smith
   form test with boundary matrices.
@@ -385,6 +387,38 @@ def homology_of_simplices(simplices: List[Tuple[str, ...]]) -> Dict[int, Tuple[i
         betti = n_d - rank_d - rank_up
         out[d] = (betti, torsions.get(d + 1, []))
     return out
+
+
+def cellular_homology(cx: Complex, cells: Set[str]) -> Dict[int, Tuple[int, List[int]]]:
+    """Reduced integral homology of the face-closed cell set, from its
+    cellular chain complex augmented by one row under the vertices.
+    Returns {degree: (betti rank, torsion coefficients)} up to the top
+    dimension of the set; the empty set reports {-1: (1, [])}."""
+    if not cells:
+        return {-1: (1, [])}
+    inc = topology._incidences(cx, cells)
+    by_dim: Dict[int, List[str]] = {}
+    for c in sorted(cells):
+        by_dim.setdefault(cx.dims[c], []).append(c)
+    top = max(by_dim)  # a regular complex has cells of every lower dimension
+    ranks: List[int] = []
+    torsions: List[List[int]] = []
+    for d in range(top + 1):
+        cols = by_dim[d]
+        if d == 0:
+            rows = [[1] * len(cols)]
+        else:
+            below = {f: i for i, f in enumerate(by_dim[d - 1])}
+            rows = [[0] * len(cols) for _ in below]
+            for j, c in enumerate(cols):
+                for f, s in inc[c].items():
+                    rows[below[f]][j] = s
+        diag = topology.smith_diagonal(rows)
+        ranks.append(len(diag))
+        torsions.append([v for v in diag if v > 1])
+    ranks.append(0)
+    torsions.append([])
+    return {d: (len(by_dim[d]) - ranks[d] - ranks[d + 1], torsions[d + 1]) for d in range(top + 1)}
 
 
 def reduced_homology(cx: Complex) -> Dict[int, Tuple[int, List[int]]]:
