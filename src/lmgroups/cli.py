@@ -217,11 +217,15 @@ def build_parser() -> argparse.ArgumentParser:
     ap = _Parser(prog="lmg", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, tag=None, **kwargs):
-        """A subcommand; tag is the --tag default of those that read one."""
+    def add(name, fn, tag=None, dot=False, **kwargs):
+        """A subcommand; tag is the --tag default of those that read one,
+        and dot adds --dot, which excludes --json."""
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(fn=fn)
-        p.add_argument("--json", action="store_true")
+        out = p.add_mutually_exclusive_group() if dot else p
+        out.add_argument("--json", action="store_true")
+        if dot:
+            out.add_argument("--dot", action="store_true")
         if tag:
             shown = "inferred" if tag == "auto" else tag
             p.add_argument("--tag", default=tag, help=f"group tag (default: {shown})")
@@ -243,15 +247,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("word")
     p.add_argument("--depth", type=int, default=group.DEFAULT_DEPTH)
 
-    p = add("cluster", cmd_cluster, help="cells of an arrangement")
+    p = add("cluster", cmd_cluster, dot=True, help="cells of an arrangement")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--diagonals", default="")
-    p.add_argument("--dot", action="store_true")
 
-    p = add("xcluster", cmd_xcluster, "G", help="labeled cluster over a base coset")
+    p = add("xcluster", cmd_xcluster, "G", dot=True, help="labeled cluster over a base coset")
     p.add_argument("--base", default="e")
     p.add_argument("--params", required=True, help="special forms separated by ';'")
-    p.add_argument("--dot", action="store_true")
 
     p = add("asclink", cmd_asclink, "G", help="ascending link of a vertex")
     p.add_argument("--piece", action="append", required=True,

@@ -5,8 +5,8 @@ group is the base's tag, under which every form's word is built once.
 Its vertices are the cosets of the subset products of those words over
 the base, its arrangement marks the diagonal between adjacent
 parameters exactly when their ordered product is again a special form,
-and the arrangement's 1-skeleton is cross-checked against the
-special-form edge rule on every vertex pair.  Pieces over one group
+and the special-form edge rule is checked against the arrangement's
+1-skeleton on a table of junctions.  Pieces over one group
 glue along shared cosets into larger complexes, carrying the Morse data
 (psi height, then the negative lexicographic rank as an injective
 tie-break, so every cell has a unique minimal vertex by construction).
@@ -19,7 +19,7 @@ An XComplex is therefore immutable, as an XCluster is: fields cannot be
 assigned, down to the cell complex, and maps are read-only, its cells
 and facets too.  The cell complex of each arrangement is enumerated
 once and shared, read-only, by all its clusters, and the edge rule is
-read from one table per cluster, of the junctions of the last unit of
+checked on one table per cluster, of the junctions of the last unit of
 each parameter with the first unit of a later one.  Adjacency is read
 from the facet table: an edge's vertices are its facets, the squares on
 an edge are its cofacets, and a cell's least Morse value is the least
@@ -105,7 +105,7 @@ class XComplex:
 
 
 def sort_params(params: Sequence[SpecialForm]) -> Tuple[SpecialForm, ...]:
-    return tuple(sorted(params, key=lambda f: tree_key(f.subscripts()[0])))
+    return tuple(sorted(params, key=lambda f: tree_key(f.entries[0][0])))
 
 
 def _joins(forms: Sequence[SpecialForm]) -> Dict[tuple, bool]:
@@ -120,7 +120,10 @@ def _joins(forms: Sequence[SpecialForm]) -> Dict[tuple, bool]:
     no subscript of another form lies between a form's first and last
     subscripts.  The rule reads only adjacent units, and each form and
     its inverse pass it, so a difference is special exactly when every
-    junction of neighbouring chosen forms passes."""
+    junction of neighbouring chosen forms passes.  Negating both signs
+    keeps the rule, which asks for alternating signs, so `(i, -a), (j,
+    -b)` reads as `(i, a), (j, b)`, and of the two sign classes of a
+    pair, equal and opposite, at most one passes."""
     return {
         ((i, a), (j, b)): group.is_special_entries(((s, e * a), (t, f * b)))
         for (i, fi), (j, fj) in combinations(enumerate(forms), 2)
@@ -131,32 +134,29 @@ def _joins(forms: Sequence[SpecialForm]) -> Dict[tuple, bool]:
 
 @lru_cache(maxsize=64)
 def _arrangement_frame(k: int, diagonals: FrozenSet[int]):
-    """The cell complex of the k-cluster with these diagonals, its
-    vertices with their coordinates, and every vertex pair (a, b) with
-    the neighbouring pairs of the coordinates where they differ, each
-    as (index, sign), the sign +1 where a has the parameter and b lacks
-    it and -1 the other way round, and whether an edge of the
-    arrangement joins a and b.  The complex is shared by every cluster
-    of this shape, so its maps are read-only."""
+    """The cell complex of the k-cluster with these diagonals and its
+    vertices with their coordinates.  The complex is shared by every
+    cluster of this shape, so its maps are read-only."""
     arr = Arrangement(k, diagonals)
     cells = enumerate_cells(arr).complex
     cluster = ClusterComplex(
         arr, Complex(MappingProxyType(cells.dims), MappingProxyType(dict(cells.facets.items())))
     )
-    vertices = tuple((v, cluster.vertex_coords(v)) for v in cluster.complex.cells_of_dim(0))
-    edges = {vv for _, vv in cluster.complex.edges()}
-    pairs = []
-    for (va, ca), (vb, cb) in combinations(vertices, 2):
-        signed = [(i, x - y) for i, (x, y) in enumerate(zip(ca, cb)) if x != y]
-        pairs.append((va, vb, tuple(zip(signed, signed[1:])), frozenset({va, vb}) in edges))
-    return cluster, vertices, tuple(pairs)
+    return cluster, tuple((v, cluster.vertex_coords(v)) for v in cluster.complex.cells_of_dim(0))
 
 
 def build_x_cluster(base: GroupWord, params: Sequence[SpecialForm]) -> XCluster:
     """The labeled k-cluster spanned by independent special-form
     parameters over a base coset, in the base's group: a parameter
-    outside it raises TagViolation.  Hard-errors when the special-form
-    edge rule disagrees with the arrangement's 1-skeleton."""
+    outside it raises TagViolation.  Raises CrossCheckError when the
+    special-form edge rule disagrees with the arrangement's 1-skeleton.
+    The skeleton joins two corners exactly when they differ, in one
+    direction, on an interval of parameters each joined to the next by a
+    diagonal; the rule, by `_joins`, when every junction of neighbouring
+    differing parameters passes.  So the two agree exactly when no
+    junction passes but those of neighbours with equal signs, the
+    diagonals; one that does is the mismatch of the two corners that
+    differ at its two parameters alone."""
     forms = sort_params(params)
     if not forms:
         raise ClusterError("a cluster needs at least one parameter")
@@ -166,7 +166,7 @@ def build_x_cluster(base: GroupWord, params: Sequence[SpecialForm]) -> XCluster:
     k = len(forms)
     joins = _joins(forms)
     diagonals = frozenset(i + 1 for i in range(k - 1) if joins[(i, 1), (i + 1, 1)])
-    cluster, vertices, pairs = _arrangement_frame(k, diagonals)
+    cluster, vertices = _arrangement_frame(k, diagonals)
     labels: Dict[str, str] = {}
     label_words: Dict[str, GroupWord] = {}
     for v, coords in vertices:
@@ -177,20 +177,13 @@ def build_x_cluster(base: GroupWord, params: Sequence[SpecialForm]) -> XCluster:
     if len(set(labels.values())) != len(labels):
         raise ClusterError("coset collision among cluster vertices")
 
-    # cross-check: arrangement edges must equal the special-form edge rule,
-    # read at the junctions of the parameters that differ between two vertices
-    mismatches = []
-    for va, vb, junctions, present in pairs:
-        rule = all(joins[j] for j in junctions)
-        if rule != present:
-            mismatches.append((labels[va], labels[vb], rule, present))
-    if mismatches:
-        raise CrossCheckError(
-            "edge rule and arrangement skeleton disagree on: "
-            + "; ".join(
-                f"({a}, {b}) rule={r} arrangement={p}" for a, b, r, p in mismatches
-            )
-        )
+    clashes = sorted({(i, j, a == b) for ((i, a), (j, b)), ok in joins.items()
+                      if ok and (j != i + 1 or a != b)})
+    if clashes:
+        raise CrossCheckError("edge rule and arrangement skeleton disagree on: " + "; ".join(
+            f"({forms[i].to_string()}, {forms[j].to_string()}) with "
+            f"{'equal' if same else 'opposite'} signs" for i, j, same in clashes
+        ))
     return XCluster(
         base, forms, diagonals, cluster, MappingProxyType(labels), MappingProxyType(label_words)
     )

@@ -6,7 +6,9 @@ to the definition, with a second only at sizes the first cannot reach.
 - Faces and vertices of a cell: the stack walk `closure` down the facets.
 - Flats: the flat-mask enumeration `_flat_cell_sets`.
 - The edge rule of a cluster: the whole difference product
-  `difference_entries`, read by `group.is_special_entries`.
+  `difference_entries`, read by `group.is_special_entries`, and compared
+  with the enumerated skeleton on every vertex pair by
+  `skeleton_mismatches`.
 - The cone parameter: the search `cone_search` over the enlarged
   assemblies, each checked on the closures of its cells.
 - Ascending links: the star `ascending_link` of the cells whose vertex
@@ -36,7 +38,7 @@ where a budget runs out.
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from lmgroups import action, group, topology, words, xcomplex
@@ -246,6 +248,26 @@ def difference_entries(
         for i in sorted(plus | minus)
         for e in (forms[i].entries if i in plus else forms[i].inverse_entries())
     ]
+
+
+def skeleton_mismatches(
+    forms, cluster: ClusterComplex
+) -> List[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
+    """The corner pairs of a cluster on the sorted forms where the
+    special-form rule on the whole difference product disagrees with an
+    edge of the enumerated 1-skeleton: the edge rule on every vertex
+    pair."""
+    edges = {vv for _, vv in cluster.complex.edges()}
+    corners = {v: cluster.vertex_coords(v) for v in cluster.complex.cells_of_dim(0)}
+    out = []
+    for va, vb in combinations(sorted(corners), 2):
+        a, b = corners[va], corners[vb]
+        plus = frozenset(i for i, (x, y) in enumerate(zip(a, b)) if x > y)
+        minus = frozenset(i for i, (x, y) in enumerate(zip(a, b)) if x < y)
+        rule = group.is_special_entries(difference_entries(forms, plus, minus))
+        if rule != (frozenset({va, vb}) in edges):
+            out.append((a, b))
+    return out
 
 
 # --------------------------------------------------------------------------

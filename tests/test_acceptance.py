@@ -9,6 +9,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import inf
 
+import oracles
 from genutil import clean_params
 
 from lmgroups import action, group, topology, xcomplex
@@ -110,10 +111,11 @@ def test_criterion_05_cross_check_invariant():
     t0 = time.time()
     while built < 200:
         params = clean_params(rng, max_forms=3, max_sub=5)
-        xcomplex.build_x_cluster(F, params)  # CrossCheckError on any mismatch
+        pc = xcomplex.build_x_cluster(F, params)  # CrossCheckError on a clash
+        assert oracles.skeleton_mismatches(pc.params, pc.cluster) == [], params
         built += 1
-    report(5, f"arrangement skeleton equals the special-form edge rule on "
-              f"{built} random clusters ({time.time() - t0:.1f}s)")
+    report(5, f"arrangement skeleton equals the special-form edge rule on every "
+              f"vertex pair of {built} random clusters ({time.time() - t0:.1f}s)")
 
 
 def test_criterion_06_morse_suite():

@@ -145,8 +145,24 @@ def test_xcluster_names_the_pairs_the_cross_check_rejects(capsys):
     assert captured.out == ""
     assert captured.err == (
         "error: edge rule and arrangement skeleton disagree on: "
-        "(y[10], y[01]) rule=True arrangement=False\n"
+        "(y[01], y[10]) with opposite signs\n"
     )
+
+
+def test_dot_and_json_together_are_a_usage_error(capsys):
+    for argv in (["cluster", "--n", "2"], ["xcluster", "--params", "y[01];y[10]^-1"]):
+        for flags in (["--dot", "--json"], ["--json", "--dot"]):
+            with pytest.raises(SystemExit) as exc:
+                run(argv + flags)
+            assert exc.value.code == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"error: argument {flags[1]}: not allowed with argument {flags[0]}" in captured.err
+        # either flag alone still prints its format
+        assert run(argv + ["--dot"]) == 0
+        assert capsys.readouterr().out.startswith("graph cluster {")
+        assert run(argv + ["--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["format"] == 1
 
 
 def test_asclink(capsys):

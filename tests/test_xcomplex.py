@@ -312,33 +312,29 @@ def test_difference_entries_are_sorted_by_the_forms_intervals():
 def _frame_junctions(k):
     """The junctions of every ordered pair of distinct corners of the
     k-cube by their (P, N), the parameters the first corner has and the
-    second lacks and the other way round: as the arrangement frame
-    stores them, and for the reversed pair with every sign flipped."""
-    _, vertices, pairs = xcomplex._arrangement_frame(k, frozenset())
-    coords = dict(vertices)
+    second lacks and the other way round: the neighbouring pairs of the
+    coordinates where they differ, each as (index, sign), the sign +1
+    in P and -1 in N."""
     out = {}
-    for va, vb, junctions, _ in pairs:
-        a, b = coords[va], coords[vb]
-        plus = frozenset(i for i in range(k) if a[i] > b[i])
-        minus = frozenset(i for i in range(k) if a[i] < b[i])
-        flipped = tuple(((i, -s), (j, -t)) for (i, s), (j, t) in junctions)
-        for key, value in (((plus, minus), junctions), ((minus, plus), flipped)):
-            assert out.setdefault(key, value) == value, key
+    for a, b in itertools.permutations(itertools.product((0, 1), repeat=k), 2):
+        signed = [(i, x - y) for i, (x, y) in enumerate(zip(a, b)) if x != y]
+        plus = frozenset(i for i, s in signed if s == 1)
+        minus = frozenset(i for i, s in signed if s == -1)
+        out[plus, minus] = tuple(zip(signed, signed[1:]))
     assert len(out) == 3 ** k - 1
     return out
 
 
 def test_junction_rule_is_the_special_form_rule_on_difference_products():
-    """The cross-check reads the junction table at the junctions the
-    frame stores: on seeded parameter sets, clean or not, that verdict
-    equals the special-form rule on the whole difference product for
-    every disjoint (P, N), and the diagonals of each set that builds are
-    the former rule on adjacent products."""
+    """The junction table read at the junctions of two corners: on
+    seeded parameter sets, clean or not, that verdict equals the
+    special-form rule on the whole difference product for every
+    disjoint (P, N)."""
     from genutil import random_params
 
     rng = random.Random(7)
     frames = {k: _frame_junctions(k) for k in range(1, 5)}
-    compared = built = rejected = 0
+    compared = 0
     for _ in range(1000):
         forms = xcomplex.sort_params(random_params(rng, max_forms=4))
         joins = xcomplex._joins(forms)
@@ -346,48 +342,67 @@ def test_junction_rule_is_the_special_form_rule_on_difference_products():
             whole = group.is_special_entries(oracles.difference_entries(forms, plus, minus))
             assert all(joins[j] for j in junctions) == whole, (forms, plus, minus)
             compared += 1
+    assert compared > 20000
+
+
+def test_cross_check_raises_exactly_where_the_edge_rule_leaves_the_skeleton():
+    """Differential: on seeded parameter sets, build_x_cluster raises
+    CrossCheckError exactly when the special-form rule on some vertex
+    pair's whole difference product disagrees with the enumerated
+    skeleton of the arrangement whose diagonals are the special adjacent
+    products, and a cluster that builds has those diagonals."""
+    from genutil import random_params
+
+    rng = random.Random(7)
+    skeletons = {}
+    built = rejected = 0
+    for _ in range(3000):
+        forms = xcomplex.sort_params(random_params(rng, max_forms=4))
+        k = len(forms)
+        diagonals = frozenset(
+            i + 1 for i in range(k - 1)
+            if group.is_special_entries(forms[i].entries + forms[i + 1].entries)
+        )
+        if (k, diagonals) not in skeletons:
+            arr = arrangements.Arrangement(k, diagonals)
+            skeletons[k, diagonals] = arrangements.enumerate_cells(arr)
+        mismatches = oracles.skeleton_mismatches(forms, skeletons[k, diagonals])
         try:
             pc = build_x_cluster(F, forms)
         except CrossCheckError:
+            assert mismatches, forms
             rejected += 1
             continue
+        assert not mismatches and pc.diagonals == diagonals, forms
         built += 1
-        assert pc.diagonals == frozenset(
-            i + 1 for i in range(len(forms) - 1)
-            if group.is_special_entries(forms[i].entries + forms[i + 1].entries)
-        ), forms
-    assert compared > 20000 and built > 100 and rejected > 100
+    assert built >= 1000 and rejected >= 1000
 
 
-def test_an_arrangement_edge_the_rule_rejects_raises_cross_check_error(monkeypatch):
-    # the other direction of the cross-check: a frame that joins two
-    # corners of FIG1 whose difference y[010] y[0111] is not special
-    pc = fig1()
-    a, b = (pc.cluster.vertex_of_coords(c) for c in ((0, 0, 0), (1, 0, 1)))
-    assert not pc.has_edge_between_coords((0, 0, 0), (1, 0, 1))
-    frame = xcomplex._arrangement_frame
-    first, second = next(
-        (va, vb) for va, vb, _, _ in frame(3, pc.diagonals)[2] if {va, vb} == {a, b}
-    )
-
-    def joined(k, diagonals):
-        cluster, vertices, pairs = frame(k, diagonals)
-        return cluster, vertices, tuple(
-            (va, vb, junctions, present or {va, vb} == {a, b})
-            for va, vb, junctions, present in pairs
-        )
-
-    # a memoised assembly of FIG1 would not read the frame again
-    xcomplex._assemble.cache_clear()
-    xcomplex._arrangement_frame.cache_clear()
-    monkeypatch.setattr(xcomplex, "_arrangement_frame", joined)
-    for build in (lambda: build_x_cluster(F, FIG1_PARAMS), lambda: assemble([(F, FIG1_PARAMS)])):
-        with pytest.raises(CrossCheckError) as exc:
-            build()
-        assert str(exc.value) == (
-            "edge rule and arrangement skeleton disagree on: "
-            f"({pc.labels[first]}, {pc.labels[second]}) rule=False arrangement=True"
-        )
+def test_arrangement_skeletons_join_the_corners_of_an_interval_of_diagonals():
+    """The fact the cross-check rests on: the enumerated 1-skeleton of
+    Arrangement(k, D) joins two corners exactly when they differ on one
+    interval [lo, hi] of coordinates, all in one direction, with lo+1..hi
+    in D; on every arrangement with k <= 6."""
+    checked = 0
+    for k in range(1, 7):
+        for r in range(k):
+            for D in itertools.combinations(range(1, k), r):
+                cluster = arrangements.enumerate_cells(arrangements.Arrangement(k, frozenset(D)))
+                edges = {vv for _, vv in cluster.complex.edges()}
+                corners = {v: cluster.vertex_coords(v) for v in cluster.complex.cells_of_dim(0)}
+                assert len(corners) == 2 ** k
+                for va, vb in itertools.combinations(corners, 2):
+                    a, b = corners[va], corners[vb]
+                    diff = [i for i in range(k) if a[i] != b[i]]
+                    lo, hi = diff[0], diff[-1]
+                    interval = (
+                        diff == list(range(lo, hi + 1))
+                        and len({a[i] for i in diff}) == 1
+                        and set(range(lo + 1, hi + 1)) <= set(D)
+                    )
+                    assert interval == (frozenset({va, vb}) in edges), (k, D, a, b)
+                checked += 1
+    assert checked == 63
 
 
 def _x_word(rng):
