@@ -383,13 +383,13 @@ def s_witness(w: GroupWord, family: str) -> List[GroupWord]:
 
 
 def _balanced0_factors(pairs: List[Tuple[str, int]]) -> List[GroupWord]:
-    units = [(s, e) for s, e in pairs]
+    # the exponents sum to 0 and each is +-1, so every letter finds its
+    # inverse sign among the rest
+    units = list(pairs)
     factors: List[GroupWord] = []
     while units:
         s, e = units[0]
-        j = next((j for j in range(1, len(units)) if units[j][1] == -e), None)
-        if j is None:
-            raise WitnessError("cannot pair the letters")
+        j = next(j for j in range(1, len(units)) if units[j][1] == -e)
         t = units[j][0]
         if s != t:  # equal subscripts cancel outright
             factors.extend(_pair_factors(s, t) if e == 1 else _pair_factors(t, s))

@@ -12,8 +12,9 @@ of CW Complexes", 1969).  Where that induction fails on a cell the
 answer reads, or such a cell's boundary does not have the Euler
 characteristic of a sphere, the poset is not regular and homology
 raises ValueError; these checks are necessary, not sufficient.  The
-Morse boundary matrices go to a sparse Smith normal form that takes
-unit pivots first (Dumas, Saunders and Villard, 2001).
+Morse boundary matrices go to a sparse Smith normal form with one
+pivot rule, an entry of least magnitude, so that units come first
+(Dumas, Saunders and Villard, 2001).
 """
 
 from __future__ import annotations
@@ -162,19 +163,16 @@ def order_complex(cx: Complex) -> List[Tuple[str, ...]]:
 def smith_diagonal(rows: List[List[int]]) -> List[int]:
     """Nonzero diagonal of the Smith normal form (d1 | d2 | ...).
 
-    The rows are read into sparse dicts, and every +-1 entry is taken
-    as a pivot while there is one: a unit pivot row clears its column by
-    row operations, then its own row by column operations that touch
-    nothing else, and leaves a 1 on the diagonal.  Of the candidate
-    rows of a column, the one with the fewest entries goes first, to
-    keep the fill-in small.  Only when a pass over the columns finds no
-    unit is an entry of least magnitude the pivot (fewest row entries,
-    then row, then column, on a tie).  Its row operations leave
-    remainders in its column; once it is alone there, column operations
-    reduce its row modulo it, and it goes to the diagonal when no
-    remainder is left.  A remainder is less than the pivot, so this
-    ends.  The diagonal entries other than 1 then become a divisibility
-    chain by pairwise gcd and lcm."""
+    The rows are read into sparse dicts, and each round takes as pivot
+    an entry of least magnitude, on a tie the one whose row has the
+    fewest entries, to keep the fill-in small, then the least row, then
+    the least column.  Its row operations leave remainders in its
+    column; once it is alone there, column operations reduce its row
+    modulo it, and it goes to the diagonal when no remainder is left.  A
+    remainder is less than the pivot, so this ends.  No entry is less
+    than a +-1, so units come first, and a unit clears its column and
+    its row in one round.  The diagonal entries other than 1 then become
+    a divisibility chain by pairwise gcd and lcm."""
     width = len(rows[0]) if rows else 0
     span = range(width)
     cols: List[Set[int]] = [set() for _ in span]  # the rows holding each column
@@ -197,27 +195,8 @@ def smith_diagonal(rows: List[List[int]]) -> List[int]:
                 del row[j]
                 cols[j].discard(i)
 
-    units = 0
     diag: List[int] = []
     while True:
-        found = False
-        for c, holders in enumerate(cols):
-            if not holders:
-                continue
-            candidates = [(len(sparse[i]), i) for i in holders if sparse[i][c] in (1, -1)]
-            if not candidates:
-                continue
-            p = min(candidates)[1]
-            pivot = sparse[p]
-            sparse[p] = {}
-            for j in pivot:
-                cols[j].discard(p)
-            for i in list(holders):
-                subtract(i, sparse[i][c] * pivot[c], pivot)  # pivot[c] is +-1
-            units += 1
-            found = True
-        if found:
-            continue
         least = min(((abs(v), len(row), i, j) for i, row in enumerate(sparse)
                      for j, v in row.items()), default=None)
         if least is None:
@@ -237,11 +216,12 @@ def smith_diagonal(rows: List[List[int]]) -> List[int]:
                 diag.append(abs(a))
                 sparse[p] = {}
                 cols[c].discard(p)
-    for i in range(len(diag)):
-        for j in range(i + 1, len(diag)):
-            g = gcd(diag[i], diag[j])
-            diag[i], diag[j] = g, diag[i] // g * diag[j]
-    return [1] * units + diag
+    rest = [v for v in diag if v != 1]
+    for i in range(len(rest)):
+        for j in range(i + 1, len(rest)):
+            g = gcd(rest[i], rest[j])
+            rest[i], rest[j] = g, rest[i] // g * rest[j]
+    return [1] * (len(diag) - len(rest)) + rest
 
 
 def _coreduce(cx: Complex) -> Tuple[List[str], List[Tuple[str, str]]]:

@@ -36,7 +36,7 @@ def random_params(rng, max_forms=3, max_sub=5):
         if len(forms) == max_forms:
             break
         f = random_special_form(rng, max_sub=max_sub)
-        if group.independent_forms(forms + [f]):
+        if all(group.independent_forms((g, f)) for g in forms):
             forms.append(f)
     return forms
 

@@ -180,6 +180,10 @@ def test_coreduction_replays_on_every_skeleton():
                 critical, pairs = _coreduce(sk)
                 _replay_coreduction(sk, critical, pairs)
                 assert len(critical) + 2 * len(pairs) == len(sk.dims)
+                # one critical vertex and the rest in degree k: no Morse
+                # matrix is built (the 0-skeleta have no edges)
+                if k:
+                    assert [sk.dims[c] for c in critical] == [0] + [k] * (len(critical) - 1), (n, D, k)
                 if k == n:
                     assert critical == [min(sk.cells_of_dim(0))], (n, D)
 
