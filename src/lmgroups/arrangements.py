@@ -22,9 +22,11 @@ cell table, and each facet set is built from them only when it is first
 read, so counting cells or taking a skeleton builds no set it does not
 read.  An edge's vertices are its two facets.  A flat is cut out by
 wall positions and '=' relations, which are characters of the cell
-keys, so a cell set is a flat restriction exactly when no cell outside
-it shows all the wall and '=' characters its keys have in common.  All
-arithmetic is exact.
+keys, so a cell set is a flat restriction exactly when it has as many
+cells as the flat of the wall and '=' characters its keys have in
+common, and that flat is counted, not listed, by the transfer matrix
+with those characters as the only states allowed at their indices.
+All arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -379,17 +381,30 @@ def is_flat_restriction(cx: ClusterComplex, keys: Iterable[str]) -> bool:
     constraints a cell satisfies are the characters of its key other
     than 'i', '<', '>' and the '|', each at a fixed index.  The smallest
     candidate flat is cut out by the (index, character) pairs every
-    given key shows, so the set is a flat restriction iff no other cell
-    shows them all.  A key that is not a cell of cx gives False."""
+    given key shows, and it holds every given key, so the set is a flat
+    restriction iff that flat has exactly len(keys) cells.  They are
+    counted as `cell_counts` counts, by a transfer matrix over the pair
+    table, with the shown wall position as the only state allowed where
+    one is shown and '=' as the only relation.  A key that is not a
+    cell of cx gives False."""
     keys = set(keys)
-    dims = cx.complex.dims
-    if not keys or not keys.issubset(dims):
+    if not keys or not keys.issubset(cx.complex.dims):
         return False
-    first = next(iter(keys))
-    shared = [
-        (j, c) for j, c in enumerate(first) if c not in "i<>|" and all(k[j] == c for k in keys)
-    ]
-    return not any(k not in keys and all(k[j] == c for j, c in shared) for k in dims)
+    arr = cx.arrangement
+    shown = [col[0] if col[0] in "01=" and len(set(col)) == 1 else "" for col in zip(*keys)]
+    pins, eqs = shown[:arr.n], iter(shown[arr.n + 1:])
+    # partial[p]: partial cells of the flat ending in position p
+    partial = {p: int(pins[0] in ("", p)) for p in POS}
+    for j in range(1, arr.n):
+        diagonal = j in arr.diagonals
+        equal = diagonal and next(eqs) == "="
+        grown = dict.fromkeys(POS, 0)
+        for p, count in partial.items():
+            for q, r, _ in STEPS[diagonal][p]:
+                if pins[j] in ("", q) and (r == "=" or not equal):
+                    grown[q] += count
+        partial = grown
+    return sum(partial.values()) == len(keys)
 
 
 # --------------------------------------------------------------------------

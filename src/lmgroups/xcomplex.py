@@ -18,22 +18,27 @@ pieces enlarged by the cone parameter, which is computed, not searched.
 An XComplex is therefore immutable, as an XCluster is: fields cannot be
 assigned, down to the cell complex, and maps are read-only, its cells
 and facets too.  The cell complex of each arrangement is enumerated
-once and shared, read-only, by all its clusters, and the edge rule is
-checked on one table per cluster, of the junctions of the last unit of
-each parameter with the first unit of a later one.  Adjacency is read
-from the facet table: an edge's vertices are its facets, the squares on
-an edge are its cofacets, and a cell's least Morse value is the least
-of its facets'.
+once and shared, read-only, by all its clusters, together with one row
+per cell, in `cells()` order, of its key, dimension and the row indices
+of its vertices and facets, so a piece's cell ids come from its vertex
+labels by index and gluing reads facets by index too.  One owner index,
+each glued cell's pieces and local keys, gives every pair of pieces its
+shared cells, and each piece's share must be a flat restriction, which
+`arrangements.is_flat_restriction` decides by counting the cells of the
+flat.  The edge rule is checked on one table per cluster, of the
+junctions of the last unit of each parameter with the first unit of a
+later one.  Adjacency is read from the facet table: an edge's vertices
+are its facets, the squares on an edge are its cofacets, and a cell's
+least Morse value is the least of its facets'.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
-from itertools import combinations, product
-from operator import mul
+from functools import lru_cache
+from itertools import chain, combinations, compress, product
 from types import MappingProxyType
-from typing import Dict, FrozenSet, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from . import group
 from .arrangements import Arrangement, ClusterComplex, enumerate_cells, is_flat_restriction
@@ -91,12 +96,6 @@ class XCluster:
     def label_of_coords(self, coords: Sequence[int]) -> str:
         return self.labels[self.cluster.vertex_of_coords(coords)]
 
-    def has_edge_between_coords(self, a: Sequence[int], b: Sequence[int]) -> bool:
-        pair = frozenset(
-            {self.cluster.vertex_of_coords(a), self.cluster.vertex_of_coords(b)}
-        )
-        return any(vv == pair for _, vv in self.cluster.complex.edges())
-
 
 @dataclass(frozen=True)
 class XComplex:
@@ -120,29 +119,42 @@ def _joins(forms: Sequence[SpecialForm]) -> Dict[tuple, bool]:
     no subscript of another form lies between a form's first and last
     subscripts.  The rule reads only adjacent units, and each form and
     its inverse pass it, so a difference is special exactly when every
-    junction of neighbouring chosen forms passes.  Negating both signs
-    keeps the rule, which asks for alternating signs, so `(i, -a), (j,
-    -b)` reads as `(i, a), (j, b)`, and of the two sign classes of a
-    pair, equal and opposite, at most one passes."""
-    return {
-        ((i, a), (j, b)): group.is_special_entries(((s, e * a), (t, f * b)))
-        for (i, fi), (j, fj) in combinations(enumerate(forms), 2)
-        for (s, e), (t, f) in [(fi.entries[-1], fj.entries[0])]
-        for a, b in product((1, -1), repeat=2)
-    }
+    junction of neighbouring chosen forms passes.  On two units the rule
+    asks for consecutive subscripts and opposite signs, so `consecutive`
+    is read once per pair and the four sign choices off that one answer.
+    Negating both signs keeps the rule, so `(i, -a), (j, -b)` reads as
+    `(i, a), (j, b)`, and of the two sign classes of a pair, equal and
+    opposite, at most one passes."""
+    joins = {}
+    for (i, fi), (j, fj) in combinations(enumerate(forms), 2):
+        (s, e), (t, f) = fi.entries[-1], fj.entries[0]
+        ok = consecutive(s, t) is not None
+        for a, b in product((1, -1), repeat=2):
+            joins[(i, a), (j, b)] = ok and e * a == -f * b
+    return joins
 
 
 @lru_cache(maxsize=64)
 def _arrangement_frame(k: int, diagonals: FrozenSet[int]):
-    """The cell complex of the k-cluster with these diagonals and its
-    vertices with their coordinates.  The complex is shared by every
-    cluster of this shape, so its maps are read-only."""
+    """The cell complex of the k-cluster with these diagonals, its
+    vertices with their coordinates, and one row per cell in `cells()`
+    order: its key, its dimension, and the row indices of its vertices
+    and of its facets.  The vertices come first in that order, so a
+    vertex's row index is its index among the vertices.  All of it is
+    shared by every cluster of this shape, so the complex's maps are
+    read-only and the rows are tuples."""
     arr = Arrangement(k, diagonals)
     cells = enumerate_cells(arr).complex
-    cluster = ClusterComplex(
-        arr, Complex(MappingProxyType(cells.dims), MappingProxyType(dict(cells.facets.items())))
+    cx = Complex(MappingProxyType(cells.dims), MappingProxyType(dict(cells.facets.items())))
+    cluster = ClusterComplex(arr, cx)
+    order = cx.cells()
+    index = {c: i for i, c in enumerate(order)}
+    rows = tuple(
+        (c, cx.dims[c], tuple(sorted(index[v] for v in cx.vertices_of(c))),
+         tuple(sorted(index[f] for f in cx.facets[c])))
+        for c in order
     )
-    return cluster, tuple((v, cluster.vertex_coords(v)) for v in cluster.complex.cells_of_dim(0))
+    return cluster, tuple((v, cluster.vertex_coords(v)) for v in cx.cells_of_dim(0)), rows
 
 
 def build_x_cluster(base: GroupWord, params: Sequence[SpecialForm]) -> XCluster:
@@ -166,12 +178,14 @@ def build_x_cluster(base: GroupWord, params: Sequence[SpecialForm]) -> XCluster:
     k = len(forms)
     joins = _joins(forms)
     diagonals = frozenset(i + 1 for i in range(k - 1) if joins[(i, 1), (i + 1, 1)])
-    cluster, vertices = _arrangement_frame(k, diagonals)
+    cluster, vertices, _ = _arrangement_frame(k, diagonals)
+    form_letters = [w.letters for w in form_words]
     labels: Dict[str, str] = {}
     label_words: Dict[str, GroupWord] = {}
     for v, coords in vertices:
-        chosen = [w for w, c in zip(form_words, coords) if c]
-        key = canonical_coset(reduce(mul, chosen + [base]))
+        # the chosen forms in index order, then the base: the product's letters
+        chosen = chain.from_iterable(compress(form_letters, coords))
+        key = canonical_coset(GroupWord._trusted((*chosen, *base.letters), base.tag))
         labels[v] = key.to_string()
         label_words[v] = key
     if len(set(labels.values())) != len(labels):
@@ -189,13 +203,19 @@ def build_x_cluster(base: GroupWord, params: Sequence[SpecialForm]) -> XCluster:
     )
 
 
-def _global_ids(piece: XCluster) -> Dict[str, str]:
-    cx = piece.cluster.complex
-    ids = {v: piece.labels[v] for v in cx.cells_of_dim(0)}
-    for c in cx.cells():
-        if cx.dims[c]:
-            labels = sorted(piece.labels[v] for v in cx.vertices_of(c))
-            ids[c] = f"{cx.dims[c]}|" + " && ".join(labels)
+def _rows(piece: XCluster):
+    """The per-shape cell rows of the piece's arrangement frame."""
+    return _arrangement_frame(piece.cluster.arrangement.n, piece.diagonals)[2]
+
+
+def _global_ids(piece: XCluster) -> List[str]:
+    """Each cell's id in the complex, in the order of the piece's rows: a
+    vertex's coset key, and for a higher cell its dimension and the sorted
+    keys of its vertices, read by their row indices."""
+    labels = piece.labels
+    ids: List[str] = []
+    for c, d, verts, _ in _rows(piece):
+        ids.append(f"{d}|" + " && ".join(sorted([ids[i] for i in verts])) if d else labels[c])
     return ids
 
 
@@ -220,41 +240,45 @@ def assemble(pieces: Sequence[Tuple[GroupWord, Sequence[SpecialForm]]]) -> XComp
 @lru_cache(maxsize=4096)
 def _assemble(pieces: Tuple[Tuple[GroupWord, Tuple[SpecialForm, ...]], ...]) -> XComplex:
     built = [build_x_cluster(b, p) for b, p in pieces]
-    idmaps = [_global_ids(pc) for pc in built]
 
     dims: Dict[str, int] = {}
     facets: Dict[str, FrozenSet[str]] = {}
     words: Dict[str, GroupWord] = {}
-    for pc, ids in zip(built, idmaps):
-        cx = pc.cluster.complex
-        for c in cx.cells():
-            gid = ids[c]
-            d = cx.dims[c]
-            fs = frozenset(ids[f] for f in cx.facets[c])
-            if gid in dims:
-                if dims[gid] != d or facets[gid] != fs:
-                    raise AssemblyError(
-                        f"cell {gid} glued with inconsistent faces: "
-                        "intersection is not a subcluster"
-                    )
-            else:
+    # each glued cell's owners: (piece index, local key), in piece order
+    owners: Dict[str, List[Tuple[int, str]]] = {}
+    for p, pc in enumerate(built):
+        ids = _global_ids(pc)
+        for (c, d, _, facet_rows), gid in zip(_rows(pc), ids):
+            fs = frozenset([ids[i] for i in facet_rows])
+            met = owners.get(gid)
+            if met is None:
+                owners[gid] = [(p, c)]
                 dims[gid] = d
                 facets[gid] = fs
-        for v in cx.cells_of_dim(0):
-            words[ids[v]] = pc.label_words[v]
+                if not d:
+                    words[gid] = pc.label_words[c]
+            elif dims[gid] != d or facets[gid] != fs:
+                raise AssemblyError(
+                    f"cell {gid} glued with inconsistent faces: intersection is not a subcluster"
+                )
+            else:
+                met.append((p, c))
 
-    for i in range(len(built)):
-        cells_i = set(idmaps[i].values())
-        for j in range(i + 1, len(built)):
-            shared = cells_i & set(idmaps[j].values())
-            if not shared:
-                continue
-            for k in (i, j):
-                keys = [c for c, g in idmaps[k].items() if g in shared]
-                if not is_flat_restriction(built[k].cluster, keys):
-                    raise AssemblyError(
-                        f"intersection of pieces {i} and {j} is not a subcluster of both"
-                    )
+    # each pair's shared cells by their local keys in both pieces
+    shared: Dict[Tuple[int, int], Tuple[List[str], List[str]]] = {}
+    for met in owners.values():
+        for (i, a), (j, b) in combinations(met, 2):
+            keys = shared.get((i, j))
+            if keys is None:
+                keys = shared[i, j] = ([], [])
+            keys[0].append(a)
+            keys[1].append(b)
+    for i, j in sorted(shared):
+        for k, keys in zip((i, j), shared[i, j]):
+            if not is_flat_restriction(built[k].cluster, keys):
+                raise AssemblyError(
+                    f"intersection of pieces {i} and {j} is not a subcluster of both"
+                )
 
     return XComplex(
         Complex._trusted(MappingProxyType(dims), MappingProxyType(facets)),

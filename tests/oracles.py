@@ -4,7 +4,11 @@ to the definition, with a second only at sizes the first cannot reach.
 - Cells and facets, n <= 5: the sign-vector sweep `enumerate_cells`.
 - Facets, n = 6 and 7 (the sweep takes 22 s at n = 6): the former `_facets`.
 - Faces and vertices of a cell: the stack walk `closure` down the facets.
-- Flats: the flat-mask enumeration `_flat_cell_sets`.
+- Flats: the flat-mask enumeration `_flat_cell_sets`, and the scan
+  `is_flat_restriction` over every cell for the shared wall and '='
+  characters.
+- Edges of a cluster by corner coordinates: `has_edge_between_coords`,
+  a scan of every edge.
 - The edge rule of a cluster: the whole difference product
   `difference_entries`, read by `group.is_special_entries`, and compared
   with the enumerated skeleton on every vertex pair by
@@ -229,6 +233,30 @@ def _flat_cell_sets(piece, ids: Dict[str, str]) -> List[FrozenSet[str]]:
         if inside:
             flats.add(inside)
     return sorted((frozenset(ids[k] for k in flat) for flat in flats), key=sorted)
+
+
+def is_flat_restriction(cx: ClusterComplex, keys) -> bool:
+    """The former scan of `arrangements.is_flat_restriction`: the
+    (index, character) pairs of wall positions and '=' relations every
+    key shows, and no other cell of cx showing them all.  An empty set
+    or a key that is no cell gives False."""
+    keys = set(keys)
+    dims = cx.complex.dims
+    if not keys or not keys.issubset(dims):
+        return False
+    first = next(iter(keys))
+    shared = [
+        (j, c) for j, c in enumerate(first) if c not in "i<>|" and all(k[j] == c for k in keys)
+    ]
+    return not any(k not in keys and all(k[j] == c for j, c in shared) for k in dims)
+
+
+def has_edge_between_coords(piece, a: Sequence[int], b: Sequence[int]) -> bool:
+    """True iff an edge of the piece's cluster joins the corners at
+    coordinates a and b, by a scan of every edge; a point that is no
+    corner raises ValueError."""
+    pair = frozenset({piece.cluster.vertex_of_coords(a), piece.cluster.vertex_of_coords(b)})
+    return any(vv == pair for _, vv in piece.cluster.complex.edges())
 
 
 # --------------------------------------------------------------------------

@@ -72,9 +72,9 @@ def test_criterion_03_figures():
     assert sorted(c1.diagonals) == [1, 2]
     assert sorted(c2.diagonals) == [1]
     assert sorted(c3.diagonals) == []
-    assert c1.has_edge_between_coords((0, 0, 0), (1, 1, 1))
-    assert not c2.has_edge_between_coords((0, 0, 0), (1, 1, 1))
-    assert not c3.has_edge_between_coords((0, 0, 0), (1, 1, 1))
+    assert oracles.has_edge_between_coords(c1, (0, 0, 0), (1, 1, 1))
+    assert not oracles.has_edge_between_coords(c2, (0, 0, 0), (1, 1, 1))
+    assert not oracles.has_edge_between_coords(c3, (0, 0, 0), (1, 1, 1))
     far = word(f"y[{S}0] y[{S}10]^-1 y[{S}11]", "G")
     assert group.same_coset(far, word(f"y[{S}]", "G")).result == "yes"
     assert c1.label_of_coords((1, 1, 1)) == f"y[{S}]"

@@ -508,6 +508,26 @@ def test_flat_check_matches_mask_oracle_on_small_arrangements():
                     assert not is_flat_restriction(cx, flat | {stranger})
 
 
+def test_flat_count_matches_the_scan_on_every_arrangement_up_to_five():
+    # differential: the counting check against the former scan over every
+    # cell, on each single cell, each cell's closure and seeded sets of up
+    # to 6 cells of every arrangement with n <= 5
+    rng = random.Random(12)
+    compared = accepted = 0
+    for n in range(1, 6):
+        for D in all_diag_subsets(n):
+            cx = enumerate_cells(Arrangement(n, frozenset(D)))
+            cells = cx.complex.cells()
+            candidates = [{c} for c in cells] + [cx.complex.faces(c) | {c} for c in cells]
+            candidates += [rng.sample(cells, rng.randint(1, min(6, len(cells)))) for _ in range(60)]
+            for keys in candidates:
+                verdict = is_flat_restriction(cx, keys)
+                assert verdict == oracles.is_flat_restriction(cx, keys), (n, D, sorted(keys))
+                compared += 1
+                accepted += verdict
+    assert compared > 10000 and 0 < accepted < compared
+
+
 def test_verify_convex_cells():
     for n in range(1, 6):
         for D in all_diag_subsets(n):

@@ -205,6 +205,21 @@ def test_homology_command(capsys):
     assert "(0, [])" in out
 
 
+def test_two_pieces_glue_on_the_command_line(capsys):
+    # repeated --piece options glue: a cube and a square at e sharing the
+    # edge of y[010], then two squares at e sharing the edge of
+    # y[0110]^-1, whose ascending link at e is two points
+    assert run(["homology", "--piece", "e|y[010];y[0110]^-1;y[0111]",
+                "--piece", "e|y[010];y[0001]", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["reduced_homology"] == {str(d): [0, []] for d in range(4)}
+    assert run(["asclink", "--piece", "e|y[010];y[0110]^-1",
+                "--piece", "e|y[0110]^-1;y[0111]", "--vertex", "e", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["cells"] == {"0": 2} and doc["collapsible"] is False
+    assert doc["reduced_homology"]["0"] == [1, []]
+
+
 def test_xcluster_dot_ranks(capsys):
     assert run(["xcluster", "--params", "y[010];y[0110]^-1;y[0111]", "--dot"]) == 0
     out = capsys.readouterr().out

@@ -37,29 +37,29 @@ def fig1():
 def test_figure_clusters():
     c1 = fig1()
     assert sorted(c1.diagonals) == [1, 2]
-    assert c1.has_edge_between_coords((0, 0, 0), (1, 1, 1))
+    assert oracles.has_edge_between_coords(c1, (0, 0, 0), (1, 1, 1))
     assert c1.label_of_coords((1, 1, 1)) == f"y[{S}]"
     c2 = build_x_cluster(F, [special_form(f"y[{S}0]"), special_form(f"y[{S}10]^-1"),
                              special_form(f"y[{S}111]")])
     assert sorted(c2.diagonals) == [1]
-    assert not c2.has_edge_between_coords((0, 0, 0), (1, 1, 1))
+    assert not oracles.has_edge_between_coords(c2, (0, 0, 0), (1, 1, 1))
     c3 = build_x_cluster(F, [special_form(f"y[{S}00]"), special_form(f"y[{S}10]^-1"),
                              special_form(f"y[{S}111]")])
     assert sorted(c3.diagonals) == []
-    assert not c3.has_edge_between_coords((0, 0, 0), (1, 1, 1))
+    assert not oracles.has_edge_between_coords(c3, (0, 0, 0), (1, 1, 1))
 
 
 def test_two_parameter_square_examples():
     # square with one diagonal: the signed product y_01 y_10^-1 is special
     c = build_x_cluster(F, [special_form("y[01]"), special_form("y[10]^-1")])
     assert sorted(c.diagonals) == [1]
-    assert c.has_edge_between_coords((0, 0), (1, 1))
-    assert not c.has_edge_between_coords((0, 1), (1, 0))
+    assert oracles.has_edge_between_coords(c, (0, 0), (1, 1))
+    assert not oracles.has_edge_between_coords(c, (0, 1), (1, 0))
     # plain square: 01 and 110 are not consecutive, no diagonal at all
     c = build_x_cluster(F, [special_form("y[01]"), special_form("y[110]^-1")])
     assert sorted(c.diagonals) == []
-    assert not c.has_edge_between_coords((0, 0), (1, 1))
-    assert not c.has_edge_between_coords((0, 1), (1, 0))
+    assert not oracles.has_edge_between_coords(c, (0, 0), (1, 1))
+    assert not oracles.has_edge_between_coords(c, (0, 1), (1, 0))
 
 
 def test_far_corner_coset_identity():
@@ -225,10 +225,56 @@ def _seeded_pieces(seed, count):
     ]
 
 
+def _with_cones(assemblies):
+    """The assemblies, each followed by its enlargement by the cone
+    parameter where `find_cone_vertex` finds one."""
+    out = []
+    for pieces in assemblies:
+        out.append(pieces)
+        try:
+            m, _ = find_cone_vertex(pieces)
+        except ClusterError:
+            continue
+        apex = special_form(f"y[{'0' * m}1]")
+        out.append([(b, list(p) + [apex]) for b, p in pieces])
+    return out
+
+
+def test_frame_rows_name_each_cells_vertices_and_facets():
+    # every shape with k <= 4: one row per cell in `cells()` order, whose
+    # vertex and facet indices name exactly its vertices and facets, the
+    # vertices first and in the frame's vertex order, and tuples only
+    shapes = 0
+    for k in range(1, 5):
+        for r in range(k):
+            for D in itertools.combinations(range(1, k), r):
+                cluster, vertices, rows = xcomplex._arrangement_frame(k, frozenset(D))
+                cx = cluster.complex
+                order = cx.cells()
+                assert type(rows) is tuple and [row[0] for row in rows] == order
+                assert [v for v, _ in vertices] == order[:len(vertices)]
+                for c, d, verts, facet_rows in rows:
+                    assert type(verts) is tuple and type(facet_rows) is tuple
+                    assert d == cx.dims[c] and len(set(verts)) == len(verts)
+                    assert {order[i] for i in verts} == cx.vertices_of(c)
+                    assert len(set(facet_rows)) == len(facet_rows)
+                    assert {order[i] for i in facet_rows} == cx.facets[c]
+                assert {type(x) for row in rows for x in row[2] + row[3]} == {int}
+                assert {type(row) for row in rows} == {tuple}
+                shapes += 1
+    assert shapes == 1 + 2 + 4 + 8
+
+
 def test_edges_are_their_facets_on_assemblies():
     for pieces in _seeded_pieces(5, 30):
         cx = assemble(pieces).complex
         assert cx.edges() == [(e, cx.vertices_of(e)) for e in cx.cells_of_dim(1)]
+
+
+def _id_map(piece):
+    """A piece's cell ids by local key: `_global_ids` lists them in the
+    order of the piece's cells."""
+    return dict(zip(piece.cluster.complex.cells(), xcomplex._global_ids(piece)))
 
 
 def _former_global_ids(piece):
@@ -256,8 +302,7 @@ def test_closures_and_cell_ids_match_former_passes_on_assemblies():
             assert (cx.faces(c), cx.vertices_of(c)) == oracles.closure(cx, c), c
         for base, params in pieces:
             piece = build_x_cluster(base, params)
-            ids = xcomplex._global_ids(piece)
-            assert list(ids.items()) == list(_former_global_ids(piece).items())
+            assert list(_id_map(piece).items()) == list(_former_global_ids(piece).items())
 
 
 def test_vertex_sets_are_memoised_and_match_the_face_filter():
@@ -323,6 +368,29 @@ def _frame_junctions(k):
         out[plus, minus] = tuple(zip(signed, signed[1:]))
     assert len(out) == 3 ** k - 1
     return out
+
+
+def _former_joins(forms):
+    """`xcomplex._joins` as it was: the special-form rule on the two
+    units of each junction, read again for each of the four signs."""
+    return {
+        ((i, a), (j, b)): group.is_special_entries(((s, e * a), (t, f * b)))
+        for (i, fi), (j, fj) in itertools.combinations(enumerate(forms), 2)
+        for (s, e), (t, f) in [(fi.entries[-1], fj.entries[0])]
+        for a, b in itertools.product((1, -1), repeat=2)
+    }
+
+
+def test_joins_match_the_former_rule_on_seeded_clusters_and_their_cones():
+    compared = passed = 0
+    for pieces in _with_cones(_seeded_pieces(5, 30)):
+        for _, params in pieces:
+            forms = xcomplex.sort_params(params)
+            joins = xcomplex._joins(forms)
+            assert list(joins.items()) == list(_former_joins(forms).items()), forms
+            compared += len(joins)
+            passed += sum(joins.values())
+    assert compared > 500 and 0 < passed < compared
 
 
 def test_junction_rule_is_the_special_form_rule_on_difference_products():
@@ -596,9 +664,9 @@ def test_coordinates_must_be_a_corner_of_the_cube():
     # n = 2: a third coordinate, a 2 and a lone coordinate name no vertex
     pc = build_x_cluster(F, [special_form("y[01]"), special_form("y[10]^-1")])
     assert pc.label_of_coords((0, 0)) == "e"
-    assert pc.has_edge_between_coords((0, 0), (1, 0))
+    assert oracles.has_edge_between_coords(pc, (0, 0), (1, 0))
     for call, args in (
-        (pc.has_edge_between_coords, ((0, 0, 0), (1, 0, 0))),
+        (pc.cluster.vertex_of_coords, ((0, 0, 0),)),
         (pc.label_of_coords, ((2, 0),)),
         (pc.label_of_coords, ((0,),)),
     ):
@@ -748,10 +816,10 @@ def _restricts_to_flat(pc, ids, shared):
 
 
 def _flat_verdicts(pieces):
-    """(new check, mask oracle) for each piece on each nonempty pairwise
-    intersection, mirroring the guard in assemble."""
+    """(counting check, former scan, mask oracle) for each piece on each
+    nonempty pairwise intersection, mirroring the guard in assemble."""
     built = [build_x_cluster(b, p) for b, p in pieces]
-    idmaps = [xcomplex._global_ids(pc) for pc in built]
+    idmaps = [_id_map(pc) for pc in built]
     out = []
     for i in range(len(built)):
         for j in range(i + 1, len(built)):
@@ -759,8 +827,10 @@ def _flat_verdicts(pieces):
             if not shared:
                 continue
             for k in (i, j):
+                keys = [c for c, g in idmaps[k].items() if g in shared]
                 out.append((
                     _restricts_to_flat(built[k], idmaps[k], shared),
+                    oracles.is_flat_restriction(built[k].cluster, keys),
                     frozenset(shared) in oracles._flat_cell_sets(built[k], idmaps[k]),
                 ))
     return out
@@ -778,8 +848,8 @@ def test_flat_check_matches_mask_oracle():
         pieces.append((F, first[:1]))
         if len(first) == 2:
             pieces.append((first[0].word("G"), first[1:]))
-        for new, old in _flat_verdicts(pieces):
-            assert new == old
+        for verdicts in _flat_verdicts(pieces):
+            assert len(set(verdicts)) == 1, verdicts
             compared += 1
         subs = [s for _, params in pieces for f in params for s in f.subscripts()]
         for m in range(1, 8):
@@ -790,11 +860,22 @@ def test_flat_check_matches_mask_oracle():
                 verdicts = _flat_verdicts([(b, p + [special_form(f"y[{apex}]")]) for b, p in pieces])
             except ClusterError:
                 continue
-            for new, old in verdicts:
-                assert new == old
+            for verdict in verdicts:
+                assert len(set(verdict)) == 1, verdict
                 coned_compared += 1
             break
     assert compared >= 20 and coned_compared >= 20
+
+
+def test_flat_count_matches_the_scan_on_seeded_assemblies_and_their_cones():
+    # the shared-key lists that assemble checks, on the seeded assemblies
+    # and on their enlargements by the cone parameter
+    compared = 0
+    for pieces in _with_cones(_seeded_pieces(5, 30)):
+        for verdicts in _flat_verdicts(pieces):
+            assert len(set(verdicts)) == 1, (pieces, verdicts)
+            compared += 1
+    assert compared > 100
 
 
 def test_assemble_intersection_guard_rejects_opposite_corners():
@@ -802,7 +883,7 @@ def test_assemble_intersection_guard_rejects_opposite_corners():
     # intersection made of them alone fails the guard
     pc = build_x_cluster(F, [special_form("y[01]"), special_form("y[110]^-1")])
     assert not pc.diagonals
-    ids = xcomplex._global_ids(pc)
+    ids = _id_map(pc)
     corners = {ids[pc.cluster.vertex_of_coords(c)] for c in ((0, 0), (1, 1))}
     assert not _restricts_to_flat(pc, ids, corners)
     assert frozenset(corners) not in oracles._flat_cell_sets(pc, ids)
@@ -831,7 +912,7 @@ def test_assemble_guards_raise_assembly_error(monkeypatch):
 
     swapped = relabel(square, {(1, 0): (1, 1), (1, 1): (1, 0)})
     diagonal = relabel(line, {(0,): (0, 0), (1,): (1, 1)})
-    ids = xcomplex._global_ids
+    ids = _id_map
     two_cell = [c for c, d in square.cluster.complex.dims.items() if d == 2]
     assert [ids(swapped)[c] for c in two_cell] == [ids(square)[c] for c in two_cell]
     assert set(ids(swapped).values()) != set(ids(square).values())
